@@ -108,8 +108,22 @@ def _emit(obj, fmt: str) -> str:
     return str(obj)
 
 
+# The construction parameters each family needs (--variant has a default).
+_FAMILY_PARAMETERS = {
+    "folded-cube": ("ell",),
+    "broom-gadget": ("m",),
+    "broom-saturated": ("n", "m"),
+    "caterpillar": ("n", "k", "ell"),
+    "star-forest": ("n", "k"),
+    "double-star": ("n", "t", "s"),
+}
+
+
 def cmd_construct(args, config: RunConfig) -> int:
     family = args.family
+    missing = [f"--{p}" for p in _FAMILY_PARAMETERS.get(family, ()) if getattr(args, p) is None]
+    if missing:
+        raise RslabError(f"{family} needs {', '.join(missing)}")
     if family == "folded-cube":
         obj: object = folded_cube(args.ell)
     elif family == "broom-gadget":
@@ -165,7 +179,7 @@ def cmd_oracle(args, config: RunConfig) -> int:
     else:
         rec = prsat_number(
             args.n, spec,
-            budget=args.budget if args.budget else DEFAULT_CENSUS_BUDGET,
+            budget=args.budget if args.budget is not None else DEFAULT_CENSUS_BUDGET,
             edge_cap=args.edge_cap, workers=config.threads,
             cache_dir=config.cache_dir, force=config.force,
         )
@@ -184,7 +198,7 @@ def cmd_oracle(args, config: RunConfig) -> int:
 
 def cmd_reproduce(args, config: RunConfig) -> int:
     rc = repro.ReproConfig(
-        budget=args.budget if args.budget else DEFAULT_CENSUS_BUDGET,
+        budget=args.budget if args.budget is not None else DEFAULT_CENSUS_BUDGET,
         cache_dir=config.cache_dir,
         workers=config.threads,
         ell=args.ell,
@@ -261,9 +275,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
+    budget = getattr(args, "budget", None)
     try:
         config = RunConfig(
-            budget=args.budget if getattr(args, "budget", None) else DEFAULT_BUDGET,
+            budget=budget if budget is not None else DEFAULT_BUDGET,
             threads=args.threads,
             cache_dir=args.cache_dir,
             output_format=args.output_format,

@@ -9,6 +9,15 @@ relabelling symmetry outright.  A branch is pruned as soon as the fully
 coloured edges already contain a rainbow copy of the target pattern, since
 such a copy persists in every extension.
 
+That pruning test runs once per search node and asks only for copies
+through the edge just coloured.  The matcher compiles, once per pattern,
+one placement plan per orbit of directed pattern edges under the pattern's
+automorphism group (copies anchored at arcs of one orbit correspond with
+the same image edges), and turns each plan into generated code with one
+nested loop per pattern vertex and the used vertices and colours kept in
+bitmasks.  The full-pattern search behind `contains_copy` and
+`find_rainbow_copy` comes from the same generator.
+
 Budgets are node counts on that search tree.  A search that runs out of
 nodes reports Unknown, never a guess.
 """
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .canon import non_edge_orbit_representatives
+from .canon import _UnionFind, automorphism_generators, non_edge_orbit_representatives
 from .colouring import EdgeColouring
 from .graphs import Edge, Graph
 from .patterns import PatternSpec, realize_pattern
@@ -115,23 +124,31 @@ class CheckResult:
 
 
 class _Matcher:
-    """Backtracking embedder for one pattern graph.
+    """Compiled embedder for one pattern graph.
 
-    Precomputes a placement plan (each new pattern vertex is anchored to an
-    already placed neighbour; fresh components restart unanchored) plus one
-    anchored plan per directed pattern edge, used to look for copies through
-    a specific host edge.
+    A placement plan orders the pattern vertices: each new vertex is
+    anchored to an already placed neighbour, and a fresh component restarts
+    unanchored.  The full plan serves :meth:`find`.  The anchored plans, one
+    per directed pattern edge, look for copies through a given host edge;
+    only the first arc of each orbit of directed edges under Aut(H) gets a
+    plan, because an automorphism carrying one arc onto another turns every
+    copy anchored at the first into a copy anchored at the second with the
+    same image edges and colours.
+
+    Each plan is compiled once, by :func:`_compile_plans`, into a generated
+    function with one nested ``for`` loop per step, so a call runs without
+    recursion or a mapping list.
     """
 
     def __init__(self, pattern: Graph):
         self.pattern = pattern
         self.k = pattern.n
         self.edge_count = len(pattern.edges)
-        self.full_plan = self._plan(seed=())
-        self.anchored_plans = []
-        for a, b in pattern.edges:
-            self.anchored_plans.append(((a, b), self._plan(seed=(a, b))))
-            self.anchored_plans.append(((b, a), self._plan(seed=(b, a))))
+        anchored = [(arc, self._plan(seed=arc)) for arc in _arc_orbit_representatives(pattern)]
+        full = [((), self._plan(seed=()))]
+        self._through = _compile_plans(anchored, rainbow=True)
+        self._find_rainbow = _compile_plans(full, rainbow=True)
+        self._find_plain = _compile_plans(full, rainbow=False)
 
     def _plan(self, seed: tuple[int, ...]):
         placed = list(seed)
@@ -156,60 +173,9 @@ class _Matcher:
             placed_set.add(x)
         return tuple(steps)
 
-    def _dfs(self, steps, idx, mapping, used, cmask, adj, ecol, n, rainbow):
-        if idx == len(steps):
-            return True
-        hv, primary, others = steps[idx]
-        if primary is None:
-            for w in range(n):
-                if used >> w & 1:
-                    continue
-                mapping[hv] = w
-                if self._dfs(steps, idx + 1, mapping, used | (1 << w), cmask,
-                             adj, ecol, n, rainbow):
-                    return True
-            mapping[hv] = -1
-            return False
-        base = mapping[primary]
-        for w, cw in adj[base]:
-            if used >> w & 1:
-                continue
-            if rainbow:
-                if cmask >> cw & 1:
-                    continue
-                nmask = cmask | (1 << cw)
-            else:
-                nmask = cmask
-            ok = True
-            for q in others:
-                cq = ecol[mapping[q]][w]
-                if cq == 0:
-                    ok = False
-                    break
-                if rainbow:
-                    if nmask >> cq & 1:
-                        ok = False
-                        break
-                    nmask |= 1 << cq
-            if not ok:
-                continue
-            mapping[hv] = w
-            if self._dfs(steps, idx + 1, mapping, used | (1 << w), nmask,
-                         adj, ecol, n, rainbow):
-                return True
-        mapping[hv] = -1
-        return False
-
     def exists_through(self, u, v, c_uv, adj, ecol, n) -> bool:
         """Rainbow copy among coloured edges that uses the edge (u, v)?"""
-        for (a, b), steps in self.anchored_plans:
-            mapping = [-1] * self.k
-            mapping[a] = u
-            mapping[b] = v
-            if self._dfs(steps, 0, mapping, (1 << u) | (1 << v), 1 << c_uv,
-                         adj, ecol, n, True):
-                return True
-        return False
+        return self._through(u, v, c_uv, adj, ecol, n) is not None
 
     def find(self, host: Graph, colouring: EdgeColouring | None) -> Embedding | None:
         """Complete search; deterministic (first hit in the fixed scan order)."""
@@ -223,15 +189,109 @@ class _Matcher:
             ecol[u][v] = ecol[v][u] = c
             adj[u].append((v, c))
             adj[v].append((u, c))
-        mapping = [-1] * self.k
-        rainbow = colouring is not None
-        if self._dfs(self.full_plan, 0, mapping, 0, 0, adj, ecol, n, rainbow):
-            image = tuple(
-                (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
-                for a, b in self.pattern.edges
-            )
-            return Embedding(tuple(mapping), image)
-        return None
+        match = self._find_plain if colouring is None else self._find_rainbow
+        mapping = match(-1, -1, 0, adj, ecol, n)
+        if mapping is None:
+            return None
+        image = tuple(
+            (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
+            for a, b in self.pattern.edges
+        )
+        return Embedding(mapping, image)
+
+
+def _arc_orbit_representatives(pattern: Graph) -> list[Edge]:
+    """First directed edge, in (a, b), (b, a) edge-list order, of each orbit
+    of directed edges under the automorphism group of the pattern."""
+    arcs = [arc for a, b in pattern.edges for arc in ((a, b), (b, a))]
+    index = {arc: i for i, arc in enumerate(arcs)}
+    uf = _UnionFind(len(arcs))
+    for s in automorphism_generators(pattern):
+        for i, (a, b) in enumerate(arcs):
+            uf.union(i, index[(s[a], s[b])])
+    # the union-find keeps the smallest index of each class as its root
+    return [arc for i, arc in enumerate(arcs) if uf.find(i) == i]
+
+
+# CPython refuses more than 20 statically nested blocks in one function; a
+# plan deeper than this continues in a helper function.
+_MAX_NESTED_LOOPS = 16
+
+
+def _compile_plans(plans, rainbow: bool):
+    """Generate one function that tries each (seed, steps) plan in turn.
+
+    The function takes ``(u, v, c_uv, adj, ecol, n)``; a plan seeded with
+    the arc (a, b) maps a to u and b to v and starts from the colour c_uv,
+    an unseeded plan ignores all three.  Pattern vertex h is held in the
+    local ``x{h}``; ``u{d}`` and ``m{d}`` are the used-vertex and colour
+    bitmasks after depth d.  The first embedding reached is returned as the
+    tuple of images of the pattern vertices, and None when every plan is
+    exhausted.  With `rainbow` false the colours are ignored.  The source
+    is built from pattern vertex indices only.
+    """
+    helpers: list[list[str]] = []
+
+    def either(mask, bit):
+        return bit if mask == "0" else f"{mask} | {bit}"
+
+    def emit(lines, steps, indent, names, used, colours, depth):
+        pad = "    " * indent
+        for i, (hv, primary, others) in enumerate(steps):
+            if i == _MAX_NESTED_LOOPS:
+                masks = [m for m in (used, colours) if m != "0"]
+                params = ", ".join([*names.values(), *masks, "adj", "ecol", "n"])
+                name = f"_part{len(helpers)}"
+                body = [f"def {name}({params}):"]
+                helpers.append(body)
+                emit(body, steps[i:], 1, dict(names), used, colours, depth)
+                body.append("    return None")
+                lines += [f"{pad}r = {name}({params})", f"{pad}if r is not None:",
+                          f"{pad}    return r"]
+                return
+            last = i == len(steps) - 1
+            x = names[hv] = f"x{hv}"
+            depth += 1
+            if primary is None:
+                lines.append(f"{pad}for {x} in range(n):")
+            else:
+                lines.append(f"{pad}for {x}, c in adj[{names[primary]}]:")
+            fails = []
+            if used != "0":
+                fails.append(f"{used} >> {x} & 1")
+            if rainbow and primary is not None and colours != "0":
+                fails.append(f"{colours} >> c & 1")
+            pad += "    "
+            if fails:
+                lines += [f"{pad}if {' or '.join(fails)}:", f"{pad}    continue"]
+            if rainbow and primary is not None and (others or not last):
+                lines.append(f"{pad}m{depth} = {either(colours, '1 << c')}")
+                colours = f"m{depth}"
+            for q in others:
+                lines.append(f"{pad}c = ecol[{names[q]}][{x}]")
+                if rainbow:
+                    lines += [f"{pad}if not c or {colours} >> c & 1:", f"{pad}    continue",
+                              f"{pad}{colours} |= 1 << c"]
+                else:
+                    lines += [f"{pad}if not c:", f"{pad}    continue"]
+            if not last:
+                lines.append(f"{pad}u{depth} = {either(used, f'1 << {x}')}")
+                used = f"u{depth}"
+        lines.append(f"{pad}return ({''.join(names[h] + ', ' for h in range(len(names)))})")
+
+    main = ["def match(u, v, c_uv, adj, ecol, n):"]
+    if any(seed for seed, _ in plans):
+        main += ["    u0 = 1 << u | 1 << v", "    m0 = 1 << c_uv"]
+    for seed, steps in plans:
+        if seed:
+            emit(main, steps, 1, dict(zip(seed, ("u", "v"))), "u0", "m0", 0)
+        else:
+            emit(main, steps, 1, {}, "0", "0", 0)
+    main.append("    return None")
+    source = "\n".join(line for block in (*helpers, main) for line in block)
+    scope: dict = {}
+    exec(compile(source, "<rslab matcher plan>", "exec"), scope)
+    return scope["match"]
 
 
 @lru_cache(maxsize=1024)

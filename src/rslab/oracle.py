@@ -330,27 +330,35 @@ def _cache_file(root: Path, quantity: str) -> Path:
     return root / f"census-{quantity}.jsonl"
 
 
-def load_cached_record(root: Path, key: tuple) -> CensusRecord | None:
-    path = _cache_file(root, key[2])
+def _read_records(path: Path):
+    """The records of a cache file, skipping any line that does not parse
+    (such as one a crash cut short): its record reads as a cache miss."""
     if not path.exists():
-        return None
+        return
     for line in path.read_text(encoding="utf-8").splitlines():
         if not line.strip():
             continue
-        rec = CensusRecord.from_json_dict(json.loads(line))
+        try:
+            rec = CensusRecord.from_json_dict(json.loads(line))
+        except (ValueError, KeyError, TypeError):
+            continue
+        yield rec
+
+
+def load_cached_record(root: Path, key: tuple) -> CensusRecord | None:
+    for rec in _read_records(_cache_file(root, key[2])):
         if rec.key() == key:
             return rec
     return None
 
 
 def store_record(root: Path, record: CensusRecord, force: bool = False) -> None:
+    """Add or replace one record; the file is rewritten through a temporary
+    file and a rename, so a crash mid-write leaves the old file whole.
+    Unparseable lines of the old file are dropped."""
     root.mkdir(parents=True, exist_ok=True)
     path = _cache_file(root, record.quantity)
-    rows: list[CensusRecord] = []
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                rows.append(CensusRecord.from_json_dict(json.loads(line)))
+    rows = list(_read_records(path))
     replaced = False
     for i, old in enumerate(rows):
         if old.key() == record.key():
@@ -364,10 +372,15 @@ def store_record(root: Path, record: CensusRecord, force: bool = False) -> None:
             break
     if not replaced:
         rows.append(record)
-    path.write_text(
-        "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in rows),
-        encoding="utf-8",
-    )
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(
+            "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in rows),
+            encoding="utf-8",
+        )
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _cached_census(

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rslab.cli import main
 from rslab.graphs import from_graph6
 from rslab.patterns import PatternSpec, realize_pattern
@@ -51,6 +53,32 @@ def test_construct_caterpillar_dot(capsys):
 def test_construct_invalid_parameter_exits_2(capsys):
     code, _ = run(capsys, "construct", "folded-cube", "--ell", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["folded-cube"], "--ell"),
+    (["broom-gadget"], "--m"),
+    (["broom-saturated", "--n", "9"], "--m"),
+    (["caterpillar", "--n", "28", "--k", "6"], "--ell"),
+    (["star-forest", "--k", "4"], "--n"),
+    (["double-star", "--n", "10", "--s", "1"], "--t"),
+])
+def test_construct_missing_parameter_exits_2(capsys, argv, flag):
+    code = main(["construct", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--n", "5", "--pattern", "P4", "--quantity", "prsat"],
+    ["verify", "-", "--pattern", "P4"],
+    ["reproduce", "lemma4"],
+])
+def test_budget_zero_rejected_not_replaced_by_default(capsys, argv):
+    code = main([*argv, "--budget", "0"])
+    assert code == 2
+    assert "budget must be positive" in capsys.readouterr().err
 
 
 def test_verify_star_forest_prsat(tmp_path, capsys):

@@ -6,6 +6,7 @@ from conftest import all_graphs_on, small_graphs
 from rslab.colouring import EdgeColouring, is_proper
 from rslab.engine import (
     Status,
+    _matcher_for,
     contains_copy,
     enumerate_rainbow_free_colourings,
     find_rainbow_copy,
@@ -25,6 +26,18 @@ K13 = PatternSpec.star(3)
 
 K4 = build_graph(4, list(itertools.combinations(range(4), 2)))
 K4_MATCHINGS = EdgeColouring(K4, (1, 2, 3, 3, 2, 1))
+PETERSEN = build_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                       + [(i, i + 5) for i in range(5)]
+                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+C6_CHORD = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
+SPLIT = build_graph(7, [(0, 3), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6), (3, 6)])
+
+# small patterns for the brute-force cross-check: trees, a disconnected
+# explicit pattern (unanchored plan steps) and a cyclic one (closing-edge checks)
+TWO_K2 = PatternSpec.explicit([(0, 1), (2, 3)])
+TRIANGLE = PatternSpec.explicit([(0, 1), (1, 2), (0, 2)])
+MATCHER_PATTERNS = (PatternSpec.path(3), P4, K13, PatternSpec.subdivided_star(5),
+                    TWO_K2, TRIANGLE)
 
 
 def two_stars(k):
@@ -84,6 +97,131 @@ def test_embedding_edge_image_is_in_host():
     emb = contains_copy(g, P4)
     for e in emb.edge_image:
         assert g.has_edge(*e)
+
+
+def brute_force_copies(g, colours, spec):
+    """Image edge sets of every copy of the pattern in g, by trying every
+    injective vertex map.  With `colours` (edge -> colour) only rainbow
+    copies count."""
+    h = realize_pattern(spec)
+    edges = g.edge_set()
+    out = []
+    for phi in itertools.permutations(range(g.n), h.n):
+        image = [(min(phi[a], phi[b]), max(phi[a], phi[b])) for a, b in h.edges]
+        if not all(e in edges for e in image):
+            continue
+        if colours is not None and len({colours[e] for e in image}) < len(image):
+            continue
+        out.append(set(image))
+    return out
+
+
+def sample_colourings(g):
+    """Proper and improper colourings of g, as edge -> colour maps."""
+    m = len(g.edges)
+    proper = {}
+    for e in g.edges:  # greedy: least colour unused at both endpoints
+        taken = {c for f, c in proper.items() if set(e) & set(f)}
+        proper[e] = min(c for c in range(1, m + 2) if c not in taken)
+    return [
+        proper,
+        {e: i + 1 for i, e in enumerate(g.edges)},  # injective
+        {e: 1 for e in g.edges},  # monochromatic
+        {e: (i % 2) + 1 for i, e in enumerate(g.edges)},
+        {(u, v): (u + v) % 3 + 1 for u, v in g.edges},
+    ]
+
+
+def assert_valid_copy(g, spec, emb, colours):
+    h = realize_pattern(spec)
+    assert len(set(emb.vertices)) == h.n
+    want = tuple((min(emb.vertices[a], emb.vertices[b]), max(emb.vertices[a], emb.vertices[b]))
+                 for a, b in h.edges)
+    assert emb.edge_image == want
+    assert all(g.has_edge(*e) for e in want)
+    if colours is not None:
+        assert len({colours[e] for e in want}) == len(want)
+
+
+def test_matcher_agrees_with_brute_force_on_all_small_graphs():
+    for n in range(6):
+        for g in all_graphs_on(n):
+            for spec in MATCHER_PATTERNS:
+                copies = brute_force_copies(g, None, spec)
+                emb = contains_copy(g, spec)
+                assert (emb is not None) == bool(copies)
+                if emb is not None:
+                    assert_valid_copy(g, spec, emb, None)
+                matcher = _matcher_for(spec)
+                for colours in sample_colourings(g):
+                    rainbow = [c for c in copies if len({colours[e] for e in c}) == len(c)]
+                    emb = find_rainbow_copy(g, EdgeColouring.from_map(g, colours), spec)
+                    assert (emb is not None) == bool(rainbow)
+                    if emb is not None:
+                        assert_valid_copy(g, spec, emb, colours)
+                    ecol = [[0] * n for _ in range(n)]
+                    adj = [[] for _ in range(n)]
+                    for (u, v), c in colours.items():
+                        ecol[u][v] = ecol[v][u] = c
+                        adj[u].append((v, c))
+                        adj[v].append((u, c))
+                    for u, v in g.edges:
+                        want = any((u, v) in c for c in rainbow)
+                        c = colours[(u, v)]
+                        assert matcher.exists_through(u, v, c, adj, ecol, n) == want
+                        assert matcher.exists_through(v, u, c, adj, ecol, n) == want
+
+
+def test_brute_force_matcher_sees_rainbow_condition():
+    # guards the oracle itself: K4 matching-coloured has P4 copies, none rainbow
+    colours = dict(zip(K4.edges, K4_MATCHINGS.colours))
+    assert brute_force_copies(K4, None, P4)
+    assert brute_force_copies(K4, colours, P4) == []
+
+
+def test_contains_copy_scan_order_is_pinned():
+    # the first embedding in the fixed scan order, as the recursive matcher
+    # found it; a change here changes certificates and census witnesses
+    pins = [
+        (PETERSEN, P4, (0, 1, 2, 3)),
+        (PETERSEN, PatternSpec.subdivided_star(5), (0, 1, 4, 5, 7)),
+        (PETERSEN, P6, (0, 1, 2, 3, 4, 9)),
+        (C6_CHORD, K13, (1, 0, 2, 4)),
+        (C6_CHORD, PatternSpec.subdivided_star(5), (1, 0, 2, 4, 3)),
+        (SPLIT, P4, (0, 3, 4, 2)),
+        (SPLIT, P6, (0, 3, 6, 5, 4, 2)),
+        (SPLIT, TWO_K2, (0, 3, 2, 4)),
+        (SPLIT, TRIANGLE, (3, 4, 6)),
+        (K4, TRIANGLE, (0, 1, 2)),
+    ]
+    for g, spec, vertices in pins:
+        assert contains_copy(g, spec).vertices == vertices
+    assert contains_copy(PETERSEN, TRIANGLE) is None
+
+
+def test_find_rainbow_copy_scan_order_is_pinned():
+    pins = [
+        (PETERSEN, P4, (0, 4, 9, 7)),
+        (K4, P4, (0, 1, 3, 2)),
+        (K4, TRIANGLE, (0, 1, 3)),
+        (SPLIT, P4, (1, 3, 4, 2)),
+        (SPLIT, TRIANGLE, (4, 5, 6)),
+    ]
+    for g, spec, vertices in pins:
+        colouring = EdgeColouring(g, tuple(i % 3 + 1 for i in range(len(g.edges))))
+        assert find_rainbow_copy(g, colouring, spec).vertices == vertices
+
+
+def test_deep_pattern_plans_split_across_functions():
+    # more pattern vertices than one generated function may nest loops for
+    path = build_graph(25, [(i, i + 1) for i in range(24)])
+    assert contains_copy(path, PatternSpec.path(20)).vertices == tuple(range(20))
+    assert contains_copy(path, PatternSpec.path(26)) is None
+    matching = PatternSpec.explicit([(2 * i, 2 * i + 1) for i in range(12)])
+    assert contains_copy(path, matching).vertices == tuple(range(24))
+    colouring = EdgeColouring(path, tuple(range(1, 25)))
+    assert find_rainbow_copy(path, colouring, PatternSpec.path(25)) is not None
+    assert find_rainbow_copy(path, EdgeColouring(path, (1,) * 24), PatternSpec.path(20)) is None
 
 
 # -- search_rainbow_free_colouring ----------------------------------------------
@@ -287,12 +425,12 @@ def _restricted_growth_strings(m):
 @settings(max_examples=60, deadline=None)
 def test_search_matches_restricted_growth_oracle(g):
     # independent route: filter every restricted-growth string through the
-    # public properness and rainbow-copy checkers
+    # properness checker and the brute-force rainbow matcher
     for spec in (PatternSpec.path(3), P4, K13):
         want = set()
         for cols in _restricted_growth_strings(len(g.edges)):
             c = EdgeColouring(g, cols)
-            if is_proper(g, c) and find_rainbow_copy(g, c, spec) is None:
+            if is_proper(g, c) and not brute_force_copies(g, dict(zip(g.edges, cols)), spec):
                 want.add(c.partition())
         got = {c.partition() for c in enumerate_rainbow_free_colourings(g, spec)}
         assert got == want

@@ -1,3 +1,6 @@
+import json
+import os
+
 import pytest
 
 from conftest import all_graphs_on
@@ -187,6 +190,43 @@ def test_cache_mismatch_refused(tmp_path):
         store_record(tmp_path, fake)
     store_record(tmp_path, fake, force=True)  # explicit overwrite allowed
     assert load_cached_record(tmp_path, rec.key()).value == fake.value
+
+
+def test_cache_truncated_last_line_reads_as_miss(tmp_path):
+    first = sat_number(4, P4, cache_dir=tmp_path)
+    second = sat_number(5, P4, cache_dir=tmp_path)
+    path = tmp_path / "census-sat.jsonl"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:-20], encoding="utf-8")  # a crash cut the last row short
+    assert load_cached_record(tmp_path, first.key()) == first
+    assert load_cached_record(tmp_path, second.key()) is None
+    assert sat_number(5, P4, cache_dir=tmp_path) == second  # recomputed and stored
+    assert path.read_text(encoding="utf-8") == text
+
+
+def test_cache_store_drops_only_unparseable_rows(tmp_path):
+    first = sat_number(4, P4, cache_dir=tmp_path)
+    path = tmp_path / "census-sat.jsonl"
+    path.write_text(path.read_text(encoding="utf-8") + "{not json\n[1, 2]\n",
+                    encoding="utf-8")
+    second = sat_number(5, P4, cache_dir=tmp_path)
+    rows = path.read_text(encoding="utf-8").splitlines()
+    assert [CensusRecord.from_json_dict(json.loads(r)) for r in rows] == [first, second]
+
+
+def test_cache_failed_rename_leaves_old_file(tmp_path, monkeypatch):
+    sat_number(4, P4, cache_dir=tmp_path)
+    path = tmp_path / "census-sat.jsonl"
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        sat_number(5, P4, cache_dir=tmp_path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["census-sat.jsonl"]
 
 
 def test_record_json_roundtrip():
