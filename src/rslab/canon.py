@@ -150,11 +150,6 @@ def _search_cached(g: Graph):
     return pos, tuple(gens)
 
 
-def canonical_permutation(g: Graph) -> tuple[int, ...]:
-    """Position map v -> canonical index realising the canonical form."""
-    return _search_cached(g)[0]
-
-
 def canonical_graph(g: Graph) -> Graph:
     pos = _search_cached(g)[0]
     return g.relabel(list(pos))
@@ -201,11 +196,6 @@ def pair_orbits(g: Graph) -> list[tuple[Edge, ...]]:
     for p in pairs:
         by_root.setdefault(uf.find(index[p]), []).append(p)
     return sorted(tuple(sorted(o)) for o in by_root.values())
-
-
-def edge_orbit_representatives(g: Graph) -> list[Edge]:
-    eset = g.edge_set()
-    return [o[0] for o in pair_orbits(g) if o[0] in eset]
 
 
 def non_edge_orbit_representatives(g: Graph) -> list[Edge]:

@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 from . import reproduce as repro
 from .colouring import EdgeColouring
@@ -36,49 +34,14 @@ from .engine import (
     is_semi_saturated,
 )
 from .errors import RslabError
-from .graphs import Graph, from_graph6
-from .oracle import (
-    DEFAULT_CENSUS_BUDGET,
-    prsat_number,
-    sat_number,
-    ssat_number,
-)
-from .patterns import parse_pattern
+from .graphs import Graph
+from .oracle import DEFAULT_CENSUS_BUDGET, census
+from .patterns import load_graph_file, parse_pattern
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNKNOWN = 3
-
-
-@dataclass
-class RunConfig:
-    """Resolved options shared by the subcommands."""
-
-    budget: int = DEFAULT_BUDGET
-    threads: int = 1
-    cache_dir: str | None = None
-    output_format: str = "text"
-    force: bool = False
-    allow_unknown: bool = False
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise RslabError("budget must be positive")
-        if self.threads < 1:
-            raise RslabError("thread count must be >= 1")
-
-
-def _read_graph(path: str) -> Graph:
-    if path == "-":
-        text = sys.stdin.read().strip()
-    else:
-        text = Path(path).read_text(encoding="utf-8").strip()
-    if not text:
-        raise RslabError("empty graph input")
-    if text.startswith("{"):
-        return Graph.from_json_dict(json.loads(text))
-    return from_graph6(text.splitlines()[0])
 
 
 def _emit(obj, fmt: str) -> str:
@@ -119,7 +82,7 @@ _FAMILY_PARAMETERS = {
 }
 
 
-def cmd_construct(args, config: RunConfig) -> int:
+def cmd_construct(args) -> int:
     family = args.family
     missing = [f"--{p}" for p in _FAMILY_PARAMETERS.get(family, ()) if getattr(args, p) is None]
     if missing:
@@ -129,7 +92,7 @@ def cmd_construct(args, config: RunConfig) -> int:
     elif family == "broom-gadget":
         obj = broom_gadget(args.m)
     elif family == "broom-saturated":
-        obj = broom_saturated(args.n, args.m, cache_dir=config.cache_dir)
+        obj = broom_saturated(args.n, args.m, cache_dir=args.cache_dir)
     elif family == "caterpillar":
         obj = caterpillar_bundle(args.n, args.k, args.ell)
     elif family == "star-forest":
@@ -138,52 +101,37 @@ def cmd_construct(args, config: RunConfig) -> int:
         obj = double_star_construction(args.n, args.t, args.s, args.variant)
     else:
         raise RslabError(f"unknown family {family!r}")
-    print(_emit(obj, config.output_format))
+    print(_emit(obj, args.output_format))
     return EXIT_OK
 
 
-def cmd_verify(args, config: RunConfig) -> int:
-    g = _read_graph(args.graph)
+def cmd_verify(args) -> int:
+    g = load_graph_file(args.graph)
     spec = parse_pattern(args.pattern)
-    if args.mode == "sat":
-        res = is_saturated(g, spec)
-        payload = res.to_json_dict()
-        code = EXIT_OK if res.holds else EXIT_FALSE
-    elif args.mode == "ssat":
-        res = is_semi_saturated(g, spec)
+    if args.mode in ("sat", "ssat"):
+        res = (is_saturated if args.mode == "sat" else is_semi_saturated)(g, spec)
         payload = res.to_json_dict()
         code = EXIT_OK if res.holds else EXIT_FALSE
     else:
-        verdict = is_properly_rainbow_saturated(g, spec, config.budget)
+        verdict = is_properly_rainbow_saturated(g, spec, args.budget)
         payload = verdict.to_json_dict()
         code = {
             Status.ESTABLISHED: EXIT_OK,
             Status.REFUTED: EXIT_FALSE,
             Status.UNKNOWN: EXIT_UNKNOWN,
         }[verdict.status]
-    if config.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         print(json.dumps(payload, sort_keys=True, indent=2))
     return code
 
 
-def cmd_oracle(args, config: RunConfig) -> int:
-    spec = parse_pattern(args.pattern)
-    if args.quantity == "sat":
-        rec = sat_number(args.n, spec, edge_cap=args.edge_cap,
-                         cache_dir=config.cache_dir, force=config.force)
-    elif args.quantity == "ssat":
-        rec = ssat_number(args.n, spec, edge_cap=args.edge_cap,
-                          cache_dir=config.cache_dir, force=config.force)
-    else:
-        rec = prsat_number(
-            args.n, spec,
-            budget=args.budget if args.budget is not None else DEFAULT_CENSUS_BUDGET,
-            edge_cap=args.edge_cap, workers=config.threads,
-            cache_dir=config.cache_dir, force=config.force,
-        )
-    if config.output_format == "json":
+def cmd_oracle(args) -> int:
+    rec = census(args.quantity, args.n, parse_pattern(args.pattern), budget=args.budget,
+                 edge_cap=args.edge_cap, workers=args.threads, cache_dir=args.cache_dir,
+                 force=args.force)
+    if args.output_format == "json":
         print(json.dumps(rec.to_json_dict(), sort_keys=True))
     else:
         print(f"{rec.quantity}({rec.n},{rec.pattern}) = {rec.value}")
@@ -196,19 +144,51 @@ def cmd_oracle(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_reproduce(args, config: RunConfig) -> int:
+def cmd_reproduce(args) -> int:
     rc = repro.ReproConfig(
-        budget=args.budget if args.budget is not None else DEFAULT_CENSUS_BUDGET,
-        cache_dir=config.cache_dir,
-        workers=config.threads,
+        budget=args.budget,
+        cache_dir=args.cache_dir,
+        workers=args.threads,
         ell=args.ell,
     )
     rows = repro.run_suite(args.suite, rc)
-    if config.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps([r.to_json_dict() for r in rows], sort_keys=True))
     else:
         print(repro.format_rows(rows))
-    return EXIT_OK if repro.all_pass(rows, config.allow_unknown) else EXIT_FALSE
+    return EXIT_OK if repro.all_pass(rows, args.allow_unknown) else EXIT_FALSE
+
+
+def _positive(what: str):
+    """argparse type for an integer >= 1; other values exit 2 naming `what`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}")
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be positive")
+        return value
+    return parse
+
+
+# Options read by more than one subcommand; each subcommand lists its own.
+_SHARED_OPTIONS = {
+    "--cache-dir": dict(default=None, help="census cache directory (or set RSLAB_CACHE)"),
+    "--threads": dict(type=_positive("thread count"), default=1),
+    "--force": dict(action="store_true", help="overwrite mismatched cached census records"),
+    "--allow-unknown": dict(action="store_true",
+                            help="treat Unknown reproduce rows as non-fatal"),
+}
+
+
+def _subcommand(sub, name, fn, help, options=(), formats=("text", "json")):
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--format", dest="output_format", default="text", choices=formats)
+    for option in options:
+        p.add_argument(option, **_SHARED_OPTIONS[option])
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,19 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rslab",
         description="Exhaustive-search lab for proper rainbow saturation of small graphs.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", dest="output_format", default="text",
-                        choices=["text", "json", "graph6", "dot"])
-    common.add_argument("--cache-dir", default=None,
-                        help="census cache directory (or set RSLAB_CACHE)")
-    common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--force", action="store_true",
-                        help="overwrite mismatched cached census records")
-    common.add_argument("--allow-unknown", action="store_true",
-                        help="treat Unknown reproduce rows as non-fatal")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("construct", help="emit a named construction", parents=[common])
+    c = _subcommand(sub, "construct", cmd_construct, "emit a named construction",
+                    options=("--cache-dir",), formats=("text", "json", "graph6", "dot"))
     c.add_argument("family", choices=[
         "folded-cube", "broom-gadget", "broom-saturated",
         "caterpillar", "star-forest", "double-star",
@@ -240,32 +211,27 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--s", type=int)
     c.add_argument("--ell", type=int)
     c.add_argument("--variant", choices=["sat", "prsat"], default="sat")
-    c.set_defaults(fn=cmd_construct)
 
-    v = sub.add_parser("verify", help="check a graph file against a pattern",
-                       parents=[common])
+    v = _subcommand(sub, "verify", cmd_verify, "check a graph file against a pattern")
     v.add_argument("graph", help="graph6 or JSON graph file, or - for stdin")
     v.add_argument("--pattern", required=True,
                    help="P5, K1,4, B4,2, T5star, S3,2, cat:ell=4;leaves=1,0,0,1, g6:..., @file")
     v.add_argument("--mode", choices=["sat", "ssat", "prsat"], default="prsat")
-    v.add_argument("--budget", type=int, default=None)
-    v.set_defaults(fn=cmd_verify)
+    v.add_argument("--budget", type=_positive("budget"), default=DEFAULT_BUDGET)
 
-    o = sub.add_parser("oracle", help="brute-force census of a saturation number",
-                       parents=[common])
+    o = _subcommand(sub, "oracle", cmd_oracle, "brute-force census of a saturation number",
+                    options=("--cache-dir", "--threads", "--force"))
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--pattern", required=True)
     o.add_argument("--quantity", choices=["sat", "ssat", "prsat"], required=True)
-    o.add_argument("--budget", type=int, default=None)
+    o.add_argument("--budget", type=_positive("budget"), default=DEFAULT_CENSUS_BUDGET)
     o.add_argument("--edge-cap", type=int, default=None)
-    o.set_defaults(fn=cmd_oracle)
 
-    r = sub.add_parser("reproduce", help="pass/fail table for a claim suite",
-                       parents=[common])
+    r = _subcommand(sub, "reproduce", cmd_reproduce, "pass/fail table for a claim suite",
+                    options=("--cache-dir", "--threads", "--allow-unknown"))
     r.add_argument("suite", choices=list(repro.SUITES))
     r.add_argument("--ell", type=int, default=4)
-    r.add_argument("--budget", type=int, default=None)
-    r.set_defaults(fn=cmd_reproduce)
+    r.add_argument("--budget", type=_positive("budget"), default=DEFAULT_CENSUS_BUDGET)
     return parser
 
 
@@ -275,25 +241,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
-    budget = getattr(args, "budget", None)
     try:
-        config = RunConfig(
-            budget=budget if budget is not None else DEFAULT_BUDGET,
-            threads=args.threads,
-            cache_dir=args.cache_dir,
-            output_format=args.output_format,
-            force=args.force,
-            allow_unknown=args.allow_unknown,
-        )
-        return args.fn(args, config)
+        return args.fn(args)
     except RslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

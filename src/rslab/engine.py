@@ -18,8 +18,16 @@ nested loop per pattern vertex and the used vertices and colours kept in
 bitmasks.  The full-pattern search behind `contains_copy` and
 `find_rainbow_copy` comes from the same generator.
 
-Budgets are node counts on that search tree.  A search that runs out of
-nodes reports Unknown, never a guess.
+The three verdicts share one shape, a base test on g and a step test on
+each non-edge orbit representative e:
+
+- semi-saturated: no base test; step: g + e has a copy through e;
+- saturated: base: g has no copy; step as for semi-saturated;
+- properly rainbow saturated: base: g has a rainbow-free proper colouring;
+  step: every proper colouring of g + e has a rainbow copy.
+
+Budgets are node counts on the colouring search tree.  A search that runs
+out of nodes reports Unknown, never a guess.
 """
 
 from __future__ import annotations
@@ -135,9 +143,12 @@ class _Matcher:
     copy anchored at the first into a copy anchored at the second with the
     same image edges and colours.
 
-    Each plan is compiled once, by :func:`_compile_plans`, into a generated
+    Each plan is compiled by :func:`_compile_plans` into a generated
     function with one nested ``for`` loop per step, so a call runs without
-    recursion or a mapping list.
+    recursion or a mapping list.  The anchored plans are compiled twice:
+    with colours for :meth:`exists_through` (rainbow copies, in the
+    colouring search) and without for :meth:`copy_through` (the saturation
+    step).
     """
 
     def __init__(self, pattern: Graph):
@@ -147,6 +158,7 @@ class _Matcher:
         anchored = [(arc, self._plan(seed=arc)) for arc in _arc_orbit_representatives(pattern)]
         full = [((), self._plan(seed=()))]
         self._through = _compile_plans(anchored, rainbow=True)
+        self._through_plain = _compile_plans(anchored, rainbow=False)
         self._find_rainbow = _compile_plans(full, rainbow=True)
         self._find_plain = _compile_plans(full, rainbow=False)
 
@@ -177,18 +189,17 @@ class _Matcher:
         """Rainbow copy among coloured edges that uses the edge (u, v)?"""
         return self._through(u, v, c_uv, adj, ecol, n) is not None
 
+    def copy_through(self, host: Graph, e: Edge) -> bool:
+        """Does host + e hold a copy of the pattern that uses the new edge e?"""
+        adj, ecol = _host_tables(host.n, host.edges + (e,), None)
+        return self._through_plain(*e, 1, adj, ecol, host.n) is not None
+
     def find(self, host: Graph, colouring: EdgeColouring | None) -> Embedding | None:
         """Complete search; deterministic (first hit in the fixed scan order)."""
         n = host.n
         if self.k > n:
             return None
-        ecol = [[0] * n for _ in range(n)]
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(host.edges):
-            c = colouring.colours[i] if colouring is not None else 1
-            ecol[u][v] = ecol[v][u] = c
-            adj[u].append((v, c))
-            adj[v].append((u, c))
+        adj, ecol = _host_tables(n, host.edges, colouring)
         match = self._find_plain if colouring is None else self._find_rainbow
         mapping = match(-1, -1, 0, adj, ecol, n)
         if mapping is None:
@@ -198,6 +209,19 @@ class _Matcher:
             for a, b in self.pattern.edges
         )
         return Embedding(mapping, image)
+
+
+def _host_tables(n: int, edges, colouring: EdgeColouring | None):
+    """Per-vertex lists of (neighbour, colour) and the n x n colour matrix,
+    0 off the edges; without a colouring every edge has colour 1."""
+    ecol = [[0] * n for _ in range(n)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        c = colouring.colours[i] if colouring is not None else 1
+        ecol[u][v] = ecol[v][u] = c
+        adj[u].append((v, c))
+        adj[v].append((u, c))
+    return adj, ecol
 
 
 def _arc_orbit_representatives(pattern: Graph) -> list[Edge]:
@@ -281,10 +305,13 @@ def _compile_plans(plans, rainbow: bool):
 
     main = ["def match(u, v, c_uv, adj, ecol, n):"]
     if any(seed for seed, _ in plans):
-        main += ["    u0 = 1 << u | 1 << v", "    m0 = 1 << c_uv"]
+        main.append("    u0 = 1 << u | 1 << v")
+        if rainbow:
+            main.append("    m0 = 1 << c_uv")
     for seed, steps in plans:
         if seed:
-            emit(main, steps, 1, dict(zip(seed, ("u", "v"))), "u0", "m0", 0)
+            emit(main, steps, 1, dict(zip(seed, ("u", "v"))), "u0",
+                 "m0" if rainbow else "0", 0)
         else:
             emit(main, steps, 1, {}, "0", "0", 0)
     main.append("    return None")
@@ -496,29 +523,30 @@ def _non_edge_reps(g: Graph, use_orbits: bool) -> list[Edge]:
     return list(g.non_edges())
 
 
-def is_saturated(g: Graph, pattern: PatternSpec, use_orbits: bool = True) -> CheckResult:
-    """Pattern-free, and every single-edge addition creates a copy.
-
-    Non-edges are checked one representative per automorphism orbit; the
-    verdict is the same as checking all of them.
-    """
-    emb = contains_copy(g, pattern)
-    if emb is not None:
-        return CheckResult(False, emb)
-    for e in _non_edge_reps(g, use_orbits):
-        if contains_copy(g.add_edge(*e), pattern) is None:
-            return CheckResult(False, e)
-    return CheckResult(True, None)
-
-
 def is_semi_saturated(
     g: Graph, pattern: PatternSpec, use_orbits: bool = True
 ) -> CheckResult:
-    """Every single-edge addition creates a copy; g itself may contain one."""
+    """Every single-edge addition creates a copy of the pattern through the
+    new edge (Füredi & Kim, 2013); copies elsewhere in g do not count.
+
+    Non-edges are checked one representative per automorphism orbit: an
+    automorphism carries a copy through e onto a copy through its image.
+    The witness of a failure is the non-edge.
+    """
+    matcher = _matcher_for(pattern)
     for e in _non_edge_reps(g, use_orbits):
-        if contains_copy(g.add_edge(*e), pattern) is None:
+        if not matcher.copy_through(g, e):
             return CheckResult(False, e)
     return CheckResult(True, None)
+
+
+def is_saturated(g: Graph, pattern: PatternSpec, use_orbits: bool = True) -> CheckResult:
+    """Pattern-free and semi-saturated.  The witness of a failure is a copy
+    of the pattern in g, or a non-edge whose addition creates none."""
+    emb = contains_copy(g, pattern)
+    if emb is not None:
+        return CheckResult(False, emb)
+    return is_semi_saturated(g, pattern, use_orbits)
 
 
 def is_properly_rainbow_saturated(

@@ -102,12 +102,6 @@ class Graph:
             raise DuplicateEdgeError(f"edge {e} already present")
         return Graph(self.n, tuple(sorted(self.edges + (e,))))
 
-    def remove_edge(self, u: int, v: int) -> "Graph":
-        e = normalise_edge(u, v)
-        if e not in self._edge_set:
-            raise RslabError(f"edge {e} not present")
-        return Graph(self.n, tuple(x for x in self.edges if x != e))
-
     def relabel(self, perm: list[int] | tuple[int, ...]) -> "Graph":
         """Image under the permutation v -> perm[v]."""
         edges = tuple(sorted(normalise_edge(perm[u], perm[v]) for u, v in self.edges))
@@ -170,7 +164,12 @@ class Graph:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Graph":
-        return build_graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+        try:
+            return build_graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RslabError(
+                f"graph JSON needs an integer 'n' and an 'edges' list of pairs ({exc!r})"
+            ) from exc
 
     def to_graph6(self) -> str:
         return to_graph6(self)

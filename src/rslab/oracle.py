@@ -3,13 +3,15 @@
 Graphs of a given order are enumerated one representative per isomorphism
 class by edge augmentation with canonical-form deduplication.  A census
 walks the classes in ascending edge count and reports the least edge count
-at which the requested verifier (saturated / semi-saturated / properly
-rainbow saturated) holds, together with every minimum witness.
+at which the requested property holds, together with every minimum witness.
 
-Rainbow verdicts are budgeted.  A class whose verdict stays Unknown at or
-below the best established value poisons exactness; such classes get one
-escalated retry with a ten-fold budget, and whatever is still unresolved is
-reported on the record rather than guessed.
+The three quantities share one per-class verdict (:func:`_class_verdict`):
+a base test on the graph and a step test on each non-edge orbit
+representative (see :mod:`rslab.engine`).  `sat` and `ssat` verdicts are
+exact; `prsat` verdicts are budgeted colouring searches and may stay
+Unknown.  An Unknown class at or below the best established value poisons
+exactness; such classes get one escalated retry with a ten-fold budget, and
+whatever is still unresolved is reported on the record rather than guessed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .canon import canonical_graph, non_edge_orbit_representatives
@@ -37,8 +41,11 @@ DEFAULT_CENSUS_BUDGET = 10_000_000
 ESCALATION_FACTOR = 10
 CACHE_ENV_VAR = "RSLAB_CACHE"
 
-SAT_SSAT_ORDER_CUTOFF = 9
-PRSAT_ORDER_CUTOFF = 8
+# Per quantity: the largest order a census accepts, whether its verdicts
+# spend a node budget (the records of the others store budget null), and
+# whether `workers` > 1 may decide them in a process pool (sat and ssat
+# verdicts are too cheap to repay the pool's start-up).
+QUANTITIES = {"sat": (9, False, False), "ssat": (9, False, False), "prsat": (8, True, True)}
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -145,34 +152,27 @@ class CensusRecord:
         )
 
     def verify(self, budget: int | None = None) -> bool:
-        """Re-run the verifier on every stored witness."""
+        """Re-run the verdict on every stored witness."""
         spec = parse_pattern(self.pattern, allow_files=False)
         for w in self.witnesses:
             g = from_graph6(w)
             if self.value is not None and len(g.edges) != self.value:
                 return False
-            if not _holds(g, spec, self.quantity, budget or self.budget):
+            status, _ = _class_verdict(g, spec, self.quantity, budget or self.budget)
+            if status is not Status.ESTABLISHED:
                 return False
         return True
 
 
-def _holds(g: Graph, spec: PatternSpec, quantity: str, budget: int | None) -> bool:
-    if quantity == "sat":
-        return is_saturated(g, spec).holds
-    if quantity == "ssat":
-        return is_semi_saturated(g, spec).holds
+def _class_verdict(
+    g: Graph, spec: PatternSpec, quantity: str, budget: int | None
+) -> tuple[Status, int]:
+    """Status and colouring-search nodes of one graph; also the pool's task."""
     if quantity == "prsat":
-        return is_properly_rainbow_saturated(g, spec, budget).status is Status.ESTABLISHED
-    raise InvalidParameterError(f"unknown quantity {quantity!r}")
-
-
-# Worker for the process pool: returns (status_string, nodes) per class.
-def _prsat_task(args):
-    g6, token, budget = args
-    g = from_graph6(g6)
-    spec = parse_pattern(token, allow_files=False)
-    verdict = is_properly_rainbow_saturated(g, spec, budget)
-    return verdict.status.value, verdict.nodes_explored
+        verdict = is_properly_rainbow_saturated(g, spec, budget)
+        return verdict.status, verdict.nodes_explored
+    check = {"sat": is_saturated, "ssat": is_semi_saturated}[quantity]
+    return (Status.ESTABLISHED if check(g, spec).holds else Status.REFUTED), 0
 
 
 def _census(
@@ -186,83 +186,57 @@ def _census(
     examined = 0
     nodes_total = 0
     value: int | None = None
-    witnesses: list[str] = []
-    unresolved: list[str] = []
+    witnesses: list[Graph] = []
+    unresolved: list[Graph] = []
 
-    pool = None
-    if workers > 1 and quantity == "prsat":
-        pool = ProcessPoolExecutor(max_workers=workers)
-    try:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for m, level in enumerate(enumerate_graphs_by_edges(n)):
             if edge_cap is not None and m > edge_cap:
                 break
             if value is not None and m > value:
                 break
-            if quantity == "prsat":
-                if pool is not None:
-                    results = list(
-                        pool.map(
-                            _prsat_task,
-                            [(to_graph6(g), spec.token(), budget) for g in level],
-                        )
-                    )
-                else:
-                    results = []
-                    for g in level:
-                        verdict = is_properly_rainbow_saturated(g, spec, budget)
-                        results.append((verdict.status.value, verdict.nodes_explored))
-                for g, (status, nodes) in zip(level, results):
-                    examined += 1
-                    nodes_total += nodes
-                    if status == Status.ESTABLISHED.value:
-                        if value is None:
-                            value = m
-                        witnesses.append(to_graph6(g))
-                    elif status == Status.UNKNOWN.value:
-                        unresolved.append(to_graph6(g))
+            tasks = (_class_verdict, level, repeat(spec), repeat(quantity), repeat(budget))
+            if pool is None:
+                results = map(*tasks)
             else:
-                for g in level:
-                    examined += 1
-                    if _holds(g, spec, quantity, budget):
-                        if value is None:
-                            value = m
-                        witnesses.append(to_graph6(g))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                # a verdict takes about a millisecond, so one task per class
+                # would cost more in IPC than it saves; send a few batches
+                results = pool.map(*tasks, chunksize=-(-len(level) // (4 * workers)))
+            for g, (status, nodes) in zip(level, results):
+                examined += 1
+                nodes_total += nodes
+                if status is Status.ESTABLISHED:
+                    if value is None:
+                        value = m
+                    witnesses.append(g)
+                elif status is Status.UNKNOWN:
+                    unresolved.append(g)
 
     # Escalation pass for classes that stayed Unknown at or below the value.
-    still: list[str] = []
-    if unresolved and quantity == "prsat":
-        bigger = None if budget is None else budget * ESCALATION_FACTOR
-        for g6 in unresolved:
-            g = from_graph6(g6)
-            if value is not None and len(g.edges) > value:
-                continue
-            verdict = is_properly_rainbow_saturated(g, spec, bigger)
-            nodes_total += verdict.nodes_explored
-            if verdict.status is Status.ESTABLISHED:
-                m = len(g.edges)
-                if value is None or m < value:
-                    value = m
-                    witnesses = [g6]
-                elif m == value:
-                    witnesses.append(g6)
-            elif verdict.status is Status.UNKNOWN:
-                still.append(g6)
-    witnesses = sorted(w for w in witnesses
-                       if value is not None and len(from_graph6(w).edges) == value)
-    poisons = sorted(
-        g6 for g6 in still
-        if value is None or len(from_graph6(g6).edges) <= value
-    )
+    still: list[Graph] = []
+    bigger = None if budget is None else budget * ESCALATION_FACTOR
+    for g in unresolved:
+        m = len(g.edges)
+        if value is not None and m > value:
+            continue
+        status, nodes = _class_verdict(g, spec, quantity, bigger)
+        nodes_total += nodes
+        if status is Status.ESTABLISHED:
+            if value is None or m < value:
+                value = m
+                witnesses = [g]
+            elif m == value:
+                witnesses.append(g)
+        elif status is Status.UNKNOWN:
+            still.append(g)
+    poisons = sorted(to_graph6(g) for g in still if value is None or len(g.edges) <= value)
     return CensusRecord(
         n=n,
         pattern=spec.token(),
         quantity=quantity,
         value=value,
         exact=not poisons,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(sorted(to_graph6(g) for g in witnesses if len(g.edges) == value)),
         unresolved=tuple(poisons),
         total_graphs_examined=examined,
         budget=budget,
@@ -271,11 +245,45 @@ def _census(
     )
 
 
-def _checked_cutoff(n: int, cutoff: int, quantity: str) -> None:
-    if n > cutoff:
+def census(
+    quantity: str,
+    n: int,
+    spec: PatternSpec,
+    *,
+    budget: int | None = DEFAULT_CENSUS_BUDGET,
+    edge_cap: int | None = None,
+    workers: int = 1,
+    cache_dir: str | Path | None = None,
+    force: bool = False,
+) -> CensusRecord:
+    """Minimum edges of an n-vertex graph with the property `quantity`
+    (sat, ssat or prsat) for the pattern, with at most `edge_cap` edges.
+
+    With a cache dir (or RSLAB_CACHE) an exact cached record is re-verified
+    and returned, and a computed one is stored.  `workers` > 1 decides the
+    prsat classes of each level in a process pool.
+    """
+    if quantity not in QUANTITIES:
+        raise InvalidParameterError(f"unknown quantity {quantity!r}")
+    max_order, budgeted, pooled = QUANTITIES[quantity]
+    if n > max_order:
         raise InvalidParameterError(
-            f"{quantity} census supports n <= {cutoff}; pass a smaller n"
+            f"{quantity} census supports n <= {max_order}; pass a smaller n"
         )
+    if not budgeted:
+        budget = None
+    root = resolve_cache_dir(cache_dir)
+    key = (n, spec.token(), quantity, edge_cap)
+    if root is not None and not force:
+        cached = load_cached_record(root, key)
+        if cached is not None and cached.exact:
+            if not cached.verify(budget):
+                raise CacheMismatchError(f"cached witnesses for {key} fail to verify")
+            return cached
+    record = _census(n, spec, quantity, budget, edge_cap, workers if pooled else 1)
+    if root is not None:
+        store_record(root, record, force=force)
+    return record
 
 
 def sat_number(
@@ -286,8 +294,7 @@ def sat_number(
     force: bool = False,
 ) -> CensusRecord:
     """Minimum edges of an n-vertex graph saturated for the pattern."""
-    _checked_cutoff(n, SAT_SSAT_ORDER_CUTOFF, "sat")
-    return _cached_census(n, spec, "sat", None, edge_cap, 1, cache_dir, force)
+    return census("sat", n, spec, edge_cap=edge_cap, cache_dir=cache_dir, force=force)
 
 
 def ssat_number(
@@ -298,8 +305,7 @@ def ssat_number(
     force: bool = False,
 ) -> CensusRecord:
     """Minimum edges of an n-vertex semi-saturated graph."""
-    _checked_cutoff(n, SAT_SSAT_ORDER_CUTOFF, "ssat")
-    return _cached_census(n, spec, "ssat", None, edge_cap, 1, cache_dir, force)
+    return census("ssat", n, spec, edge_cap=edge_cap, cache_dir=cache_dir, force=force)
 
 
 def prsat_number(
@@ -312,8 +318,8 @@ def prsat_number(
     force: bool = False,
 ) -> CensusRecord:
     """Minimum edges of an n-vertex properly rainbow saturated graph."""
-    _checked_cutoff(n, PRSAT_ORDER_CUTOFF, "prsat")
-    return _cached_census(n, spec, "prsat", budget, edge_cap, workers, cache_dir, force)
+    return census("prsat", n, spec, budget=budget, edge_cap=edge_cap, workers=workers,
+                  cache_dir=cache_dir, force=force)
 
 
 # -- persistence -------------------------------------------------------------------
@@ -355,7 +361,8 @@ def load_cached_record(root: Path, key: tuple) -> CensusRecord | None:
 def store_record(root: Path, record: CensusRecord, force: bool = False) -> None:
     """Add or replace one record; the file is rewritten through a temporary
     file and a rename, so a crash mid-write leaves the old file whole.
-    Unparseable lines of the old file are dropped."""
+    Unparseable lines of the old file are dropped.  An exact old record
+    that disagrees is replaced only with `force`; an inexact one always."""
     root.mkdir(parents=True, exist_ok=True)
     path = _cache_file(root, record.quantity)
     rows = list(_read_records(path))
@@ -363,7 +370,7 @@ def store_record(root: Path, record: CensusRecord, force: bool = False) -> None:
     for i, old in enumerate(rows):
         if old.key() == record.key():
             same = (old.value, old.witnesses) == (record.value, record.witnesses)
-            if not same and not force:
+            if old.exact and not same and not force:
                 raise CacheMismatchError(
                     f"cached record for {old.key()} disagrees; rerun with force"
                 )
@@ -381,30 +388,6 @@ def store_record(root: Path, record: CensusRecord, force: bool = False) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def _cached_census(
-    n: int,
-    spec: PatternSpec,
-    quantity: str,
-    budget: int | None,
-    edge_cap: int | None,
-    workers: int,
-    cache_dir: str | Path | None,
-    force: bool,
-) -> CensusRecord:
-    root = resolve_cache_dir(cache_dir)
-    key = (n, spec.token(), quantity, edge_cap)
-    if root is not None and not force:
-        cached = load_cached_record(root, key)
-        if cached is not None and cached.exact:
-            if not cached.verify(budget):
-                raise CacheMismatchError(f"cached witnesses for {key} fail to verify")
-            return cached
-    record = _census(n, spec, quantity, budget, edge_cap, workers)
-    if root is not None:
-        store_record(root, record, force=force)
-    return record
 
 
 # -- convenience checks used by tests and the reproduce suites ----------------------

@@ -12,7 +12,9 @@ vertex 0 is the distinguished high-degree vertex where the family has one
 
 from __future__ import annotations
 
+import json
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -230,10 +232,20 @@ def _parse_caterpillar(token: str) -> PatternSpec:
 
 
 def load_graph_file(path: str | Path) -> Graph:
-    """Read a graph from disk: JSON if the content starts with '{', else graph6."""
-    import json
-
-    text = Path(path).read_text(encoding="utf-8").strip()
+    """Read a graph from a file, or from stdin when `path` is "-": JSON if
+    the content starts with '{', else graph6 on the first line.  A missing
+    file and empty or malformed content raise RslabError."""
+    try:
+        text = sys.stdin.read() if str(path) == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RslabError(f"cannot read graph file {path}: {exc}") from exc
+    text = text.strip()
+    if not text:
+        raise RslabError(f"graph input {path} is empty")
     if text.startswith("{"):
-        return Graph.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise RslabError(f"bad JSON graph in {path}: {exc}") from exc
+        return Graph.from_json_dict(data)
     return from_graph6(text.splitlines()[0])

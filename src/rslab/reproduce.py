@@ -36,7 +36,7 @@ from .engine import (
 from .errors import RslabError
 from .formulas import evaluate_bound
 from .graphs import build_graph
-from .oracle import prsat_number, sat_number, ssat_number
+from .oracle import census as oracle_census
 from .patterns import PatternSpec
 
 SUITES = ("formulas", "constructions", "lemma4", "census")
@@ -70,16 +70,10 @@ class ReproConfig:
     def census(self, quantity: str, n: int, spec: PatternSpec, edge_cap=None):
         key = (quantity, n, spec.token(), edge_cap)
         if key not in self._census_memo:
-            if quantity == "sat":
-                rec = sat_number(n, spec, edge_cap=edge_cap, cache_dir=self.cache_dir)
-            elif quantity == "ssat":
-                rec = ssat_number(n, spec, edge_cap=edge_cap, cache_dir=self.cache_dir)
-            else:
-                rec = prsat_number(
-                    n, spec, budget=self.budget, edge_cap=edge_cap,
-                    workers=self.workers, cache_dir=self.cache_dir,
-                )
-            self._census_memo[key] = rec
+            self._census_memo[key] = oracle_census(
+                quantity, n, spec, budget=self.budget, edge_cap=edge_cap,
+                workers=self.workers, cache_dir=self.cache_dir,
+            )
         return self._census_memo[key]
 
 

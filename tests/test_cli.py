@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -130,6 +131,54 @@ def test_verify_garbage_exits_2(tmp_path, capsys):
 
 def test_unparseable_arguments_exit_2(capsys):
     assert main(["bogus-command"]) == 2
+
+
+@pytest.mark.parametrize("name, content, where", [
+    ("empty.txt", "", "pattern"),
+    ("empty.txt", "\n  \n", "graph"),
+    ("no-edges.json", '{"n": 4}', "graph"),
+    ("no-edges.json", '{"n": 4}', "pattern"),
+    ("bad-pair.json", '{"n": 4, "edges": [[0, 1, 2]]}', "graph"),
+    ("list.json", '{"n": 4, "edges": 3}', "graph"),
+    ("truncated.json", '{"n": 4, "edges": [[0, 1]', "graph"),
+    ("missing.g6", None, "graph"),
+])
+def test_bad_graph_input_exits_2(tmp_path, capsys, name, content, where):
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    good = tmp_path / "p3.g6"
+    good.write_text(realize_pattern(PatternSpec.path(3)).to_graph6())
+    if where == "graph":
+        argv = ["verify", str(path), "--pattern", "P3"]
+    else:
+        argv = ["verify", str(good), "--pattern", f"@{path}"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_reads_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(realize_pattern(PatternSpec.path(3)).to_graph6()))
+    code, out = run(capsys, "verify", "-", "--pattern", "P3", "--mode", "sat",
+                    "--format", "json")
+    assert code == 1
+    assert json.loads(out)["holds"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-", "--pattern", "P4", "--threads", "2"],
+    ["verify", "-", "--pattern", "P4", "--cache-dir", "d"],
+    ["verify", "-", "--pattern", "P4", "--format", "dot"],
+    ["construct", "folded-cube", "--ell", "4", "--force"],
+    ["construct", "folded-cube", "--ell", "4", "--threads", "2"],
+    ["oracle", "--n", "5", "--pattern", "P4", "--quantity", "sat", "--allow-unknown"],
+    ["oracle", "--n", "5", "--pattern", "P4", "--quantity", "sat", "--format", "graph6"],
+    ["reproduce", "lemma4", "--force"],
+])
+def test_subcommands_refuse_options_they_do_not_read(capsys, argv):
+    assert main(argv) == 2
 
 
 def test_oracle_writes_cache(tmp_path, capsys):

@@ -17,6 +17,7 @@ from rslab.engine import (
     search_rainbow_free_colouring,
 )
 from rslab.graphs import build_graph, disjoint_union
+from rslab.oracle import enumerate_graphs
 from rslab.patterns import PatternSpec, realize_pattern
 
 P4 = PatternSpec.path(4)
@@ -222,6 +223,15 @@ def test_deep_pattern_plans_split_across_functions():
     colouring = EdgeColouring(path, tuple(range(1, 25)))
     assert find_rainbow_copy(path, colouring, PatternSpec.path(25)) is not None
     assert find_rainbow_copy(path, EdgeColouring(path, (1,) * 24), PatternSpec.path(20)) is None
+    # the uncoloured anchored plans split the same way (saturation steps)
+    p20 = PatternSpec.path(20)
+    near_complete = build_graph(20, [e for e in itertools.combinations(range(20), 2)
+                                     if e != (0, 19)])
+    assert is_semi_saturated(near_complete, p20).holds
+    assert not is_saturated(near_complete, p20).holds
+    gapped = build_graph(20, [(i, i + 1) for i in range(19) if i != 9])
+    assert not is_semi_saturated(gapped, p20).holds
+    assert is_semi_saturated(gapped, p20, use_orbits=False).witness != (9, 10)
 
 
 # -- search_rainbow_free_colouring ----------------------------------------------
@@ -323,6 +333,41 @@ def test_saturation_witness_is_checkable():
     assert not hasattr(res.witness, "vertices")
     u, v = res.witness
     assert contains_copy(g.add_edge(u, v), P4) is None
+
+
+def test_pattern_elsewhere_does_not_make_semi_saturated():
+    # K1,3 plus an isolated vertex contains K1,3, but joining two leaves (or
+    # the isolated vertex to a leaf) makes no copy through the new edge
+    g = build_graph(5, [(0, 1), (0, 2), (0, 3)])
+    res = is_semi_saturated(g, K13)
+    assert not res.holds
+    assert res.witness in g.non_edges() and 0 not in res.witness
+
+
+def brute_force_saturation(g, spec):
+    """(saturated, semi-saturated), by trying every injective vertex map of
+    the pattern: a map whose image misses exactly one pair e of g is a copy
+    in g + e through e, and one that misses none is a copy in g."""
+    h = realize_pattern(spec)
+    edges = g.edge_set()
+    free = True
+    through = set()
+    for phi in itertools.permutations(range(g.n), h.n):
+        missing = {(min(phi[a], phi[b]), max(phi[a], phi[b])) for a, b in h.edges} - edges
+        if not missing:
+            free = False
+        elif len(missing) == 1:
+            through |= missing
+    semi = all(e in through for e in g.non_edges())
+    return free and semi, semi
+
+
+def test_saturation_verdicts_match_brute_force():
+    graphs = [g for n in range(6) for g in all_graphs_on(n)] + list(enumerate_graphs(6))
+    for spec in (P4, K13, PatternSpec.subdivided_star(5)):
+        for g in graphs:
+            got = (is_saturated(g, spec).holds, is_semi_saturated(g, spec).holds)
+            assert got == brute_force_saturation(g, spec), (g, spec)
 
 
 # -- properly rainbow saturated -------------------------------------------------------

@@ -9,6 +9,7 @@ from rslab.errors import CacheMismatchError, InvalidParameterError
 from rslab.graphs import from_graph6
 from rslab.oracle import (
     CensusRecord,
+    census,
     enumerate_graphs,
     enumerate_graphs_by_edges,
     enumerate_trees,
@@ -113,6 +114,14 @@ def test_ssat_below_sat():
         assert ssat_number(n, P4).value <= sat_number(n, P4).value
 
 
+def test_ssat_needs_a_copy_through_the_new_edge():
+    # K1,3 plus isolated vertices contains the star, which no longer makes
+    # it semi-saturated: ssat(n,K1,3) was 3 at every order
+    k13 = PatternSpec.star(3)
+    assert [ssat_number(n, k13).value for n in (5, 6)] == [4, 5]
+    assert [ssat_number(n, P4).value for n in (4, 5, 6)] == [2, 3, 3]
+
+
 def test_prsat_census_small():
     rec = prsat_number(5, P4, budget=10**6)
     assert rec.exact
@@ -156,7 +165,7 @@ def test_unresolved_classes_poison_the_record():
 def test_workers_match_sequential():
     seq = prsat_number(5, P4, budget=10**6)
     par = prsat_number(5, P4, budget=10**6, workers=2)
-    assert (seq.value, seq.witnesses) == (par.value, par.witnesses)
+    assert seq == par
 
 
 def test_cutoffs_enforced():
@@ -190,6 +199,19 @@ def test_cache_mismatch_refused(tmp_path):
         store_record(tmp_path, fake)
     store_record(tmp_path, fake, force=True)  # explicit overwrite allowed
     assert load_cached_record(tmp_path, rec.key()).value == fake.value
+
+
+def test_inexact_cached_record_is_replaced(tmp_path):
+    first = prsat_number(6, P5, budget=1, cache_dir=tmp_path)
+    assert not first.exact
+    second = prsat_number(6, P5, cache_dir=tmp_path)  # default budget
+    assert second.exact and second.value != first.value
+    assert load_cached_record(tmp_path, second.key()) == second
+
+
+def test_census_rejects_unknown_quantity():
+    with pytest.raises(InvalidParameterError):
+        census("rsat", 5, P4)
 
 
 def test_cache_truncated_last_line_reads_as_miss(tmp_path):
