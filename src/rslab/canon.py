@@ -9,6 +9,18 @@ which are used both to prune sibling branches (only one representative per
 orbit of the stabiliser of the individualised prefix is expanded) and to
 report generators of the automorphism group.
 
+The generators found generate the whole automorphism group, not a subgroup.
+Take a node on the path to the first leaf, and a vertex of its target cell
+that an automorphism fixing the node's individualised vertices maps onto the
+first leaf's choice there.  Either that vertex is expanded, and its subtree
+holds a leaf equal to the first leaf, which yields such an automorphism; or
+an automorphism already found, fixing those vertices, maps it onto an
+earlier sibling, which lies in the same orbit.  By induction over the
+siblings, at every node of that path the generators move the first choice
+around its whole orbit under the stabiliser, and by the orbit-stabiliser
+theorem along the path they generate the group.  Graph enumeration
+(`rslab.oracle`) relies on this when it takes orbits from carried generators.
+
 This is exact, not heuristic: two graphs get the same label iff they are
 isomorphic.  Speed is adequate for the n <= 10 graphs this package works
 with; nothing here is tuned beyond bitmask adjacency.
@@ -19,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import RslabError
-from .graphs import Edge, Graph, normalise_edge, to_graph6
+from .graphs import Edge, Graph, to_graph6
 
 
 def _refine(adjb: list[int], cells: list[list[int]]) -> list[list[int]]:
@@ -144,10 +156,16 @@ def _search(g: Graph):
     return best[1], gens
 
 
-@lru_cache(maxsize=65536)
-def _search_cached(g: Graph):
+def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Canonical position map of `g` (vertex v goes to pos[v]) and generators
+    of its automorphism group, computed afresh: for graphs, such as the
+    children tried by graph enumeration, whose labelling is not asked for
+    again."""
     pos, gens = _search(g)
     return pos, tuple(gens)
+
+
+_search_cached = lru_cache(maxsize=65536)(labelling)
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -179,28 +197,57 @@ def vertex_orbits(g: Graph) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(o)) for o in by_root.values())
 
 
+@lru_cache(maxsize=None)
+def _pair_table(n: int) -> tuple[list[Edge], list[int]]:
+    """The pairs u < v in lexicographic order, and the position of the pair
+    {u, v} at index[u * n + v] and index[v * n + u]."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    index = [0] * (n * n)
+    for i, (u, v) in enumerate(pairs):
+        index[u * n + v] = index[v * n + u] = i
+    return pairs, index
+
+
+def pair_orbit_roots(n: int, gens) -> list[int]:
+    """For each pair u < v, by its position in lexicographic order, the
+    position of the first pair of its orbit under the group that the
+    permutations `gens` of 0..n-1 generate."""
+    pairs, index = _pair_table(n)
+    images = [[index[s[u] * n + s[v]] for u, v in pairs] for s in gens]
+    root = [-1] * len(pairs)
+    for i in range(len(pairs)):
+        if root[i] < 0:
+            root[i] = i
+            orbit = [i]
+            for j in orbit:
+                for image in images:
+                    k = image[j]
+                    if root[k] < 0:
+                        root[k] = i
+                        orbit.append(k)
+    return root
+
+
 def pair_orbits(g: Graph) -> list[tuple[Edge, ...]]:
-    """Partition of all unordered vertex pairs into automorphism orbits.
+    """Partition of all unordered vertex pairs into automorphism orbits,
+    each orbit sorted and the orbits sorted by their first pair.
 
     Automorphisms preserve adjacency, so each orbit consists of edges only
     or of non-edges only.
     """
-    n = g.n
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    index = {p: i for i, p in enumerate(pairs)}
-    uf = _UnionFind(len(pairs))
-    for s in automorphism_generators(g):
-        for p in pairs:
-            uf.union(index[p], index[normalise_edge(s[p[0]], s[p[1]])])
+    pairs, _ = _pair_table(g.n)
     by_root: dict[int, list[Edge]] = {}
-    for p in pairs:
-        by_root.setdefault(uf.find(index[p]), []).append(p)
-    return sorted(tuple(sorted(o)) for o in by_root.values())
+    for p, r in zip(pairs, pair_orbit_roots(g.n, automorphism_generators(g))):
+        by_root.setdefault(r, []).append(p)
+    return [tuple(o) for o in by_root.values()]
 
 
 def non_edge_orbit_representatives(g: Graph) -> list[Edge]:
+    """The first non-edge of each non-edge orbit, in lexicographic order."""
+    pairs, _ = _pair_table(g.n)
     eset = g.edge_set()
-    return [o[0] for o in pair_orbits(g) if o[0] not in eset]
+    roots = pair_orbit_roots(g.n, automorphism_generators(g))
+    return [p for i, p in enumerate(pairs) if roots[i] == i and p not in eset]
 
 
 def automorphism_group(g: Graph, limit: int = 100_000) -> list[tuple[int, ...]]:

@@ -1,7 +1,8 @@
 """Ground truth by brute force: graph censuses and saturation minima.
 
 Graphs of a given order are enumerated one representative per isomorphism
-class by edge augmentation with canonical-form deduplication.  A census
+class by canonical augmentation: each class is grown from exactly one parent
+class by adding one edge, so no child is compared with another.  A census
 walks the classes in ascending edge count and reports the least edge count
 at which the requested property holds, together with every minimum witness.
 
@@ -16,15 +17,16 @@ whatever is still unresolved is reported on the record rather than guessed.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, repeat
 from pathlib import Path
 
-from .canon import canonical_graph, non_edge_orbit_representatives
+from .canon import labelling, pair_orbit_roots
 from .colouring import is_proper
 from .engine import (
     Status,
@@ -34,7 +36,7 @@ from .engine import (
     is_semi_saturated,
 )
 from .errors import CacheMismatchError, InvalidParameterError
-from .graphs import Graph, from_graph6, to_graph6
+from .graphs import Edge, Graph, from_graph6, normalise_edge, to_graph6
 from .patterns import PatternSpec, parse_pattern
 
 DEFAULT_CENSUS_BUDGET = 10_000_000
@@ -54,24 +56,82 @@ QUANTITIES = {"sat": (9, False, False), "ssat": (9, False, False), "prsat": (8, 
 def enumerate_graphs_by_edges(n: int):
     """Yield, per edge count 0,1,2,..., the canonical class representatives.
 
-    Level m+1 is generated from level m by adding one non-edge orbit
-    representative per class and deduplicating canonical forms, so exactly
-    one graph per isomorphism class appears, in deterministic order
-    (edge count, then canonical form).
+    Each level holds exactly one graph per isomorphism class, as its
+    canonical graph, sorted by graph6.  Level m+1 is generated from level m
+    by canonical augmentation (McKay, 1998): every child accepts or rejects
+    itself, with no comparison against other children (see
+    :func:`_canonical_children`).
     """
+    for level in _augmented_levels(n):
+        yield [g for g, _ in level]
+
+
+def _augmented_levels(n: int):
+    """The levels of :func:`enumerate_graphs_by_edges`, each graph paired
+    with generators of its automorphism group."""
     if n < 1:
         raise InvalidParameterError("enumeration needs n >= 1")
-    current = {to_graph6(Graph(n, ())): Graph(n, ())}
-    yield [current[k] for k in sorted(current)]
-    max_edges = n * (n - 1) // 2
-    for _ in range(max_edges):
-        nxt: dict[str, Graph] = {}
-        for g in current.values():
-            for u, v in non_edge_orbit_representatives(g):
-                cg = canonical_graph(g.add_edge(u, v))
-                nxt.setdefault(to_graph6(cg), cg)
-        current = nxt
-        yield [current[k] for k in sorted(current)]
+    empty = Graph(n, ())
+    level = [(empty, labelling(empty)[1])]
+    yield level
+    for _ in range(n * (n - 1) // 2):
+        level = [child for parent in level for child in _canonical_children(*parent)]
+        level.sort(key=lambda child: to_graph6(child[0]))
+        yield level
+
+
+def _canonical_children(parent: Graph, gens):
+    """The children P + e of a canonical graph P, one per isomorphism class
+    whose canonical parent is P, as (canonical graph, automorphism generators).
+
+    `gens` generate Aut(P), so one non-edge e per orbit is tried.  The child
+    C = P + e is kept only if e lies in the Aut(C)-orbit of C's canonical
+    deletion edge m(C): among the edges with the largest (degree sum, smaller
+    degree) of their ends in C, the one whose image under C's canonical
+    labelling is largest.  C - m(C) is the same class whatever labelling C
+    comes in, so each class with m+1 edges is kept exactly once, from the
+    representative of C - m(C).  A child whose e does not have the largest
+    degree invariant is refused before it is labelled.
+    """
+    n = parent.n
+    index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
+    roots = pair_orbit_roots(n, gens)
+    eset = parent.edge_set()
+    deg = parent.degrees()
+    for e, i in index.items():
+        if roots[i] != i or e in eset:
+            continue
+        u, v = e
+        child_deg = list(deg)
+        child_deg[u] += 1
+        child_deg[v] += 1
+        top = _top_invariant_edges(e, parent.edges, child_deg)
+        if top is None:
+            continue
+        child = parent.add_edge(u, v)
+        pos, child_gens = labelling(child)
+        m = max(top, key=lambda ab: normalise_edge(pos[ab[0]], pos[ab[1]]))
+        child_roots = pair_orbit_roots(n, child_gens)
+        if child_roots[i] != child_roots[index[m]]:
+            continue
+        at = sorted(range(n), key=pos.__getitem__)  # the vertex at each position
+        yield child.relabel(pos), tuple(tuple(pos[s[x]] for x in at) for s in child_gens)
+
+
+def _top_invariant_edges(e: Edge, others, deg: list[int]) -> list[Edge] | None:
+    """The edges among `e` and `others` with the largest (degree sum,
+    smaller degree) of their ends, or None if `e` is not one of them."""
+    n = len(deg)
+    u, v = e
+    top_key = (deg[u] + deg[v]) * n + min(deg[u], deg[v])
+    top = [e]
+    for a, b in others:
+        key = (deg[a] + deg[b]) * n + min(deg[a], deg[b])
+        if key > top_key:
+            return None
+        if key == top_key:
+            top.append((a, b))
+    return top
 
 
 def enumerate_graphs(n: int, edge_cap: int | None = None):
@@ -362,9 +422,21 @@ def store_record(root: Path, record: CensusRecord, force: bool = False) -> None:
     """Add or replace one record; the file is rewritten through a temporary
     file and a rename, so a crash mid-write leaves the old file whole.
     Unparseable lines of the old file are dropped.  An exact old record
-    that disagrees is replaced only with `force`; an inexact one always."""
+    that disagrees is replaced only with `force`; an inexact one always.
+
+    Writers take an exclusive `flock` on the cache dir itself for the whole
+    read-modify-write, so two processes storing at once cannot drop each
+    other's new rows; readers need no lock, since the rename is atomic."""
     root.mkdir(parents=True, exist_ok=True)
-    path = _cache_file(root, record.quantity)
+    lock = os.open(root, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        _rewrite(_cache_file(root, record.quantity), record, force)
+    finally:
+        os.close(lock)
+
+
+def _rewrite(path: Path, record: CensusRecord, force: bool) -> None:
     rows = list(_read_records(path))
     replaced = False
     for i, old in enumerate(rows):

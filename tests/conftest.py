@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import strategies as st
@@ -40,13 +42,43 @@ def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
     return False
 
 
+_CHUNK = 4  # pairs per lookup table
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_images(n):
+    """All permutations of 0..n-1, the index of each pair u < v, and tables
+    that give edge bitmask images four pairs at a time.
+
+    Bit i of an edge bitmask stands for the i-th pair.  For each chunk of
+    four pairs starting at `start`, table[x][k] is the image under the k-th
+    permutation of the pairs of that chunk whose bits are set in x.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    perms = list(permutations_of(n))
+    images = [[index[min(p[u], p[v]), max(p[u], p[v])] for p in perms] for u, v in pairs]
+    tables = []
+    for start in range(0, len(pairs), _CHUNK):
+        rows = list(zip(*images[start:start + _CHUNK]))  # per permutation
+        tables.append((start, [
+            [sum(1 << image for j, image in enumerate(row) if x >> j & 1) for row in rows]
+            for x in range(1 << _CHUNK)
+        ]))
+    return perms, index, tables
+
+
 def brute_force_automorphisms(g: Graph):
-    es = g.edge_set()
-    out = []
-    for perm in permutations_of(g.n):
-        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in es for u, v in g.edges):
-            out.append(perm)
-    return out
+    """Every permutation of the vertices that maps the edge bitmask onto
+    itself, tested one by one over all n! permutations."""
+    perms, index, tables = _pair_images(g.n)
+    mask = 0
+    for e in g.edges:
+        mask |= 1 << index[e]
+    images = itertools.repeat(0)
+    for start, table in tables:
+        images = map(operator.or_, images, table[mask >> start & (1 << _CHUNK) - 1])
+    return [perm for perm, image in zip(perms, images) if image == mask]
 
 
 @pytest.fixture(scope="session")

@@ -124,6 +124,12 @@ def test_orbits_exact_on_all_graphs_at_6():
         assert pair_orbits(g) == _brute_pair_orbits(g)
 
 
+def test_generators_generate_the_whole_group():
+    for n in range(1, 6):
+        for g in all_graphs_on(n):
+            assert len(automorphism_group(g)) == len(brute_force_automorphisms(g))
+
+
 def test_automorphism_group_sizes():
     k4 = build_graph(4, list(itertools.combinations(range(4), 2)))
     assert len(automorphism_group(k4)) == 24

@@ -1,14 +1,23 @@
+import itertools
 import json
+import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
 from conftest import all_graphs_on
-from rslab.canon import canonical_form
+from rslab.canon import (
+    canonical_form,
+    canonical_graph,
+    non_edge_orbit_representatives,
+    pair_orbit_roots,
+)
 from rslab.errors import CacheMismatchError, InvalidParameterError
-from rslab.graphs import from_graph6
+from rslab.graphs import Graph, from_graph6, to_graph6
 from rslab.oracle import (
     CensusRecord,
+    _augmented_levels,
     census,
     enumerate_graphs,
     enumerate_graphs_by_edges,
@@ -71,6 +80,48 @@ def test_enumeration_matches_labelled_dedup_n6():
     labelled = {canonical_form(g) for g in all_graphs_on(6)}
     assert len(labelled) == 156
     assert labelled == {canonical_form(g) for g in enumerate_graphs(6)}
+
+
+def _dict_dedup_levels(n):
+    """The enumeration before canonical augmentation, kept as a reference:
+    every child of every class is labelled, and a dict keyed by graph6
+    merges the isomorphic ones."""
+    current = {to_graph6(Graph(n, ())): Graph(n, ())}
+    yield [current[k] for k in sorted(current)]
+    for _ in range(n * (n - 1) // 2):
+        nxt = {}
+        for g in current.values():
+            for u, v in non_edge_orbit_representatives(g):
+                cg = canonical_graph(g.add_edge(u, v))
+                nxt.setdefault(to_graph6(cg), cg)
+        current = nxt
+        yield [current[k] for k in sorted(current)]
+
+
+def test_levels_match_dict_dedup_reference():
+    for n in range(1, 8):
+        got = [[to_graph6(g) for g in level] for level in enumerate_graphs_by_edges(n)]
+        want = [[to_graph6(g) for g in level] for level in _dict_dedup_levels(n)]
+        assert got == want, n
+
+
+def test_level_counts_n8_match_benchmark_reference():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    want = json.loads(path.read_text(encoding="utf-8"))["enumerate"]["level_counts"]
+    levels = [[to_graph6(g) for g in level] for level in enumerate_graphs_by_edges(8)]
+    assert [len(level) for level in levels] == want
+    assert sum(want) == 12_346  # OEIS A000088
+    assert len({g6 for level in levels for g6 in level}) == 12_346
+
+
+def test_carried_generators_give_the_non_edge_orbits():
+    for n in range(1, 7):
+        for level in _augmented_levels(n):
+            for g, gens in level:
+                roots = pair_orbit_roots(n, gens)
+                pairs = itertools.combinations(range(n), 2)
+                reps = [p for i, p in enumerate(pairs) if roots[i] == i and not g.has_edge(*p)]
+                assert reps == non_edge_orbit_representatives(g), to_graph6(g)
 
 
 def test_levels_are_by_edge_count():
@@ -249,6 +300,29 @@ def test_cache_failed_rename_leaves_old_file(tmp_path, monkeypatch):
         sat_number(5, P4, cache_dir=tmp_path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["census-sat.jsonl"]
+
+
+def _store_many(root, first_n, barrier):
+    barrier.wait(timeout=60)
+    for n in range(first_n, first_n + 25):
+        store_record(root, CensusRecord(
+            n=n, pattern="P4", quantity="sat", value=1, exact=True, witnesses=(),
+            unresolved=(), total_graphs_examined=1, budget=None, nodes_explored=0,
+        ))
+
+
+def test_concurrent_writers_keep_every_record(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    writers = [ctx.Process(target=_store_many, args=(tmp_path, first_n, barrier))
+               for first_n in (100, 200)]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=120)
+    assert [w.exitcode for w in writers] == [0, 0]
+    for n in [*range(100, 125), *range(200, 225)]:
+        assert load_cached_record(tmp_path, (n, "P4", "sat", None)) is not None, n
 
 
 def test_record_json_roundtrip():
