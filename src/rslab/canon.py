@@ -242,12 +242,18 @@ def pair_orbits(g: Graph) -> list[tuple[Edge, ...]]:
     return [tuple(o) for o in by_root.values()]
 
 
-def non_edge_orbit_representatives(g: Graph) -> list[Edge]:
-    """The first non-edge of each non-edge orbit, in lexicographic order."""
+def non_edge_representatives(g: Graph, gens) -> list[Edge]:
+    """The first non-edge of each orbit under the group that the
+    automorphisms `gens` of g generate, in lexicographic order."""
     pairs, _ = _pair_table(g.n)
     eset = g.edge_set()
-    roots = pair_orbit_roots(g.n, automorphism_generators(g))
+    roots = pair_orbit_roots(g.n, gens)
     return [p for i, p in enumerate(pairs) if roots[i] == i and p not in eset]
+
+
+def non_edge_orbit_representatives(g: Graph) -> list[Edge]:
+    """The first non-edge of each non-edge orbit, in lexicographic order."""
+    return non_edge_representatives(g, automorphism_generators(g))
 
 
 def automorphism_group(g: Graph, limit: int = 100_000) -> list[tuple[int, ...]]:

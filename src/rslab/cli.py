@@ -159,15 +159,17 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if repro.all_pass(rows, args.allow_unknown) else EXIT_FALSE
 
 
-def _positive(what: str):
-    """argparse type for an integer >= 1; other values exit 2 naming `what`."""
+def _at_least(least: int, what: str):
+    """argparse type for an integer >= least (0 or 1); other values exit 2
+    naming `what`."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}")
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{what} must be positive")
+        if value < least:
+            sign = "positive" if least else "non-negative"
+            raise argparse.ArgumentTypeError(f"{what} must be {sign}")
         return value
     return parse
 
@@ -175,7 +177,7 @@ def _positive(what: str):
 # Options read by more than one subcommand; each subcommand lists its own.
 _SHARED_OPTIONS = {
     "--cache-dir": dict(default=None, help="census cache directory (or set RSLAB_CACHE)"),
-    "--threads": dict(type=_positive("thread count"), default=1),
+    "--threads": dict(type=_at_least(1, "thread count"), default=1),
     "--force": dict(action="store_true", help="overwrite mismatched cached census records"),
     "--allow-unknown": dict(action="store_true",
                             help="treat Unknown reproduce rows as non-fatal"),
@@ -217,21 +219,21 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--pattern", required=True,
                    help="P5, K1,4, B4,2, T5star, S3,2, cat:ell=4;leaves=1,0,0,1, g6:..., @file")
     v.add_argument("--mode", choices=["sat", "ssat", "prsat"], default="prsat")
-    v.add_argument("--budget", type=_positive("budget"), default=DEFAULT_BUDGET)
+    v.add_argument("--budget", type=_at_least(1, "budget"), default=DEFAULT_BUDGET)
 
     o = _subcommand(sub, "oracle", cmd_oracle, "brute-force census of a saturation number",
                     options=("--cache-dir", "--threads", "--force"))
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--pattern", required=True)
     o.add_argument("--quantity", choices=["sat", "ssat", "prsat"], required=True)
-    o.add_argument("--budget", type=_positive("budget"), default=DEFAULT_CENSUS_BUDGET)
-    o.add_argument("--edge-cap", type=int, default=None)
+    o.add_argument("--budget", type=_at_least(1, "budget"), default=DEFAULT_CENSUS_BUDGET)
+    o.add_argument("--edge-cap", type=_at_least(0, "edge cap"), default=None)
 
     r = _subcommand(sub, "reproduce", cmd_reproduce, "pass/fail table for a claim suite",
                     options=("--cache-dir", "--threads", "--allow-unknown"))
     r.add_argument("suite", choices=list(repro.SUITES))
     r.add_argument("--ell", type=int, default=4)
-    r.add_argument("--budget", type=_positive("budget"), default=DEFAULT_CENSUS_BUDGET)
+    r.add_argument("--budget", type=_at_least(1, "budget"), default=DEFAULT_CENSUS_BUDGET)
     return parser
 
 

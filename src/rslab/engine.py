@@ -517,52 +517,50 @@ def forces_rainbow(
     return SearchVerdict(Status.UNKNOWN, None, sub.nodes_explored, budget)
 
 
-def _non_edge_reps(g: Graph, use_orbits: bool) -> list[Edge]:
-    if use_orbits:
-        return non_edge_orbit_representatives(g)
-    return list(g.non_edges())
+def _non_edge_reps(g: Graph, non_edges) -> list[Edge]:
+    return non_edge_orbit_representatives(g) if non_edges is None else non_edges
 
 
-def is_semi_saturated(
-    g: Graph, pattern: PatternSpec, use_orbits: bool = True
-) -> CheckResult:
+def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> CheckResult:
     """Every single-edge addition creates a copy of the pattern through the
     new edge (Füredi & Kim, 2013); copies elsewhere in g do not count.
 
-    Non-edges are checked one representative per automorphism orbit: an
-    automorphism carries a copy through e onto a copy through its image.
-    The witness of a failure is the non-edge.
+    The non-edges checked are `non_edges`, by default one representative
+    per automorphism orbit: an automorphism carries a copy through e onto a
+    copy through its image.  The witness of a failure is the non-edge.
     """
     matcher = _matcher_for(pattern)
-    for e in _non_edge_reps(g, use_orbits):
+    for e in _non_edge_reps(g, non_edges):
         if not matcher.copy_through(g, e):
             return CheckResult(False, e)
     return CheckResult(True, None)
 
 
-def is_saturated(g: Graph, pattern: PatternSpec, use_orbits: bool = True) -> CheckResult:
-    """Pattern-free and semi-saturated.  The witness of a failure is a copy
-    of the pattern in g, or a non-edge whose addition creates none."""
+def is_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> CheckResult:
+    """Pattern-free and semi-saturated over `non_edges` (by default one per
+    automorphism orbit).  The witness of a failure is a copy of the pattern
+    in g, or a non-edge whose addition creates none."""
     emb = contains_copy(g, pattern)
     if emb is not None:
         return CheckResult(False, emb)
-    return is_semi_saturated(g, pattern, use_orbits)
+    return is_semi_saturated(g, pattern, non_edges)
 
 
 def is_properly_rainbow_saturated(
     g: Graph,
     pattern: PatternSpec,
     budget: int | None = DEFAULT_BUDGET,
-    use_orbits: bool = True,
+    non_edges=None,
 ) -> SearchVerdict:
     """Decide both defining conditions by exhaustive pruned search.
 
     Established: g has a rainbow-free proper colouring (the certificate) and
-    for every non-edge orbit representative e, every proper colouring of g+e
-    contains a rainbow copy.  Refuted carries either nothing (g itself has no
-    rainbow-free colouring) or the offending non-edge with its rainbow-free
-    colouring of g+e.  Unknown propagates from any sub-search; each
-    sub-search gets the full node budget, and `nodes_explored` aggregates.
+    for every non-edge e in `non_edges` (by default one representative per
+    automorphism orbit), every proper colouring of g+e contains a rainbow
+    copy.  Refuted carries either nothing (g itself has no rainbow-free
+    colouring) or the offending non-edge with its rainbow-free colouring of
+    g+e.  Unknown propagates from any sub-search; each sub-search gets the
+    full node budget, and `nodes_explored` aggregates.
 
     When the pattern has more vertices than g, no edge addition can create a
     copy, so only complete graphs qualify; such verdicts are flagged with a
@@ -575,7 +573,7 @@ def is_properly_rainbow_saturated(
     if base.status is not Status.ESTABLISHED:
         return SearchVerdict(base.status, None, total, budget, note)
     saw_unknown = False
-    for e in _non_edge_reps(g, use_orbits):
+    for e in _non_edge_reps(g, non_edges):
         sub = forces_rainbow(g.add_edge(*e), pattern, budget)
         total += sub.nodes_explored
         if sub.status is Status.REFUTED:

@@ -2,13 +2,20 @@
 
 Graphs of a given order are enumerated one representative per isomorphism
 class by canonical augmentation: each class is grown from exactly one parent
-class by adding one edge, so no child is compared with another.  A census
-walks the classes in ascending edge count and reports the least edge count
-at which the requested property holds, together with every minimum witness.
+class by adding one edge, so no child is compared with another, and each
+class comes with generators of its automorphism group.  A census walks the
+classes in ascending edge count and reports the least edge count at which
+the requested property holds, together with every minimum witness.  It
+stops on the level of that value (or of the edge cap) and makes no later
+level.  The levels a census makes go into one level memo, shared by every
+census of the same order in the process and bounded by
+`LEVEL_MEMO_CLASSES` classes; levels past the bound stream, two at a time,
+as :func:`enumerate_graphs_by_edges` always does.
 
 The three quantities share one per-class verdict (:func:`_class_verdict`):
 a base test on the graph and a step test on each non-edge orbit
-representative (see :mod:`rslab.engine`).  `sat` and `ssat` verdicts are
+representative (see :mod:`rslab.engine`), the orbits taken from the carried
+generators rather than from a new labelling search.  `sat` and `ssat` verdicts are
 exact; `prsat` verdicts are budgeted colouring searches and may stay
 Unknown.  An Unknown class at or below the best established value poisons
 exactness; such classes get one escalated retry with a ten-fold budget, and
@@ -23,10 +30,15 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 from pathlib import Path
 
-from .canon import labelling, pair_orbit_roots
+from .canon import (
+    automorphism_generators,
+    labelling,
+    non_edge_representatives,
+    pair_orbit_roots,
+)
 from .colouring import is_proper
 from .engine import (
     Status,
@@ -49,6 +61,12 @@ CACHE_ENV_VAR = "RSLAB_CACHE"
 # verdicts are too cheap to repay the pool's start-up).
 QUANTITIES = {"sat": (9, False, False), "ssat": (9, False, False), "prsat": (8, True, True)}
 
+# The levels of each order that censuses in this process have made, as lists
+# of (canonical graph, automorphism generators), shared by every census of
+# that order; at most LEVEL_MEMO_CLASSES classes in all (about 22 MiB).
+LEVEL_MEMO_CLASSES = 8192
+_LEVEL_MEMO: dict[int, list] = {}
+
 
 # -- enumeration ----------------------------------------------------------------
 
@@ -60,24 +78,44 @@ def enumerate_graphs_by_edges(n: int):
     canonical graph, sorted by graph6.  Level m+1 is generated from level m
     by canonical augmentation (McKay, 1998): every child accepts or rejects
     itself, with no comparison against other children (see
-    :func:`_canonical_children`).
+    :func:`_canonical_children`).  Levels stream: none is kept.
     """
     for level in _augmented_levels(n):
         yield [g for g, _ in level]
 
 
-def _augmented_levels(n: int):
+def _augmented_levels(n: int, memo: list | None = None):
     """The levels of :func:`enumerate_graphs_by_edges`, each graph paired
-    with generators of its automorphism group."""
+    with generators of its automorphism group.
+
+    With `memo`, the list of the levels of order n that the level memo
+    holds, those levels are served from it, and a level made is appended to
+    it while the memo has room for it; a level that does not fit, and every
+    later one, streams.  A level is made only when it is asked for.
+    """
     if n < 1:
         raise InvalidParameterError("enumeration needs n >= 1")
-    empty = Graph(n, ())
-    level = [(empty, labelling(empty)[1])]
-    yield level
-    for _ in range(n * (n - 1) // 2):
-        level = [child for parent in level for child in _canonical_children(*parent)]
-        level.sort(key=lambda child: to_graph6(child[0]))
+    held = [] if memo is None else memo
+    level = None
+    for m in range(n * (n - 1) // 2 + 1):
+        if m < len(held):
+            level = held[m]
+        else:
+            if m == 0:
+                empty = Graph(n, ())
+                level = [(empty, labelling(empty)[1])]
+            else:
+                level = [child for parent in level for child in _canonical_children(*parent)]
+                level.sort(key=lambda child: to_graph6(child[0]))
+            fits = _memo_classes() + len(level) <= LEVEL_MEMO_CLASSES
+            if memo is not None and len(memo) == m and fits:
+                memo.append(level)
         yield level
+
+
+def _memo_classes() -> int:
+    """Classes the level memo holds, over all orders."""
+    return sum(len(level) for levels in _LEVEL_MEMO.values() for level in levels)
 
 
 def _canonical_children(parent: Graph, gens):
@@ -95,12 +133,8 @@ def _canonical_children(parent: Graph, gens):
     """
     n = parent.n
     index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
-    roots = pair_orbit_roots(n, gens)
-    eset = parent.edge_set()
     deg = parent.degrees()
-    for e, i in index.items():
-        if roots[i] != i or e in eset:
-            continue
+    for e in non_edge_representatives(parent, gens):
         u, v = e
         child_deg = list(deg)
         child_deg[u] += 1
@@ -112,7 +146,7 @@ def _canonical_children(parent: Graph, gens):
         pos, child_gens = labelling(child)
         m = max(top, key=lambda ab: normalise_edge(pos[ab[0]], pos[ab[1]]))
         child_roots = pair_orbit_roots(n, child_gens)
-        if child_roots[i] != child_roots[index[m]]:
+        if child_roots[index[e]] != child_roots[index[m]]:
             continue
         at = sorted(range(n), key=pos.__getitem__)  # the vertex at each position
         yield child.relabel(pos), tuple(tuple(pos[s[x]] for x in at) for s in child_gens)
@@ -135,10 +169,10 @@ def _top_invariant_edges(e: Edge, others, deg: list[int]) -> list[Edge] | None:
 
 
 def enumerate_graphs(n: int, edge_cap: int | None = None):
-    """One representative per isomorphism class with at most edge_cap edges."""
-    for m, level in enumerate(enumerate_graphs_by_edges(n)):
-        if edge_cap is not None and m > edge_cap:
-            return
+    """One representative per isomorphism class with at most edge_cap edges;
+    no level past the cap is made."""
+    levels = enumerate_graphs_by_edges(n)
+    for level in levels if edge_cap is None else islice(levels, max(edge_cap + 1, 0)):
         yield from level
 
 
@@ -218,21 +252,25 @@ class CensusRecord:
             g = from_graph6(w)
             if self.value is not None and len(g.edges) != self.value:
                 return False
-            status, _ = _class_verdict(g, spec, self.quantity, budget or self.budget)
+            status, _ = _class_verdict(g, automorphism_generators(g), spec, self.quantity,
+                                       budget or self.budget)
             if status is not Status.ESTABLISHED:
                 return False
         return True
 
 
 def _class_verdict(
-    g: Graph, spec: PatternSpec, quantity: str, budget: int | None
+    g: Graph, gens, spec: PatternSpec, quantity: str, budget: int | None
 ) -> tuple[Status, int]:
-    """Status and colouring-search nodes of one graph; also the pool's task."""
+    """Status and colouring-search nodes of one graph, whose automorphism
+    group `gens` generate: one non-edge per orbit is checked.  Also the
+    pool's task."""
+    non_edges = non_edge_representatives(g, gens)
     if quantity == "prsat":
-        verdict = is_properly_rainbow_saturated(g, spec, budget)
+        verdict = is_properly_rainbow_saturated(g, spec, budget, non_edges)
         return verdict.status, verdict.nodes_explored
     check = {"sat": is_saturated, "ssat": is_semi_saturated}[quantity]
-    return (Status.ESTABLISHED if check(g, spec).holds else Status.REFUTED), 0
+    return (Status.ESTABLISHED if check(g, spec, non_edges).holds else Status.REFUTED), 0
 
 
 def _census(
@@ -247,39 +285,41 @@ def _census(
     nodes_total = 0
     value: int | None = None
     witnesses: list[Graph] = []
-    unresolved: list[Graph] = []
+    unresolved: list[tuple] = []
 
+    # Levels 0..value, or 0..edge_cap if no class qualifies: the loop stops
+    # on the last level it examines, so no later level is made.
+    levels = _augmented_levels(n, _LEVEL_MEMO.setdefault(n, []))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for m, level in enumerate(enumerate_graphs_by_edges(n)):
-            if edge_cap is not None and m > edge_cap:
-                break
-            if value is not None and m > value:
-                break
-            tasks = (_class_verdict, level, repeat(spec), repeat(quantity), repeat(budget))
+        for m, level in enumerate(levels):
+            tasks = (_class_verdict, *zip(*level), repeat(spec), repeat(quantity),
+                     repeat(budget))
             if pool is None:
                 results = map(*tasks)
             else:
                 # a verdict takes about a millisecond, so one task per class
                 # would cost more in IPC than it saves; send a few batches
                 results = pool.map(*tasks, chunksize=-(-len(level) // (4 * workers)))
-            for g, (status, nodes) in zip(level, results):
+            for cls, (status, nodes) in zip(level, results):
                 examined += 1
                 nodes_total += nodes
                 if status is Status.ESTABLISHED:
                     if value is None:
                         value = m
-                    witnesses.append(g)
+                    witnesses.append(cls[0])
                 elif status is Status.UNKNOWN:
-                    unresolved.append(g)
+                    unresolved.append(cls)
+            if value is not None or m == edge_cap:
+                break
 
     # Escalation pass for classes that stayed Unknown at or below the value.
     still: list[Graph] = []
     bigger = None if budget is None else budget * ESCALATION_FACTOR
-    for g in unresolved:
+    for g, gens in unresolved:
         m = len(g.edges)
         if value is not None and m > value:
             continue
-        status, nodes = _class_verdict(g, spec, quantity, bigger)
+        status, nodes = _class_verdict(g, gens, spec, quantity, bigger)
         nodes_total += nodes
         if status is Status.ESTABLISHED:
             if value is None or m < value:
@@ -330,6 +370,8 @@ def census(
         raise InvalidParameterError(
             f"{quantity} census supports n <= {max_order}; pass a smaller n"
         )
+    if edge_cap is not None and edge_cap < 0:
+        raise InvalidParameterError(f"edge cap must be non-negative, got {edge_cap}")
     if not budgeted:
         budget = None
     root = resolve_cache_dir(cache_dir)

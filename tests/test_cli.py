@@ -82,6 +82,15 @@ def test_budget_zero_rejected_not_replaced_by_default(capsys, argv):
     assert "budget must be positive" in capsys.readouterr().err
 
 
+def test_negative_edge_cap_exits_2(tmp_path, capsys):
+    code = main(["oracle", "--quantity", "prsat", "--n", "5", "--pattern", "P4",
+                 "--edge-cap", "-1", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "edge cap must be non-negative" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_verify_star_forest_prsat(tmp_path, capsys):
     path = tmp_path / "sf.g6"
     code, out = run(capsys, "construct", "star-forest", "--n", "10", "--k", "4",

@@ -231,7 +231,7 @@ def test_deep_pattern_plans_split_across_functions():
     assert not is_saturated(near_complete, p20).holds
     gapped = build_graph(20, [(i, i + 1) for i in range(19) if i != 9])
     assert not is_semi_saturated(gapped, p20).holds
-    assert is_semi_saturated(gapped, p20, use_orbits=False).witness != (9, 10)
+    assert is_semi_saturated(gapped, p20, non_edges=gapped.non_edges()).witness != (9, 10)
 
 
 # -- search_rainbow_free_colouring ----------------------------------------------
@@ -417,11 +417,12 @@ def test_orbit_reduction_is_conservative():
     for n in range(2, 6):
         for g in all_graphs_on(n):
             for spec in specs:
-                with_orbits = is_properly_rainbow_saturated(g, spec, 10**6, use_orbits=True)
-                without = is_properly_rainbow_saturated(g, spec, 10**6, use_orbits=False)
+                with_orbits = is_properly_rainbow_saturated(g, spec, 10**6)
+                without = is_properly_rainbow_saturated(g, spec, 10**6,
+                                                        non_edges=g.non_edges())
                 assert with_orbits.status == without.status
-                assert is_saturated(g, spec, use_orbits=True).holds == is_saturated(
-                    g, spec, use_orbits=False).holds
+                assert is_saturated(g, spec).holds == is_saturated(
+                    g, spec, non_edges=g.non_edges()).holds
 
 
 def test_prsat_established_implies_semi_saturated():

@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 
 from conftest import all_graphs_on
+from rslab import oracle
 from rslab.canon import (
     canonical_form,
     canonical_graph,
     non_edge_orbit_representatives,
+    non_edge_representatives,
     pair_orbit_roots,
 )
 from rslab.errors import CacheMismatchError, InvalidParameterError
@@ -57,6 +59,31 @@ def test_edge_cap():
     got = list(enumerate_graphs(3, edge_cap=1))
     assert len(got) == 2
     assert [len(g.edges) for g in got] == [0, 1]
+
+
+def _spy_levels_made(monkeypatch) -> list[int]:
+    """Record the edge count of every level made by canonical augmentation."""
+    made = []
+    real = oracle._canonical_children
+
+    def spy(parent, gens):
+        if not made or made[-1] != len(parent.edges) + 1:
+            made.append(len(parent.edges) + 1)
+        return real(parent, gens)
+
+    monkeypatch.setattr(oracle, "_canonical_children", spy)
+    return made
+
+
+def test_edge_cap_makes_no_later_level(monkeypatch):
+    everything = list(enumerate_graphs(5))
+    made = _spy_levels_made(monkeypatch)
+    for cap in (0, 1, 4, 9, 10, 12):
+        made.clear()
+        got = list(enumerate_graphs(5, edge_cap=cap))
+        assert got == [g for g in everything if len(g.edges) <= cap]
+        assert made == list(range(1, min(cap, 10) + 1))
+    assert list(enumerate_graphs(5, edge_cap=-1)) == []
 
 
 def test_representatives_are_canonical_and_distinct():
@@ -122,6 +149,24 @@ def test_carried_generators_give_the_non_edge_orbits():
                 pairs = itertools.combinations(range(n), 2)
                 reps = [p for i, p in enumerate(pairs) if roots[i] == i and not g.has_edge(*p)]
                 assert reps == non_edge_orbit_representatives(g), to_graph6(g)
+
+
+def test_carried_generators_give_the_census_non_edges(monkeypatch):
+    # every class a census decides, with the generators it came with
+    visited = []
+    real = oracle._class_verdict
+
+    def spy(g, gens, *rest):
+        visited.append((g, gens))
+        return real(g, gens, *rest)
+
+    monkeypatch.setattr(oracle, "_class_verdict", spy)
+    for n in range(2, 8):
+        prsat_number(n, P5, budget=10**6)
+        sat_number(n, P4)
+    assert len({to_graph6(g) for g, _ in visited}) > 300
+    for g, gens in visited:
+        assert non_edge_representatives(g, gens) == non_edge_orbit_representatives(g)
 
 
 def test_levels_are_by_edge_count():
@@ -213,6 +258,81 @@ def test_unresolved_classes_poison_the_record():
     assert rec.unresolved
 
 
+def _spy_levels_asked(monkeypatch) -> list[int]:
+    """Record the edge count of every level a census takes from its source."""
+    asked = []
+    real = oracle._augmented_levels
+
+    def spy(n, memo=None):
+        for level in real(n, memo):
+            asked.append(len(level[0][0].edges))
+            yield level
+
+    monkeypatch.setattr(oracle, "_augmented_levels", spy)
+    return asked
+
+
+def test_census_asks_for_no_level_past_the_last_it_examines(monkeypatch):
+    monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
+    asked = _spy_levels_asked(monkeypatch)
+    made = _spy_levels_made(monkeypatch)
+    assert prsat_number(7, P4, budget=10**6).value == 5
+    assert asked == [0, 1, 2, 3, 4, 5] and made == [1, 2, 3, 4, 5]
+    asked.clear()
+    made.clear()
+    assert sat_number(7, P4).value == 5  # every level from the memo
+    assert asked == [0, 1, 2, 3, 4, 5] and made == []
+    asked.clear()
+    rec = prsat_number(6, P5, budget=10**6, edge_cap=4)
+    assert rec.value is None and rec.total_graphs_examined == 1 + 1 + 2 + 5 + 9
+    assert asked == [0, 1, 2, 3, 4] and made == [1, 2, 3, 4]
+
+
+# (quantity, n, pattern, edge cap): censuses of orders 6 and 7 whose levels
+# overlap, shallow and deep, one stopped by its cap
+MEMO_POINTS = [("prsat", 6, P4, None), ("sat", 7, P4, None), ("prsat", 7, P5, None),
+               ("prsat", 7, P4, None), ("prsat", 6, P5, 4), ("sat", 6, P4, None)]
+
+
+def _memo_census(point):
+    quantity, n, spec, cap = point
+    return census(quantity, n, spec, budget=10**6, edge_cap=cap)
+
+
+def _records_from_an_empty_memo(monkeypatch):
+    records = []
+    for point in MEMO_POINTS:
+        monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
+        records.append(_memo_census(point))
+    return records
+
+
+def test_census_after_census_matches_an_empty_memo(monkeypatch):
+    want = _records_from_an_empty_memo(monkeypatch)
+    monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
+    assert [_memo_census(point) for point in MEMO_POINTS] == want
+    assert [_memo_census(point) for point in reversed(MEMO_POINTS)] == want[::-1]
+
+
+def test_level_memo_keeps_to_its_bound(monkeypatch):
+    want = _records_from_an_empty_memo(monkeypatch)
+    monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
+    monkeypatch.setattr(oracle, "LEVEL_MEMO_CLASSES", 40)
+    held = []
+    real = oracle._canonical_children
+
+    def spy(parent, gens):
+        held.append(oracle._memo_classes())
+        return real(parent, gens)
+
+    monkeypatch.setattr(oracle, "_canonical_children", spy)
+    assert [_memo_census(point) for point in MEMO_POINTS] == want
+    held.append(oracle._memo_classes())
+    assert 0 < max(held) <= 40
+    # order 7 outgrew what order 6 left room for: its later levels streamed
+    assert 0 < len(oracle._LEVEL_MEMO[7]) < 9
+
+
 def test_workers_match_sequential():
     seq = prsat_number(5, P4, budget=10**6)
     par = prsat_number(5, P4, budget=10**6, workers=2)
@@ -258,6 +378,12 @@ def test_inexact_cached_record_is_replaced(tmp_path):
     second = prsat_number(6, P5, cache_dir=tmp_path)  # default budget
     assert second.exact and second.value != first.value
     assert load_cached_record(tmp_path, second.key()) == second
+
+
+def test_census_rejects_a_negative_edge_cap(tmp_path):
+    with pytest.raises(InvalidParameterError, match="edge cap"):
+        census("prsat", 5, P4, edge_cap=-1, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []  # no record stored
 
 
 def test_census_rejects_unknown_quantity():
