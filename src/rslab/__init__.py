@@ -36,7 +36,6 @@ from .engine import (
     search_rainbow_free_colouring,
 )
 from .errors import (
-    BudgetExceededError,
     CacheMismatchError,
     ConstructionInvalidError,
     DuplicateEdgeError,

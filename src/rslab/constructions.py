@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .colouring import EdgeColouring
-from .engine import Status, is_properly_rainbow_saturated, is_saturated
+from .engine import is_saturated
 from .errors import (
     ConstructionInvalidError,
     InvalidParameterError,
@@ -353,13 +353,3 @@ def verify_bundle(bundle: GadgetBundle, target: PatternSpec) -> bool:
         find_rainbow_copy(bundle.graph, bundle.colouring, target) is None
     )
 
-
-def verify_prsat_construction(
-    g: Graph, target: PatternSpec, budget: int | None = None
-) -> bool:
-    from .engine import DEFAULT_BUDGET
-
-    verdict = is_properly_rainbow_saturated(
-        g, target, budget if budget is not None else DEFAULT_BUDGET
-    )
-    return verdict.status is Status.ESTABLISHED

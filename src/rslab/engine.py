@@ -3,11 +3,28 @@
 The central search enumerates proper edge colourings of a graph as
 restricted-growth assignments: edges are processed in a fixed breadth-first
 order from a maximum-degree vertex, and an edge may take colour c only when
-c is at most one more than the largest colour used so far.  This walks each
-partition of the edge set into matchings exactly once, which removes colour
-relabelling symmetry outright.  A branch is pruned as soon as the fully
-coloured edges already contain a rainbow copy of the target pattern, since
-such a copy persists in every extension.
+c is at most one more than the largest colour used so far.  Enumeration
+(:func:`enumerate_rainbow_free_colourings`, :func:`count_proper_colourings`)
+thereby walks each partition of the edge set into matchings exactly once,
+which removes colour relabelling symmetry outright.  A branch is pruned as
+soon as the fully coloured edges already contain a rainbow copy of the
+target pattern, since such a copy persists in every extension.
+
+The existence search (:func:`search_rainbow_free_colouring`, and through it
+every prsat verdict) also breaks one symmetry of the graph, specialising the
+symmetry-breaking predicates of Crawford, Ginsberg, Luks & Roy (KR 1996).
+Call x and y *twins* at position i of the order when edges i-1 and i are
+(v, x) and (v, y) and neither x nor y has a neighbour but v and each other
+(both of degree 1, or both of degree 2 and adjacent).  Swapping x and y is
+an automorphism that swaps just these two edges, so it maps proper and
+rainbow-free colourings to proper and rainbow-free colourings; the search
+asks col[i-1] < col[i] at every twin position.  This loses no answer and
+keeps the certificate: swapping the two values at a pair out of this order
+gives another restricted-growth string (if col[i-1] opened a new colour,
+col[i] is an older one, and the swapped string opens the new colour one
+step later), lexicographically smaller than the first, so the first
+colouring the full walk meets is already twin-sorted, and the pruned walk
+meets it first too.
 
 That pruning test runs once per search node and asks only for copies
 through the edge just coloured.  The matcher compiles, once per pattern,
@@ -364,13 +381,37 @@ def bfs_edge_order(g: Graph) -> tuple[Edge, ...]:
     )
 
 
+def _twin_positions(g: Graph, order) -> list[bool]:
+    """For each position i of `order`: are edges i-1 and i the edges (v, x),
+    (v, y) to twins x, y, that is, both of degree 1, or both of degree 2 and
+    adjacent?"""
+    deg = g.degrees()
+    twin = [False] * len(order)
+    for i in range(1, len(order)):
+        (a, b), (c, d) = order[i - 1], order[i]
+        if a == c:
+            x, y = b, d
+        elif b == d:
+            x, y = a, c
+        elif a == d:
+            x, y = b, c
+        elif b == c:
+            x, y = a, d
+        else:
+            continue
+        k = deg[x]
+        twin[i] = k == deg[y] and (k == 1 or k == 2 and g.has_edge(x, y))
+    return twin
+
+
 class ColouringSearch:
     """Iterator over proper colourings of a graph, up to colour relabelling.
 
     With a pattern attached, branches whose coloured edges already contain a
     rainbow copy are pruned, so the iterator yields exactly the rainbow-free
-    proper colourings.  `nodes_explored` counts colour assignments;
-    `exhausted` reports whether the tree was fully walked.
+    proper colourings; after :meth:`sort_twins`, only the twin-sorted ones.
+    `nodes_explored` counts colour assignments; `exhausted` reports whether
+    the tree was fully walked.
     """
 
     def __init__(self, graph: Graph, pattern: PatternSpec | None,
@@ -383,6 +424,13 @@ class ColouringSearch:
         pos = {e: i for i, e in enumerate(graph.edges)}
         self._out_slot = [pos[e] for e in self._order]
         self._matcher = _matcher_for(pattern) if pattern is not None else None
+        self._twin = [False] * len(self._order)
+
+    def sort_twins(self) -> ColouringSearch:
+        """Walk only the twin-sorted colourings (see the module notes);
+        return self."""
+        self._twin = _twin_positions(self.graph, self._order)
+        return self
 
     def run(self):
         g = self.graph
@@ -397,6 +445,7 @@ class ColouringSearch:
         min_edges = matcher.edge_count if matcher else 0
         budget = self.budget
         out_slot = self._out_slot
+        twin = self._twin
 
         col = [0] * m
         maxu = [0] * (m + 1)
@@ -448,6 +497,8 @@ class ColouringSearch:
                 continue
             maxu[i + 1] = maxu[i] if c <= maxu[i] else c
             i += 1
+            if twin[i]:
+                col[i] = c  # the next try is c + 1
         self.exhausted = True
 
 
@@ -488,7 +539,7 @@ def search_rainbow_free_colouring(
     Established carries the colouring found; Refuted means the exhaustive
     walk pruned every branch; Unknown means the node budget ran out.
     """
-    search = ColouringSearch(g, pattern, budget)
+    search = ColouringSearch(g, pattern, budget).sort_twins()
     for colours in search.run():
         return SearchVerdict(
             Status.ESTABLISHED,

@@ -33,11 +33,7 @@ class ConstructionInvalidError(RslabError):
     """A built graph failed its own saturation self-check."""
 
 
-class BudgetExceededError(RslabError):
-    """A search ran out of nodes before reaching a verdict."""
-
-
-class OracleBudgetExceededError(BudgetExceededError):
+class OracleBudgetExceededError(RslabError):
     """A census sub-search stayed Unknown even after escalation."""
 
 

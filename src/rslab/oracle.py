@@ -3,7 +3,8 @@
 Graphs of a given order are enumerated one representative per isomorphism
 class by canonical augmentation: each class is grown from exactly one parent
 class by adding one edge, so no child is compared with another, and each
-class comes with generators of its automorphism group.  A census walks the
+class comes with one representative per non-edge orbit of its automorphism
+group, taken from the generators its labelling found.  A census walks the
 classes in ascending edge count and reports the least edge count at which
 the requested property holds, together with every minimum witness.  It
 stops on the level of that value (or of the edge cap) and makes no later
@@ -14,10 +15,10 @@ as :func:`enumerate_graphs_by_edges` always does.
 
 The three quantities share one per-class verdict (:func:`_class_verdict`):
 a base test on the graph and a step test on each non-edge orbit
-representative (see :mod:`rslab.engine`), the orbits taken from the carried
-generators rather than from a new labelling search.  `sat` and `ssat` verdicts are
-exact; `prsat` verdicts are budgeted colouring searches and may stay
-Unknown.  An Unknown class at or below the best established value poisons
+representative (see :mod:`rslab.engine`), the representatives being the
+carried ones rather than those of a new labelling search.  `sat` and `ssat`
+verdicts are exact; `prsat` verdicts are budgeted colouring searches and may
+stay Unknown.  An Unknown class at or below the best established value poisons
 exactness; such classes get one escalated retry with a ten-fold budget, and
 whatever is still unresolved is reported on the record rather than guessed.
 """
@@ -34,8 +35,8 @@ from itertools import combinations, islice, repeat
 from pathlib import Path
 
 from .canon import (
-    automorphism_generators,
     labelling,
+    non_edge_orbit_representatives,
     non_edge_representatives,
     pair_orbit_roots,
 )
@@ -62,8 +63,9 @@ CACHE_ENV_VAR = "RSLAB_CACHE"
 QUANTITIES = {"sat": (9, False, False), "ssat": (9, False, False), "prsat": (8, True, True)}
 
 # The levels of each order that censuses in this process have made, as lists
-# of (canonical graph, automorphism generators), shared by every census of
-# that order; at most LEVEL_MEMO_CLASSES classes in all (about 22 MiB).
+# of (canonical graph, non-edge orbit representatives), shared by every
+# census of that order; at most LEVEL_MEMO_CLASSES classes in all (about
+# 19 MiB, 2.4 KiB a class at orders 8 and 9, as tracemalloc counts it).
 LEVEL_MEMO_CLASSES = 8192
 _LEVEL_MEMO: dict[int, list] = {}
 
@@ -86,7 +88,7 @@ def enumerate_graphs_by_edges(n: int):
 
 def _augmented_levels(n: int, memo: list | None = None):
     """The levels of :func:`enumerate_graphs_by_edges`, each graph paired
-    with generators of its automorphism group.
+    with its non-edge orbit representatives.
 
     With `memo`, the list of the levels of order n that the level memo
     holds, those levels are served from it, and a level made is appended to
@@ -103,7 +105,7 @@ def _augmented_levels(n: int, memo: list | None = None):
         else:
             if m == 0:
                 empty = Graph(n, ())
-                level = [(empty, labelling(empty)[1])]
+                level = [(empty, non_edge_representatives(empty, labelling(empty)[1]))]
             else:
                 level = [child for parent in level for child in _canonical_children(*parent)]
                 level.sort(key=lambda child: to_graph6(child[0]))
@@ -118,23 +120,24 @@ def _memo_classes() -> int:
     return sum(len(level) for levels in _LEVEL_MEMO.values() for level in levels)
 
 
-def _canonical_children(parent: Graph, gens):
+def _canonical_children(parent: Graph, non_edges):
     """The children P + e of a canonical graph P, one per isomorphism class
-    whose canonical parent is P, as (canonical graph, automorphism generators).
+    whose canonical parent is P, as (canonical graph, non-edge orbit
+    representatives).
 
-    `gens` generate Aut(P), so one non-edge e per orbit is tried.  The child
-    C = P + e is kept only if e lies in the Aut(C)-orbit of C's canonical
-    deletion edge m(C): among the edges with the largest (degree sum, smaller
-    degree) of their ends in C, the one whose image under C's canonical
-    labelling is largest.  C - m(C) is the same class whatever labelling C
-    comes in, so each class with m+1 edges is kept exactly once, from the
-    representative of C - m(C).  A child whose e does not have the largest
-    degree invariant is refused before it is labelled.
+    `non_edges` holds one non-edge e per orbit of Aut(P); each is tried.
+    The child C = P + e is kept only if e lies in the Aut(C)-orbit of C's
+    canonical deletion edge m(C): among the edges with the largest (degree
+    sum, smaller degree) of their ends in C, the one whose image under C's
+    canonical labelling is largest.  C - m(C) is the same class whatever
+    labelling C comes in, so each class with m+1 edges is kept exactly once,
+    from the representative of C - m(C).  A child whose e does not have the
+    largest degree invariant is refused before it is labelled.
     """
     n = parent.n
     index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
     deg = parent.degrees()
-    for e in non_edge_representatives(parent, gens):
+    for e in non_edges:
         u, v = e
         child_deg = list(deg)
         child_deg[u] += 1
@@ -149,7 +152,9 @@ def _canonical_children(parent: Graph, gens):
         if child_roots[index[e]] != child_roots[index[m]]:
             continue
         at = sorted(range(n), key=pos.__getitem__)  # the vertex at each position
-        yield child.relabel(pos), tuple(tuple(pos[s[x]] for x in at) for s in child_gens)
+        canonical = child.relabel(pos)
+        gens = [[pos[s[x]] for x in at] for s in child_gens]
+        yield canonical, non_edge_representatives(canonical, gens)
 
 
 def _top_invariant_edges(e: Edge, others, deg: list[int]) -> list[Edge] | None:
@@ -252,20 +257,19 @@ class CensusRecord:
             g = from_graph6(w)
             if self.value is not None and len(g.edges) != self.value:
                 return False
-            status, _ = _class_verdict(g, automorphism_generators(g), spec, self.quantity,
-                                       budget or self.budget)
+            status, _ = _class_verdict(g, non_edge_orbit_representatives(g), spec,
+                                       self.quantity, budget or self.budget)
             if status is not Status.ESTABLISHED:
                 return False
         return True
 
 
 def _class_verdict(
-    g: Graph, gens, spec: PatternSpec, quantity: str, budget: int | None
+    g: Graph, non_edges, spec: PatternSpec, quantity: str, budget: int | None
 ) -> tuple[Status, int]:
-    """Status and colouring-search nodes of one graph, whose automorphism
-    group `gens` generate: one non-edge per orbit is checked.  Also the
-    pool's task."""
-    non_edges = non_edge_representatives(g, gens)
+    """Status and colouring-search nodes of one graph, checking the
+    non-edges `non_edges`, one per automorphism orbit.  Also the pool's
+    task."""
     if quantity == "prsat":
         verdict = is_properly_rainbow_saturated(g, spec, budget, non_edges)
         return verdict.status, verdict.nodes_explored
@@ -315,11 +319,11 @@ def _census(
     # Escalation pass for classes that stayed Unknown at or below the value.
     still: list[Graph] = []
     bigger = None if budget is None else budget * ESCALATION_FACTOR
-    for g, gens in unresolved:
+    for g, non_edges in unresolved:
         m = len(g.edges)
         if value is not None and m > value:
             continue
-        status, nodes = _class_verdict(g, gens, spec, quantity, bigger)
+        status, nodes = _class_verdict(g, non_edges, spec, quantity, bigger)
         nodes_total += nodes
         if status is Status.ESTABLISHED:
             if value is None or m < value:

@@ -1,13 +1,16 @@
 import itertools
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_graphs_on, small_graphs
 from rslab.colouring import EdgeColouring, is_proper
 from rslab.engine import (
+    ColouringSearch,
     Status,
     _matcher_for,
     contains_copy,
+    count_proper_colourings,
     enumerate_rainbow_free_colourings,
     find_rainbow_copy,
     forces_rainbow,
@@ -18,7 +21,7 @@ from rslab.engine import (
 )
 from rslab.graphs import build_graph, disjoint_union
 from rslab.oracle import enumerate_graphs
-from rslab.patterns import PatternSpec, realize_pattern
+from rslab.patterns import PatternSpec, parse_pattern, realize_pattern
 
 P4 = PatternSpec.path(4)
 P5 = PatternSpec.path(5)
@@ -489,3 +492,78 @@ def test_random_graphs_verdicts_are_consistent(g):
     if verdict.status is Status.ESTABLISHED:
         assert_certificate_sound(g, P4, verdict)
         assert is_semi_saturated(g, P4).holds
+
+
+# -- twin-edge symmetry breaking -------------------------------------------------
+#
+# The existence search skips colourings whose twin edges are out of order;
+# enumeration does not, so its first colouring is the oracle for the search.
+
+
+def assert_search_matches_enumeration(g, spec):
+    first = next(enumerate_rainbow_free_colourings(g, spec), None)
+    verdict = search_rainbow_free_colouring(g, spec, None)
+    if first is None:
+        assert verdict.status is Status.REFUTED
+    else:
+        assert verdict.status is Status.ESTABLISHED
+        assert verdict.certificate.colours == first.colours
+
+
+def test_twin_sorted_search_matches_enumeration_on_all_classes_up_to_7():
+    specs = [parse_pattern(t) for t in ("P3", "P4", "P5", "K1,3", "T5star", "K1,4")]
+    pairs = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            for spec in specs:
+                assert_search_matches_enumeration(g, spec)
+                pairs += 1
+    assert pairs == 6 * 1252
+
+
+@st.composite
+def graphs_with_pendant_twins(draw):
+    """A core of at most 5 vertices with 0-3 leaves on each core vertex,
+    perhaps two leaves joined, vertices shuffled."""
+    core = draw(small_graphs(min_n=1, max_n=5))
+    edges = list(core.edges)
+    leaves = []
+    for v in range(core.n):
+        for _ in range(draw(st.integers(0, 3))):
+            leaves.append(core.n + len(leaves))
+            edges.append((v, leaves[-1]))
+    if len(leaves) >= 2 and draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(leaves), min_size=2, max_size=2, unique=True))
+        edges.append((a, b))
+    n = core.n + len(leaves)
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@given(graphs_with_pendant_twins(), st.sampled_from(["P4", "P5", "P6", "K1,3"]),
+       st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_twin_sorted_search_matches_enumeration_on_pendant_twins(g, token, pick):
+    spec = parse_pattern(token)
+    assert_search_matches_enumeration(g, spec)
+    non_edges = g.non_edges()
+    if non_edges:
+        h = g.add_edge(*non_edges[pick % len(non_edges)])
+        first = next(enumerate_rainbow_free_colourings(h, spec), None)
+        verdict = forces_rainbow(h, spec, None)
+        if first is None:
+            assert verdict.status is Status.ESTABLISHED
+        else:
+            assert verdict.status is Status.REFUTED
+            assert verdict.certificate.colours == first.colours
+
+
+def test_count_keeps_colourings_that_differ_by_a_twin_swap():
+    # centres 0 and 1 joined, leaves 2, 3 on 0 and 4, 5 on 1: the edges to
+    # the leaves of 1 take (2,3), (3,2), (2,4), (4,2), (3,4), (4,3) or (4,5)
+    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    assert count_proper_colourings(g) == 7
+    everything = list(ColouringSearch(g, None).run())
+    assert (1, 2, 3, 2, 3) in everything and (1, 2, 3, 3, 2) in everything
+    sorted_twins = list(ColouringSearch(g, None).sort_twins().run())
+    assert sorted_twins == [(1, 2, 3, 2, 3), (1, 2, 3, 2, 4), (1, 2, 3, 3, 4), (1, 2, 3, 4, 5)]

@@ -1,4 +1,3 @@
-import itertools
 import json
 import multiprocessing
 import os
@@ -12,8 +11,6 @@ from rslab.canon import (
     canonical_form,
     canonical_graph,
     non_edge_orbit_representatives,
-    non_edge_representatives,
-    pair_orbit_roots,
 )
 from rslab.errors import CacheMismatchError, InvalidParameterError
 from rslab.graphs import Graph, from_graph6, to_graph6
@@ -66,10 +63,10 @@ def _spy_levels_made(monkeypatch) -> list[int]:
     made = []
     real = oracle._canonical_children
 
-    def spy(parent, gens):
+    def spy(parent, non_edges):
         if not made or made[-1] != len(parent.edges) + 1:
             made.append(len(parent.edges) + 1)
-        return real(parent, gens)
+        return real(parent, non_edges)
 
     monkeypatch.setattr(oracle, "_canonical_children", spy)
     return made
@@ -141,32 +138,29 @@ def test_level_counts_n8_match_benchmark_reference():
     assert len({g6 for level in levels for g6 in level}) == 12_346
 
 
-def test_carried_generators_give_the_non_edge_orbits():
+def test_carried_non_edges_are_the_orbit_representatives():
     for n in range(1, 7):
         for level in _augmented_levels(n):
-            for g, gens in level:
-                roots = pair_orbit_roots(n, gens)
-                pairs = itertools.combinations(range(n), 2)
-                reps = [p for i, p in enumerate(pairs) if roots[i] == i and not g.has_edge(*p)]
-                assert reps == non_edge_orbit_representatives(g), to_graph6(g)
+            for g, non_edges in level:
+                assert non_edges == non_edge_orbit_representatives(g), to_graph6(g)
 
 
-def test_carried_generators_give_the_census_non_edges(monkeypatch):
-    # every class a census decides, with the generators it came with
+def test_carried_non_edges_are_the_census_non_edges(monkeypatch):
+    # every class a census decides, with the non-edges it came with
     visited = []
     real = oracle._class_verdict
 
-    def spy(g, gens, *rest):
-        visited.append((g, gens))
-        return real(g, gens, *rest)
+    def spy(g, non_edges, *rest):
+        visited.append((g, non_edges))
+        return real(g, non_edges, *rest)
 
     monkeypatch.setattr(oracle, "_class_verdict", spy)
     for n in range(2, 8):
         prsat_number(n, P5, budget=10**6)
         sat_number(n, P4)
     assert len({to_graph6(g) for g, _ in visited}) > 300
-    for g, gens in visited:
-        assert non_edge_representatives(g, gens) == non_edge_orbit_representatives(g)
+    for g, non_edges in visited:
+        assert non_edges == non_edge_orbit_representatives(g)
 
 
 def test_levels_are_by_edge_count():
@@ -321,9 +315,9 @@ def test_level_memo_keeps_to_its_bound(monkeypatch):
     held = []
     real = oracle._canonical_children
 
-    def spy(parent, gens):
+    def spy(parent, non_edges):
         held.append(oracle._memo_classes())
-        return real(parent, gens)
+        return real(parent, non_edges)
 
     monkeypatch.setattr(oracle, "_canonical_children", spy)
     assert [_memo_census(point) for point in MEMO_POINTS] == want
@@ -331,6 +325,24 @@ def test_level_memo_keeps_to_its_bound(monkeypatch):
     assert 0 < max(held) <= 40
     # order 7 outgrew what order 6 left room for: its later levels streamed
     assert 0 < len(oracle._LEVEL_MEMO[7]) < 9
+
+
+def test_censuses_find_the_non_edges_of_each_class_once(monkeypatch):
+    monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
+    found = []
+    real = oracle.non_edge_representatives
+
+    def spy(g, gens):
+        found.append(to_graph6(g))
+        return real(g, gens)
+
+    monkeypatch.setattr(oracle, "non_edge_representatives", spy)
+    for point in MEMO_POINTS:
+        _memo_census(point)
+    made = [to_graph6(g) for levels in oracle._LEVEL_MEMO.values()
+            for level in levels for g, _ in level]
+    assert len(made) > 100
+    assert sorted(found) == sorted(made)
 
 
 def test_workers_match_sequential():
