@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -127,6 +128,23 @@ def test_levels_match_dict_dedup_reference():
         got = [[to_graph6(g) for g in level] for level in enumerate_graphs_by_edges(n)]
         want = [[to_graph6(g) for g in level] for level in _dict_dedup_levels(n)]
         assert got == want, n
+
+
+def test_level_digest_pins_canonical_forms():
+    # The reference above labels with the same canon, so it cannot see a
+    # change of canonical forms; this digest of every level up to n = 7,
+    # representatives included, pins them.
+    digest = hashlib.sha256()
+    classes = 0
+    for n in range(1, 8):
+        for level in _augmented_levels(n):
+            for g, reps in level:
+                digest.update(f"{to_graph6(g)} {reps}\n".encode())
+                classes += 1
+    assert classes == 1252
+    assert digest.hexdigest() == (
+        "82e5a14481e509b7dc68fe0ddac19b2d4a70078187e9064bb290591440510f23"
+    )
 
 
 def test_level_counts_n8_match_benchmark_reference():
