@@ -21,9 +21,21 @@ around its whole orbit under the stabiliser, and by the orbit-stabiliser
 theorem along the path they generate the group.  Graph enumeration
 (`rslab.oracle`) relies on this when it takes orbits from carried generators.
 
+Before the search, the generators are seeded with the transposition of
+each two consecutive vertices of a class of twins (vertices with the same
+open, or the same closed, neighbourhood).  Each is an automorphism, so
+pruning by it skips only images of explored subtrees: the minimum encoding
+is still reached, and the argument above holds with the extra generators.
+The leaf that first reaches the minimum, and with it the position map, may
+differ from the one an unseeded search returns, but only by an
+automorphism; the canonical graph and the orbits are the same.
+
+Refinement (`_refine`) resumes its scan after a split instead of starting
+over, which makes the same splits in the same order (see there).
+
 This is exact, not heuristic: two graphs get the same label iff they are
 isomorphic.  Speed is adequate for the n <= 10 graphs this package works
-with; nothing here is tuned beyond bitmask adjacency.
+with, and for the caterpillar hosts of about 30 vertices.
 """
 
 from __future__ import annotations
@@ -35,33 +47,47 @@ from .graphs import Edge, Graph, to_graph6
 
 
 def _refine(adjb: list[int], cells: list[list[int]]) -> list[list[int]]:
-    """Coarsest equitable partition refining `cells`.
+    """Coarsest equitable partition refining `cells`, whose cells are sorted.
 
-    Cells are kept in a deterministic order: splitting replaces a cell in
-    place by its fragments ordered by ascending neighbour count, which is a
-    label-independent rule, so the procedure commutes with isomorphisms.
+    Cells are kept in a deterministic order: the first cell that some cell,
+    its source, splits (sources and then targets taken in order) is replaced
+    in place by its fragments ordered by ascending neighbour count toward
+    the source, which is a label-independent rule, so the procedure commutes
+    with isomorphisms.  After a split of target `ci` by source `si` the scan
+    resumes at source min(si, ci) rather than at the first cell: the cells
+    before it are unchanged and split nothing, and the fragments of a cell
+    that had equal neighbour counts toward them still have.  For the same
+    reason, when the target lies after the source the scan of that source
+    goes on after the fragments.  So each split made is the one a scan from
+    the first cell would make.
     """
-    cells = [sorted(c) for c in cells]
-    changed = True
-    while changed:
-        changed = False
-        for si in range(len(cells)):
-            smask = 0
-            for v in cells[si]:
-                smask |= 1 << v
-            for ci in range(len(cells)):
-                cell = cells[ci]
-                if len(cell) == 1:
+    cells = list(cells)
+    n = len(adjb)
+    si = 0
+    while si < len(cells) < n:  # a discrete partition is equitable
+        smask = 0
+        for v in cells[si]:
+            smask |= 1 << v
+        ci = 0
+        while ci < len(cells):
+            cell = cells[ci]
+            if len(cell) > 1:
+                counts = [(adjb[v] & smask).bit_count() for v in cell]
+                if min(counts) != max(counts):
+                    groups: dict[int, list[int]] = {}
+                    for v, k in zip(cell, counts):
+                        groups.setdefault(k, []).append(v)
+                    fragments = [groups[k] for k in sorted(groups)]
+                    cells[ci:ci + 1] = fragments
+                    if ci <= si:
+                        si = ci
+                        break
+                    # the fragments have equal counts toward the source
+                    ci += len(fragments)
                     continue
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((adjb[v] & smask).bit_count(), []).append(v)
-                if len(groups) > 1:
-                    cells[ci:ci + 1] = [groups[k] for k in sorted(groups)]
-                    changed = True
-                    break
-            if changed:
-                break
+            ci += 1
+        else:
+            si += 1
     return cells
 
 
@@ -92,8 +118,8 @@ def _search(g: Graph):
 
     best: list = [None, None]    # encoding, position tuple
     first: list = [None, None]
-    gens: list[tuple[int, ...]] = []
-    gen_seen: set[tuple[int, ...]] = set()
+    gens = _twin_transpositions(adjb)  # seeds: see the module docstring
+    gen_seen = set(gens)
 
     edges = g.edges
 
@@ -133,27 +159,48 @@ def _search(g: Graph):
             return
         cell = cells[target]
         tried: list[int] = []
+        # Orbit pruning: skip v if a known automorphism fixing the
+        # individualised prefix pointwise maps it onto a sibling already
+        # expanded.  Sound: the skipped subtree is an exact image of an
+        # explored one.  The orbits of those automorphisms are kept in one
+        # union-find per node; generators found since are merged in.
+        uf = _UnionFind(n)
+        merged = 0
         for v in cell:
             if tried:
-                # Orbit pruning: skip v if a known automorphism fixing the
-                # individualised prefix pointwise maps it onto a sibling
-                # already expanded.  Sound: the skipped subtree is an exact
-                # image of an explored one.
-                stab = [s for s in gens if all(s[f] == f for f in fixed)]
-                if stab:
-                    uf = _UnionFind(n)
-                    for s in stab:
+                for s in gens[merged:]:
+                    if all(s[f] == f for f in fixed):
                         for x in range(n):
                             uf.union(x, s[x])
-                    rv = uf.find(v)
-                    if any(uf.find(u) == rv for u in tried):
-                        continue
+                merged = len(gens)
+                rv = uf.find(v)
+                if any(uf.find(u) == rv for u in tried):
+                    continue
             child = cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1:]
             dfs(_refine(adjb, child), fixed + (v,))
             tried.append(v)
 
     dfs(_refine(adjb, [list(range(n))]), ())
     return best[1], gens
+
+
+def _twin_transpositions(adjb: list[int]) -> list[tuple[int, ...]]:
+    """The transposition of each two consecutive vertices of a class of
+    twins: vertices with the same open, or the same closed, neighbourhood.
+    Swapping two such vertices is an automorphism."""
+    n = len(adjb)
+    open_twins: dict[int, list[int]] = {}
+    closed_twins: dict[int, list[int]] = {}
+    for v, a in enumerate(adjb):
+        open_twins.setdefault(a, []).append(v)
+        closed_twins.setdefault(a | 1 << v, []).append(v)
+    out = []
+    for twins in (*open_twins.values(), *closed_twins.values()):
+        for a, b in zip(twins, twins[1:]):
+            sigma = list(range(n))
+            sigma[a], sigma[b] = b, a
+            out.append(tuple(sigma))
+    return out
 
 
 def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:

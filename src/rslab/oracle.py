@@ -128,49 +128,79 @@ def _canonical_children(parent: Graph, non_edges):
     `non_edges` holds one non-edge e per orbit of Aut(P); each is tried.
     The child C = P + e is kept only if e lies in the Aut(C)-orbit of C's
     canonical deletion edge m(C): among the edges with the largest (degree
-    sum, smaller degree) of their ends in C, the one whose image under C's
-    canonical labelling is largest.  C - m(C) is the same class whatever
-    labelling C comes in, so each class with m+1 edges is kept exactly once,
-    from the representative of C - m(C).  A child whose e does not have the
-    largest degree invariant is refused before it is labelled.
+    sum, smaller degree, common neighbours) of their ends in C, the one
+    whose image under C's canonical labelling is largest.  The common
+    neighbours, the triangles through the edge, break ties of the degree
+    pair; they are counted in C, where e is an edge.  C - m(C) is the same
+    class whatever labelling C comes in, so each class with m+1 edges is
+    kept exactly once, from the representative of C - m(C).  A child whose
+    e does not have the largest invariant is refused before it is labelled.
     """
     n = parent.n
     index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
     deg = parent.degrees()
+    adjb = parent.adjacency_bits()
+    # Degrees only grow from P to C, so an edge of P whose key in P beats
+    # the key of e in C beats it in C as well.
+    parent_top = max((_degree_key(deg[a], deg[b], n) for a, b in parent.edges), default=-1)
     for e in non_edges:
         u, v = e
+        if parent_top > _degree_key(deg[u] + 1, deg[v] + 1, n):
+            continue
         child_deg = list(deg)
         child_deg[u] += 1
         child_deg[v] += 1
-        top = _top_invariant_edges(e, parent.edges, child_deg)
+        child_adjb = list(adjb)
+        child_adjb[u] |= 1 << v
+        child_adjb[v] |= 1 << u
+        top = _top_invariant_edges(e, parent.edges, child_deg, child_adjb)
         if top is None:
             continue
         child = parent.add_edge(u, v)
         pos, child_gens = labelling(child)
         m = max(top, key=lambda ab: normalise_edge(pos[ab[0]], pos[ab[1]]))
-        child_roots = pair_orbit_roots(n, child_gens)
-        if child_roots[index[e]] != child_roots[index[m]]:
-            continue
+        if m != e:
+            child_roots = pair_orbit_roots(n, child_gens)
+            if child_roots[index[e]] != child_roots[index[m]]:
+                continue
         at = sorted(range(n), key=pos.__getitem__)  # the vertex at each position
         canonical = child.relabel(pos)
         gens = [[pos[s[x]] for x in at] for s in child_gens]
         yield canonical, non_edge_representatives(canonical, gens)
 
 
-def _top_invariant_edges(e: Edge, others, deg: list[int]) -> list[Edge] | None:
+def _top_invariant_edges(
+    e: Edge, others, deg: list[int], adjb: list[int]
+) -> list[Edge] | None:
     """The edges among `e` and `others` with the largest (degree sum,
-    smaller degree) of their ends, or None if `e` is not one of them."""
+    smaller degree, common neighbours) of their ends, or None if `e` is not
+    one of them.  `deg` and `adjb` are the degrees and adjacency bitmasks of
+    the graph that has all these edges."""
     n = len(deg)
     u, v = e
-    top_key = (deg[u] + deg[v]) * n + min(deg[u], deg[v])
-    top = [e]
+    top_key = _degree_key(deg[u], deg[v], n)
+    tied = []
     for a, b in others:
-        key = (deg[a] + deg[b]) * n + min(deg[a], deg[b])
+        key = _degree_key(deg[a], deg[b], n)
         if key > top_key:
             return None
         if key == top_key:
+            tied.append((a, b))
+    top = [e]
+    top_common = (adjb[u] & adjb[v]).bit_count()
+    for a, b in tied:
+        common = (adjb[a] & adjb[b]).bit_count()
+        if common > top_common:
+            return None
+        if common == top_common:
             top.append((a, b))
     return top
+
+
+def _degree_key(du: int, dv: int, n: int) -> int:
+    """(degree sum, smaller degree) of the ends of an edge, as one integer
+    ordered as those pairs are; degrees are below n."""
+    return (du + dv) * n + min(du, dv)
 
 
 def enumerate_graphs(n: int, edge_cap: int | None = None):

@@ -1,8 +1,10 @@
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from conftest import (
     all_graphs_on,
@@ -10,6 +12,7 @@ from conftest import (
     brute_force_isomorphic,
     small_graphs,
 )
+from rslab import canon
 from rslab.canon import (
     automorphism_generators,
     automorphism_group,
@@ -20,6 +23,7 @@ from rslab.canon import (
     pair_orbits,
     vertex_orbits,
 )
+from rslab.errors import RslabError
 from rslab.graphs import build_graph
 from rslab.patterns import PatternSpec, realize_pattern
 
@@ -143,3 +147,93 @@ def test_automorphism_group_sizes():
 def test_vertex_orbits_star():
     k13 = realize_pattern(PatternSpec.star(3))
     assert vertex_orbits(k13) == [(0,), (1, 2, 3)]
+
+
+def _restarting_refine(adjb, cells):
+    """`_refine` before it resumed its scan, kept as a reference: after
+    every split the scan restarts from the first source."""
+    cells = [sorted(c) for c in cells]
+    changed = True
+    while changed:
+        changed = False
+        for si in range(len(cells)):
+            smask = 0
+            for v in cells[si]:
+                smask |= 1 << v
+            for ci in range(len(cells)):
+                cell = cells[ci]
+                if len(cell) == 1:
+                    continue
+                groups: dict[int, list[int]] = {}
+                for v in cell:
+                    groups.setdefault((adjb[v] & smask).bit_count(), []).append(v)
+                if len(groups) > 1:
+                    cells[ci:ci + 1] = [groups[k] for k in sorted(groups)]
+                    changed = True
+                    break
+            if changed:
+                break
+    return cells
+
+
+def _start_partitions(n):
+    """The unit partition and each single-vertex individualisation of it."""
+    yield [list(range(n))]
+    for v in range(n):
+        yield [[v], [w for w in range(n) if w != v]]
+
+
+def _assert_refine_matches_reference(g):
+    adjb = g.adjacency_bits()
+    for cells in _start_partitions(g.n):
+        assert canon._refine(adjb, cells) == _restarting_refine(adjb, cells), (g, cells)
+
+
+def test_refine_matches_restarting_reference_up_to_5():
+    for n in range(1, 6):
+        for g in all_graphs_on(n):
+            _assert_refine_matches_reference(g)
+
+
+@given(small_graphs(min_n=1, max_n=10))
+@settings(max_examples=200)
+def test_refine_matches_restarting_reference(g):
+    _assert_refine_matches_reference(g)
+
+
+@st.composite
+def twin_rich_graphs(draw, max_n=9):
+    """A core of at most 5 vertices, then vertices added one at a time,
+    each an open twin (same neighbours) or a closed twin (same neighbours
+    and adjacent) of a vertex already there."""
+    core = draw(small_graphs(min_n=1, max_n=5))
+    n, edges = core.n, set(core.edges)
+    for _ in range(draw(st.integers(min_value=0, max_value=max_n - n))):
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        edges |= {(u, n) for u in range(n) if (min(u, v), max(u, v)) in edges}
+        if draw(st.booleans()):
+            edges.add((v, n))
+        n += 1
+    return build_graph(n, sorted(edges))
+
+
+_GROUP_CAP = 5040
+
+
+@given(twin_rich_graphs())
+@settings(max_examples=80, deadline=None)
+def test_twin_rich_groups_match_networkx(g):
+    es = g.edge_set()
+    for sigma in automorphism_generators(g):
+        assert sorted(sigma) == list(range(g.n))
+        assert all((min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) in es for u, v in g.edges)
+    x = nx.Graph()
+    x.add_nodes_from(range(g.n))
+    x.add_edges_from(g.edges)
+    isomorphisms = GraphMatcher(x, x).isomorphisms_iter()
+    order = sum(1 for _ in itertools.islice(isomorphisms, _GROUP_CAP + 1))
+    if order > _GROUP_CAP:
+        with pytest.raises(RslabError):
+            automorphism_group(g, limit=_GROUP_CAP)
+    else:
+        assert len(automorphism_group(g, limit=_GROUP_CAP)) == order
