@@ -90,14 +90,18 @@ def test_no_orbit_mixes_edges_and_non_edges():
             assert all(inside) or not any(inside)
 
 
-@given(small_graphs(max_n=6))
-@settings(max_examples=80)
-def test_generators_are_automorphisms(g):
+def _assert_generators_are_automorphisms(g):
     es = g.edge_set()
     for sigma in automorphism_generators(g):
         assert sorted(sigma) == list(range(g.n))
         for u, v in g.edges:
             assert (min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) in es
+
+
+@given(small_graphs(max_n=6))
+@settings(max_examples=80)
+def test_generators_are_automorphisms(g):
+    _assert_generators_are_automorphisms(g)
 
 
 def _brute_pair_orbits(g):
@@ -223,10 +227,7 @@ _GROUP_CAP = 5040
 @given(twin_rich_graphs())
 @settings(max_examples=80, deadline=None)
 def test_twin_rich_groups_match_networkx(g):
-    es = g.edge_set()
-    for sigma in automorphism_generators(g):
-        assert sorted(sigma) == list(range(g.n))
-        assert all((min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) in es for u, v in g.edges)
+    _assert_generators_are_automorphisms(g)
     x = nx.Graph()
     x.add_nodes_from(range(g.n))
     x.add_edges_from(g.edges)
