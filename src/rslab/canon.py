@@ -205,18 +205,13 @@ def _twin_transpositions(adjb: list[int]) -> list[tuple[int, ...]]:
 
 def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Canonical position map of `g` (vertex v goes to pos[v]) and generators
-    of its automorphism group, computed afresh: for graphs, such as the
-    children tried by graph enumeration, whose labelling is not asked for
-    again."""
+    of its automorphism group."""
     pos, gens = _search(g)
     return pos, tuple(gens)
 
 
-_search_cached = lru_cache(maxsize=65536)(labelling)
-
-
 def canonical_graph(g: Graph) -> Graph:
-    pos = _search_cached(g)[0]
+    pos = labelling(g)[0]
     return g.relabel(list(pos))
 
 
@@ -230,7 +225,7 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 
 
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
-    return _search_cached(g)[1]
+    return labelling(g)[1]
 
 
 def vertex_orbits(g: Graph) -> list[tuple[int, ...]]:

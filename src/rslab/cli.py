@@ -129,8 +129,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     rec = census(args.quantity, args.n, parse_pattern(args.pattern), budget=args.budget,
-                 edge_cap=args.edge_cap, workers=args.threads, cache_dir=args.cache_dir,
-                 force=args.force)
+                 edge_cap=args.edge_cap, cache_dir=args.cache_dir, force=args.force)
     if args.output_format == "json":
         print(json.dumps(rec.to_json_dict(), sort_keys=True))
     else:
@@ -145,12 +144,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    rc = repro.ReproConfig(
-        budget=args.budget,
-        cache_dir=args.cache_dir,
-        workers=args.threads,
-        ell=args.ell,
-    )
+    rc = repro.ReproConfig(budget=args.budget, cache_dir=args.cache_dir, ell=args.ell)
     rows = repro.run_suite(args.suite, rc)
     if args.output_format == "json":
         print(json.dumps([r.to_json_dict() for r in rows], sort_keys=True))
@@ -177,7 +171,6 @@ def _at_least(least: int, what: str):
 # Options read by more than one subcommand; each subcommand lists its own.
 _SHARED_OPTIONS = {
     "--cache-dir": dict(default=None, help="census cache directory (or set RSLAB_CACHE)"),
-    "--threads": dict(type=_at_least(1, "thread count"), default=1),
     "--force": dict(action="store_true", help="overwrite mismatched cached census records"),
     "--allow-unknown": dict(action="store_true",
                             help="treat Unknown reproduce rows as non-fatal"),
@@ -222,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--budget", type=_at_least(1, "budget"), default=DEFAULT_BUDGET)
 
     o = _subcommand(sub, "oracle", cmd_oracle, "brute-force census of a saturation number",
-                    options=("--cache-dir", "--threads", "--force"))
+                    options=("--cache-dir", "--force"))
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--pattern", required=True)
     o.add_argument("--quantity", choices=["sat", "ssat", "prsat"], required=True)
@@ -230,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--edge-cap", type=_at_least(0, "edge cap"), default=None)
 
     r = _subcommand(sub, "reproduce", cmd_reproduce, "pass/fail table for a claim suite",
-                    options=("--cache-dir", "--threads", "--allow-unknown"))
+                    options=("--cache-dir", "--allow-unknown"))
     r.add_argument("suite", choices=list(repro.SUITES))
     r.add_argument("--ell", type=int, default=4)
     r.add_argument("--budget", type=_at_least(1, "budget"), default=DEFAULT_CENSUS_BUDGET)

@@ -238,7 +238,7 @@ def _row_star_exact(n: int, k: int) -> BoundRow:
 def _row_star_exact_sat(n: int, k: int) -> BoundRow:
     value = _star_value(n, k)
     return BoundRow(
-        "star-exact", "sat", n, (("k", k),),
+        "star-exact-sat", "sat", n, (("k", k),),
         lower=value, upper=value, exact=value,
         out_of_range=not (k >= 1 and n >= k + 1),
     )

@@ -28,10 +28,8 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations, islice, repeat
+from itertools import combinations, islice
 from pathlib import Path
 
 from .canon import (
@@ -56,16 +54,14 @@ DEFAULT_CENSUS_BUDGET = 10_000_000
 ESCALATION_FACTOR = 10
 CACHE_ENV_VAR = "RSLAB_CACHE"
 
-# Per quantity: the largest order a census accepts, whether its verdicts
-# spend a node budget (the records of the others store budget null), and
-# whether `workers` > 1 may decide them in a process pool (sat and ssat
-# verdicts are too cheap to repay the pool's start-up).
-QUANTITIES = {"sat": (9, False, False), "ssat": (9, False, False), "prsat": (8, True, True)}
+# Per quantity: the largest order a census accepts, and whether its verdicts
+# spend a node budget (the records of the others store budget null).
+QUANTITIES = {"sat": (9, False), "ssat": (9, False), "prsat": (8, True)}
 
 # The levels of each order that censuses in this process have made, as lists
 # of (canonical graph, non-edge orbit representatives), shared by every
-# census of that order; at most LEVEL_MEMO_CLASSES classes in all (about
-# 19 MiB, 2.4 KiB a class at orders 8 and 9, as tracemalloc counts it).
+# census of that order; at most LEVEL_MEMO_CLASSES classes in all
+# (19-22 MiB, 2.4-2.8 KiB a class at orders 8 and 9, as tracemalloc counts it).
 LEVEL_MEMO_CLASSES = 8192
 _LEVEL_MEMO: dict[int, list] = {}
 
@@ -298,8 +294,7 @@ def _class_verdict(
     g: Graph, non_edges, spec: PatternSpec, quantity: str, budget: int | None
 ) -> tuple[Status, int]:
     """Status and colouring-search nodes of one graph, checking the
-    non-edges `non_edges`, one per automorphism orbit.  Also the pool's
-    task."""
+    non-edges `non_edges`, one per automorphism orbit."""
     if quantity == "prsat":
         verdict = is_properly_rainbow_saturated(g, spec, budget, non_edges)
         return verdict.status, verdict.nodes_explored
@@ -313,7 +308,6 @@ def _census(
     quantity: str,
     budget: int | None,
     edge_cap: int | None,
-    workers: int,
 ) -> CensusRecord:
     examined = 0
     nodes_total = 0
@@ -323,28 +317,19 @@ def _census(
 
     # Levels 0..value, or 0..edge_cap if no class qualifies: the loop stops
     # on the last level it examines, so no later level is made.
-    levels = _augmented_levels(n, _LEVEL_MEMO.setdefault(n, []))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for m, level in enumerate(levels):
-            tasks = (_class_verdict, *zip(*level), repeat(spec), repeat(quantity),
-                     repeat(budget))
-            if pool is None:
-                results = map(*tasks)
-            else:
-                # a verdict takes about a millisecond, so one task per class
-                # would cost more in IPC than it saves; send a few batches
-                results = pool.map(*tasks, chunksize=-(-len(level) // (4 * workers)))
-            for cls, (status, nodes) in zip(level, results):
-                examined += 1
-                nodes_total += nodes
-                if status is Status.ESTABLISHED:
-                    if value is None:
-                        value = m
-                    witnesses.append(cls[0])
-                elif status is Status.UNKNOWN:
-                    unresolved.append(cls)
-            if value is not None or m == edge_cap:
-                break
+    for m, level in enumerate(_augmented_levels(n, _LEVEL_MEMO.setdefault(n, []))):
+        for g, non_edges in level:
+            status, nodes = _class_verdict(g, non_edges, spec, quantity, budget)
+            examined += 1
+            nodes_total += nodes
+            if status is Status.ESTABLISHED:
+                if value is None:
+                    value = m
+                witnesses.append(g)
+            elif status is Status.UNKNOWN:
+                unresolved.append((g, non_edges))
+        if value is not None or m == edge_cap:
+            break
 
     # Escalation pass for classes that stayed Unknown at or below the value.
     still: list[Graph] = []
@@ -386,7 +371,6 @@ def census(
     *,
     budget: int | None = DEFAULT_CENSUS_BUDGET,
     edge_cap: int | None = None,
-    workers: int = 1,
     cache_dir: str | Path | None = None,
     force: bool = False,
 ) -> CensusRecord:
@@ -394,12 +378,11 @@ def census(
     (sat, ssat or prsat) for the pattern, with at most `edge_cap` edges.
 
     With a cache dir (or RSLAB_CACHE) an exact cached record is re-verified
-    and returned, and a computed one is stored.  `workers` > 1 decides the
-    prsat classes of each level in a process pool.
+    and returned, and a computed one is stored.
     """
     if quantity not in QUANTITIES:
         raise InvalidParameterError(f"unknown quantity {quantity!r}")
-    max_order, budgeted, pooled = QUANTITIES[quantity]
+    max_order, budgeted = QUANTITIES[quantity]
     if n > max_order:
         raise InvalidParameterError(
             f"{quantity} census supports n <= {max_order}; pass a smaller n"
@@ -416,7 +399,7 @@ def census(
             if not cached.verify(budget):
                 raise CacheMismatchError(f"cached witnesses for {key} fail to verify")
             return cached
-    record = _census(n, spec, quantity, budget, edge_cap, workers if pooled else 1)
+    record = _census(n, spec, quantity, budget, edge_cap)
     if root is not None:
         store_record(root, record, force=force)
     return record
@@ -453,8 +436,14 @@ def prsat_number(
     cache_dir: str | Path | None = None,
     force: bool = False,
 ) -> CensusRecord:
-    """Minimum edges of an n-vertex properly rainbow saturated graph."""
-    return census("prsat", n, spec, budget=budget, edge_cap=edge_cap, workers=workers,
+    """Minimum edges of an n-vertex properly rainbow saturated graph.
+
+    Censuses run in one process; `workers` is accepted only as 1.
+    """
+    if workers != 1:
+        raise InvalidParameterError(f"a census runs in one process: workers must be 1, "
+                                    f"got {workers}")
+    return census("prsat", n, spec, budget=budget, edge_cap=edge_cap,
                   cache_dir=cache_dir, force=force)
 
 

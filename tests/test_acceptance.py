@@ -26,7 +26,7 @@ from rslab.engine import (
 )
 from rslab.formulas import evaluate_bound
 from rslab.graphs import Graph, disjoint_union
-from rslab.oracle import enumerate_trees, prsat_number, sat_number, ssat_number
+from rslab.oracle import census as oracle_census, enumerate_trees
 from rslab.patterns import PatternSpec
 
 P4 = PatternSpec.path(4)
@@ -47,16 +47,7 @@ def report(line, ok):
 
 @pytest.fixture(scope="module")
 def census():
-    memo = {}
-
-    def get(quantity, n, spec, **kw):
-        key = (quantity, n, spec.token(), tuple(sorted(kw.items())))
-        if key not in memo:
-            fn = {"sat": sat_number, "ssat": ssat_number, "prsat": prsat_number}[quantity]
-            memo[key] = fn(n, spec, **kw)
-        return memo[key]
-
-    return get
+    return oracle_census
 
 
 def test_criterion_1_exact_prsat_values_for_p4(census):

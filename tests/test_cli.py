@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rslab
 from rslab.cli import main
 from rslab.graphs import from_graph6
 from rslab.patterns import PatternSpec, realize_pattern
@@ -184,10 +189,26 @@ def test_verify_reads_stdin(monkeypatch, capsys):
     ["construct", "folded-cube", "--ell", "4", "--threads", "2"],
     ["oracle", "--n", "5", "--pattern", "P4", "--quantity", "sat", "--allow-unknown"],
     ["oracle", "--n", "5", "--pattern", "P4", "--quantity", "sat", "--format", "graph6"],
+    ["oracle", "--n", "5", "--pattern", "P4", "--quantity", "prsat", "--threads", "2"],
     ["reproduce", "lemma4", "--force"],
+    ["reproduce", "census", "--threads", "2"],
 ])
 def test_subcommands_refuse_options_they_do_not_read(capsys, argv):
     assert main(argv) == 2
+
+
+def test_import_starts_no_process_machinery():
+    # A census runs in one process, so importing the package and its CLI
+    # should load neither multiprocessing nor the process pool executor.
+    src = str(Path(rslab.__file__).resolve().parents[1])
+    code = ("import sys, rslab, rslab.cli\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.startswith(('multiprocessing', 'concurrent.futures')))\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_oracle_writes_cache(tmp_path, capsys):

@@ -132,3 +132,27 @@ def test_row_json_shape():
 def test_formula_names_listed():
     names = formula_names()
     assert "subdivided-star-prsat" in names and "star-exact" in names
+
+
+# One valid parameter set per formula; the test below fails on a new formula
+# until it is listed here.
+VALID_PARAMETERS = {
+    "bare-path-lower": {"pattern": SPIDER_3x2},
+    "broom4-bounds": {"m": 1},
+    "caterpillar-upper": {"k": 6, "ell": 4},
+    "double-star-prsat": {"t": 1, "s": 1},
+    "double-star-sat": {"t": 2, "s": 2},
+    "double-star-sat-upper": {"t": 2, "s": 1},
+    "long-path-lower": {"pattern": PatternSpec.path(6)},
+    "second-degree-lower": {"pattern": PatternSpec.double_star(2, 1)},
+    "star-exact": {"k": 3},
+    "star-exact-sat": {"k": 3},
+    "subdivided-star-prsat": {"k": 4},
+    "subdivided-star-sat": {"k": 5},
+}
+
+
+def test_rows_carry_the_name_they_are_looked_up_by():
+    assert sorted(VALID_PARAMETERS) == formula_names()
+    for name, params in VALID_PARAMETERS.items():
+        assert evaluate_bound(name, 30, **params).name == name

@@ -363,10 +363,10 @@ def test_censuses_find_the_non_edges_of_each_class_once(monkeypatch):
     assert sorted(found) == sorted(made)
 
 
-def test_workers_match_sequential():
-    seq = prsat_number(5, P4, budget=10**6)
-    par = prsat_number(5, P4, budget=10**6, workers=2)
-    assert seq == par
+def test_prsat_number_runs_in_one_process():
+    with pytest.raises(InvalidParameterError, match="workers"):
+        prsat_number(5, P4, budget=10**6, workers=2)
+    assert prsat_number(5, P4, budget=10**6, workers=1) == prsat_number(5, P4, budget=10**6)
 
 
 def test_cutoffs_enforced():
