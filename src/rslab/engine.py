@@ -27,13 +27,26 @@ colouring the full walk meets is already twin-sorted, and the pruned walk
 meets it first too.
 
 That pruning test runs once per search node and asks only for copies
-through the edge just coloured.  The matcher compiles, once per pattern,
-one placement plan per orbit of directed pattern edges under the pattern's
-automorphism group (copies anchored at arcs of one orbit correspond with
-the same image edges), and turns each plan into generated code with one
-nested loop per pattern vertex and the used vertices and colours kept in
-bitmasks.  The full-pattern search behind `contains_copy` and
-`find_rainbow_copy` comes from the same generator.
+through the edge just coloured, and the walk remembers what each found copy
+says about later colours of that edge.  A copy found through the edge at
+position i coloured c uses other edges only at earlier positions, the only
+coloured ones.  Those keep their colours while the walk stays at position i
+or deeper, so for every later colour c' of position i outside the copy's
+colour set M the same vertices carry a rainbow copy with the colours of M,
+c' in place of c.  The walk therefore ORs the complement of M into a mask
+for position i, clears that mask whenever it advances to position i from
+i-1 (the earlier colours may have changed), and takes a colour in the mask
+as a hit without asking the matcher.  Only calls are saved: the walk meets
+the same nodes in the same order, so node counts, budget cut-offs and
+certificates are those of a walk that asks at every node.
+
+The matcher compiles, once per pattern, one placement plan per orbit of
+directed pattern edges under the pattern's automorphism group (copies
+anchored at arcs of one orbit correspond with the same image edges), and
+turns each plan into generated code with one nested loop per pattern vertex
+and the used vertices and colours kept in bitmasks.  The full-pattern search
+behind `contains_copy` and `find_rainbow_copy` comes from the same
+generator.
 
 The three verdicts share one shape, a base test on g and a step test on
 each non-edge orbit representative e:
@@ -163,9 +176,9 @@ class _Matcher:
     Each plan is compiled by :func:`_compile_plans` into a generated
     function with one nested ``for`` loop per step, so a call runs without
     recursion or a mapping list.  The anchored plans are compiled twice:
-    with colours for :meth:`exists_through` (rainbow copies, in the
-    colouring search) and without for :meth:`copy_through` (the saturation
-    step).
+    with colours for :meth:`exists_through` (rainbow copies and their colour
+    sets, in the colouring search) and without for :meth:`copy_through`
+    (the saturation step).
     """
 
     def __init__(self, pattern: Graph):
@@ -174,7 +187,7 @@ class _Matcher:
         self.edge_count = len(pattern.edges)
         anchored = [(arc, self._plan(seed=arc)) for arc in _arc_orbit_representatives(pattern)]
         full = [((), self._plan(seed=()))]
-        self._through = _compile_plans(anchored, rainbow=True)
+        self._through = _compile_plans(anchored, rainbow=True, colour_set=True)
         self._through_plain = _compile_plans(anchored, rainbow=False)
         self._find_rainbow = _compile_plans(full, rainbow=True)
         self._find_plain = _compile_plans(full, rainbow=False)
@@ -202,9 +215,15 @@ class _Matcher:
             placed_set.add(x)
         return tuple(steps)
 
-    def exists_through(self, u, v, c_uv, adj, ecol, n) -> bool:
-        """Rainbow copy among coloured edges that uses the edge (u, v)?"""
-        return self._through(u, v, c_uv, adj, ecol, n) is not None
+    def exists_through(self, u, v, c_uv, adj, ecol, n) -> int | None:
+        """The colours of a rainbow copy among the coloured edges that uses
+        the edge (u, v) coloured c_uv, as a bitmask, or None if there is none.
+
+        The mask holds c_uv >= 1, so it is true whenever a copy exists.  The
+        colouring search keeps it: the copy stays rainbow when (u, v) alone
+        is recoloured with any colour outside the mask.
+        """
+        return self._through(u, v, c_uv, adj, ecol, n)
 
     def copy_through(self, host: Graph, e: Edge) -> bool:
         """Does host + e hold a copy of the pattern that uses the new edge e?"""
@@ -259,7 +278,7 @@ def _arc_orbit_representatives(pattern: Graph) -> list[Edge]:
 _MAX_NESTED_LOOPS = 16
 
 
-def _compile_plans(plans, rainbow: bool):
+def _compile_plans(plans, rainbow: bool, colour_set: bool = False):
     """Generate one function that tries each (seed, steps) plan in turn.
 
     The function takes ``(u, v, c_uv, adj, ecol, n)``; a plan seeded with
@@ -267,9 +286,10 @@ def _compile_plans(plans, rainbow: bool):
     an unseeded plan ignores all three.  Pattern vertex h is held in the
     local ``x{h}``; ``u{d}`` and ``m{d}`` are the used-vertex and colour
     bitmasks after depth d.  The first embedding reached is returned as the
-    tuple of images of the pattern vertices, and None when every plan is
-    exhausted.  With `rainbow` false the colours are ignored.  The source
-    is built from pattern vertex indices only.
+    tuple of images of the pattern vertices (with `colour_set`, as the
+    bitmask of its edge colours), and None when every plan is exhausted.
+    With `rainbow` false the colours are ignored.  The source is built from
+    pattern vertex indices only.
     """
     helpers: list[list[str]] = []
 
@@ -305,7 +325,7 @@ def _compile_plans(plans, rainbow: bool):
             pad += "    "
             if fails:
                 lines += [f"{pad}if {' or '.join(fails)}:", f"{pad}    continue"]
-            if rainbow and primary is not None and (others or not last):
+            if rainbow and primary is not None and (others or not last or colour_set):
                 lines.append(f"{pad}m{depth} = {either(colours, '1 << c')}")
                 colours = f"m{depth}"
             for q in others:
@@ -318,7 +338,10 @@ def _compile_plans(plans, rainbow: bool):
             if not last:
                 lines.append(f"{pad}u{depth} = {either(used, f'1 << {x}')}")
                 used = f"u{depth}"
-        lines.append(f"{pad}return ({''.join(names[h] + ', ' for h in range(len(names)))})")
+        if colour_set:
+            lines.append(f"{pad}return {colours}")
+        else:
+            lines.append(f"{pad}return ({''.join(names[h] + ', ' for h in range(len(names)))})")
 
     main = ["def match(u, v, c_uv, adj, ecol, n):"]
     if any(seed for seed, _ in plans):
@@ -411,7 +434,10 @@ class ColouringSearch:
     rainbow copy are pruned, so the iterator yields exactly the rainbow-free
     proper colourings; after :meth:`sort_twins`, only the twin-sorted ones.
     `nodes_explored` counts colour assignments; `exhausted` reports whether
-    the tree was fully walked.
+    the tree was fully walked.  A colour that a copy found earlier at the
+    same position, over the same earlier colours, already makes rainbow is
+    pruned without a matcher call (see the module notes); it still counts
+    as a node.
     """
 
     def __init__(self, graph: Graph, pattern: PatternSpec | None,
@@ -456,6 +482,10 @@ class ColouringSearch:
         cadj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         ends = [(u, v, (1 << u) | (1 << v)) for u, v in order]
 
+        # known_bad[i]: colours of position i already known to complete a
+        # rainbow copy with the colours now at positions < i
+        known_bad = [0] * m
+
         i = 0
         while i >= 0:
             u, v, uvmask = ends[i]
@@ -483,12 +513,13 @@ class ColouringSearch:
             cadj[v].append((u, c))
             ecol[u][v] = ecol[v][u] = c
             assigned[i] = True
-            if (
-                matcher is not None
-                and i + 1 >= min_edges
-                and matcher.exists_through(u, v, c, cadj, ecol, n)
-            ):
-                continue
+            if matcher is not None and i + 1 >= min_edges:
+                if known_bad[i] >> c & 1:
+                    continue
+                colours = matcher.exists_through(u, v, c, cadj, ecol, n)
+                if colours is not None:
+                    known_bad[i] |= ~colours
+                    continue
             if i + 1 == m:
                 out = [0] * m
                 for j in range(m):
@@ -497,6 +528,7 @@ class ColouringSearch:
                 continue
             maxu[i + 1] = maxu[i] if c <= maxu[i] else c
             i += 1
+            known_bad[i] = 0
             if twin[i]:
                 col[i] = c  # the next try is c + 1
         self.exhausted = True

@@ -5,6 +5,7 @@ import operator
 import pytest
 from hypothesis import strategies as st
 
+from rslab import canon
 from rslab.graphs import Graph, build_graph
 
 
@@ -84,3 +85,10 @@ def brute_force_automorphisms(g: Graph):
 @pytest.fixture(scope="session")
 def graphs_n4():
     return list(all_graphs_on(4))
+
+
+@pytest.fixture(scope="session")
+def labelled_graphs_on_6():
+    """(g, canon.labelling(g)) for all 32,768 labelled graphs on 6 vertices,
+    labelled once for the tests that need every one of them."""
+    return [(g, canon.labelling(g)) for g in all_graphs_on(6)]

@@ -127,8 +127,9 @@ def test_orbits_exact_on_all_graphs_up_to_5():
 
 
 @pytest.mark.slow
-def test_orbits_exact_on_all_graphs_at_6():
-    for g in all_graphs_on(6):
+def test_orbits_exact_on_all_graphs_at_6(labelled_graphs_on_6, monkeypatch):
+    monkeypatch.setattr(canon, "labelling", dict(labelled_graphs_on_6).__getitem__)
+    for g, _ in labelled_graphs_on_6:
         assert pair_orbits(g) == _brute_pair_orbits(g)
 
 

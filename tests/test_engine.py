@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs_on, small_graphs
+from rslab.canon import non_edge_orbit_representatives
 from rslab.colouring import EdgeColouring, is_proper
+from rslab.constructions import caterpillar_construction
 from rslab.engine import (
     ColouringSearch,
     Status,
@@ -169,11 +171,18 @@ def test_matcher_agrees_with_brute_force_on_all_small_graphs():
                         ecol[u][v] = ecol[v][u] = c
                         adj[u].append((v, c))
                         adj[v].append((u, c))
+                    masks = {e: set() for e in g.edges}  # colour sets of copies through e
+                    for copy in rainbow:
+                        mask = sum(1 << colours[e] for e in copy)
+                        for e in copy:
+                            masks[e].add(mask)
                     for u, v in g.edges:
-                        want = any((u, v) in c for c in rainbow)
+                        want = bool(masks[(u, v)])
                         c = colours[(u, v)]
-                        assert matcher.exists_through(u, v, c, adj, ecol, n) == want
-                        assert matcher.exists_through(v, u, c, adj, ecol, n) == want
+                        for a, b in ((u, v), (v, u)):
+                            got = matcher.exists_through(a, b, c, adj, ecol, n)
+                            assert (got is not None) == want
+                            assert got is None or got in masks[(u, v)]
 
 
 def test_brute_force_matcher_sees_rainbow_condition():
@@ -567,3 +576,111 @@ def test_count_keeps_colourings_that_differ_by_a_twin_swap():
     assert (1, 2, 3, 2, 3) in everything and (1, 2, 3, 3, 2) in everything
     sorted_twins = list(ColouringSearch(g, None).sort_twins().run())
     assert sorted_twins == [(1, 2, 3, 2, 3), (1, 2, 3, 2, 4), (1, 2, 3, 3, 4), (1, 2, 3, 4, 5)]
+
+
+# -- remembered copies ---------------------------------------------------------
+#
+# `ColouringSearch.run` skips the matcher for a colour that a copy found
+# earlier at the same position already makes rainbow.  The loop below is the
+# search as it was before, asking the matcher at every node; the two must
+# walk the same tree.
+
+
+class _AskEveryNode(ColouringSearch):
+    def run(self):
+        g = self.graph
+        order = self._order
+        m = len(order)
+        n = g.n
+        if m == 0:
+            self.exhausted = True
+            yield ()
+            return
+        matcher = self._matcher
+        min_edges = matcher.edge_count if matcher else 0
+        budget = self.budget
+        out_slot = self._out_slot
+        twin = self._twin
+
+        col = [0] * m
+        maxu = [0] * (m + 1)
+        assigned = [False] * m
+        usage = [0] * (m + 2)
+        ecol = [[0] * n for _ in range(n)]
+        cadj = [[] for _ in range(n)]
+        ends = [(u, v, (1 << u) | (1 << v)) for u, v in order]
+
+        i = 0
+        while i >= 0:
+            u, v, uvmask = ends[i]
+            if assigned[i]:
+                old = col[i]
+                usage[old] ^= uvmask
+                cadj[u].pop()
+                cadj[v].pop()
+                ecol[u][v] = ecol[v][u] = 0
+                assigned[i] = False
+            c = col[i] + 1
+            limit = maxu[i] + 1
+            while c <= limit and usage[c] & uvmask:
+                c += 1
+            if c > limit:
+                col[i] = 0
+                i -= 1
+                continue
+            if budget is not None and self.nodes_explored >= budget:
+                return
+            self.nodes_explored += 1
+            col[i] = c
+            usage[c] |= uvmask
+            cadj[u].append((v, c))
+            cadj[v].append((u, c))
+            ecol[u][v] = ecol[v][u] = c
+            assigned[i] = True
+            if (
+                matcher is not None
+                and i + 1 >= min_edges
+                and matcher.exists_through(u, v, c, cadj, ecol, n) is not None
+            ):
+                continue
+            if i + 1 == m:
+                out = [0] * m
+                for j in range(m):
+                    out[out_slot[j]] = col[j]
+                yield tuple(out)
+                continue
+            maxu[i + 1] = maxu[i] if c <= maxu[i] else c
+            i += 1
+            if twin[i]:
+                col[i] = c
+        self.exhausted = True
+
+
+def assert_walks_like_asking_every_node(g, spec, budget, twins):
+    searches = [cls(g, spec, budget) for cls in (ColouringSearch, _AskEveryNode)]
+    if twins:
+        for s in searches:
+            s.sort_twins()
+    got, want = (list(s.run()) for s in searches)
+    assert got == want, (g, spec, budget, twins)
+    assert searches[0].nodes_explored == searches[1].nodes_explored
+    assert searches[0].exhausted == searches[1].exhausted
+
+
+def test_remembered_copies_keep_the_walk_on_all_classes_up_to_6():
+    specs = [parse_pattern(t) for t in ("P4", "P5", "P6", "K1,3", "T5star")]
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            for spec in specs:
+                for twins in (False, True):
+                    for budget in (None, 3, 17, 60):
+                        assert_walks_like_asking_every_node(g, spec, budget, twins)
+
+
+def test_remembered_copies_keep_the_walk_on_the_caterpillar_host():
+    host = caterpillar_construction(28, 6, 4)
+    spec = parse_pattern("cat:ell=4;leaves=1,0,0,1")
+    graphs = [host] + [host.add_edge(*e) for e in non_edge_orbit_representatives(host)]
+    assert len(graphs) == 4
+    for g in graphs:
+        assert_walks_like_asking_every_node(g, spec, 20_000, True)

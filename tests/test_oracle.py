@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import all_graphs_on
-from rslab import oracle
+from rslab import canon, oracle
 from rslab.canon import (
     canonical_form,
     canonical_graph,
@@ -28,7 +28,7 @@ from rslab.oracle import (
     ssat_number,
     store_record,
 )
-from rslab.patterns import PatternSpec
+from rslab.patterns import PatternSpec, parse_pattern
 
 P4 = PatternSpec.path(4)
 P5 = PatternSpec.path(5)
@@ -101,8 +101,9 @@ def test_enumeration_matches_labelled_dedup():
 
 
 @pytest.mark.slow
-def test_enumeration_matches_labelled_dedup_n6():
-    labelled = {canonical_form(g) for g in all_graphs_on(6)}
+def test_enumeration_matches_labelled_dedup_n6(labelled_graphs_on_6, monkeypatch):
+    monkeypatch.setattr(canon, "labelling", dict(labelled_graphs_on_6).__getitem__)
+    labelled = {canonical_form(g) for g, _ in labelled_graphs_on_6}
     assert len(labelled) == 156
     assert labelled == {canonical_form(g) for g in enumerate_graphs(6)}
 
@@ -197,6 +198,44 @@ def test_trees_are_trees():
 
 
 # -- censuses ----------------------------------------------------------------------
+
+
+# The points of the benchmark's `census` workload (CENSUS_POINTS in
+# perfbench/workloads.py): (quantity, n, pattern, edge cap).
+CENSUS_POINTS = (
+    ("prsat", 7, "P4", None),
+    ("prsat", 8, "P4", None),
+    ("prsat", 7, "P5", None),
+    ("prsat", 8, "P5", None),
+    ("prsat", 8, "K1,3", None),
+    ("prsat", 8, "T5star", None),
+    ("prsat", 6, "P5", 4),
+    ("sat", 8, "T5star", None),
+    ("sat", 9, "T5star", None),
+    ("sat", 9, "P6", None),
+    ("sat", 9, "S3,2", None),
+)
+
+
+@pytest.fixture(scope="module")
+def census_point_records():
+    return [census(q, n, parse_pattern(t), edge_cap=cap) for q, n, t, cap in CENSUS_POINTS]
+
+
+def test_census_digest_pins_the_census_contract(census_point_records):
+    # Census records are the contract: a speed-up must keep every value,
+    # exactness, witness and unresolved class of these points.
+    got = [(r.value, r.exact, len(r.witnesses)) for r in census_point_records]
+    assert got == [(5, True, 1), (6, True, 1), (8, True, 5), (9, True, 15), (7, True, 4),
+                   (6, True, 1), (None, True, 0), (6, True, 1), (7, True, 1), (8, True, 1),
+                   (7, True, 1)]
+    digest = hashlib.sha256()
+    for (q, n, t, cap), r in zip(CENSUS_POINTS, census_point_records):
+        digest.update(f"{q} {n} {t} {cap} {r.value} {r.exact} {r.witnesses} "
+                      f"{r.unresolved}\n".encode())
+    assert digest.hexdigest() == (
+        "bc060f46c69e5507000acd985d4073a4ac2af228ff882b35086665aa6de4e199"
+    )
 
 
 def test_sat_census_p4_order6():
