@@ -59,7 +59,10 @@ def _refine(adjb: list[int], cells: list[list[int]]) -> list[list[int]]:
     that had equal neighbour counts toward them still have.  For the same
     reason, when the target lies after the source the scan of that source
     goes on after the fragments.  So each split made is the one a scan from
-    the first cell would make.
+    the first cell would make.  A target is split exactly when some vertex
+    has a count other than its first vertex's, so the scan stops at the
+    first such vertex and groups the cell only then: the splits are the
+    same as grouping every cell would make.
     """
     cells = list(cells)
     n = len(adjb)
@@ -71,21 +74,26 @@ def _refine(adjb: list[int], cells: list[list[int]]) -> list[list[int]]:
         ci = 0
         while ci < len(cells):
             cell = cells[ci]
-            if len(cell) > 1:
-                counts = [(adjb[v] & smask).bit_count() for v in cell]
-                if min(counts) != max(counts):
-                    groups: dict[int, list[int]] = {}
-                    for v, k in zip(cell, counts):
-                        groups.setdefault(k, []).append(v)
-                    fragments = [groups[k] for k in sorted(groups)]
-                    cells[ci:ci + 1] = fragments
-                    if ci <= si:
-                        si = ci
-                        break
-                    # the fragments have equal counts toward the source
-                    ci += len(fragments)
-                    continue
-            ci += 1
+            if len(cell) == 1:
+                ci += 1
+                continue
+            k0 = (adjb[cell[0]] & smask).bit_count()
+            for j in range(1, len(cell)):
+                if (adjb[cell[j]] & smask).bit_count() != k0:
+                    break
+            else:
+                ci += 1
+                continue
+            groups = {k0: cell[:j]}
+            for v in cell[j:]:
+                groups.setdefault((adjb[v] & smask).bit_count(), []).append(v)
+            fragments = [groups[k] for k in sorted(groups)]
+            cells[ci:ci + 1] = fragments
+            if ci <= si:
+                si = ci
+                break
+            # the fragments have equal counts toward the source
+            ci += len(fragments)
         else:
             si += 1
     return cells
@@ -171,7 +179,8 @@ def _search(g: Graph):
                 for s in gens[merged:]:
                     if all(s[f] == f for f in fixed):
                         for x in range(n):
-                            uf.union(x, s[x])
+                            if s[x] != x:
+                                uf.union(x, s[x])
                 merged = len(gens)
                 rv = uf.find(v)
                 if any(uf.find(u) == rv for u in tried):

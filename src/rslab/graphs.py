@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DuplicateEdgeError,
@@ -27,7 +28,15 @@ def normalise_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """An immutable simple graph.  Prefer :func:`build_graph` for raw input."""
+    """An immutable simple graph.  Prefer :func:`build_graph` for raw input.
+
+    ``Graph(n, edges)`` validates its edge tuple and raises on a negative n,
+    a self-loop, an unnormalised or out-of-range pair, a duplicate or an
+    unsorted tuple.  The graphs that :meth:`add_edge` and :meth:`relabel`
+    derive from a valid graph are made by :meth:`_trusted`, which skips
+    those checks.  The adjacency lists and the edge set are built on first
+    use.
+    """
 
     n: int
     edges: tuple[Edge, ...]
@@ -48,12 +57,28 @@ class Graph:
             seen.add((u, v))
         if tuple(sorted(self.edges)) != self.edges:
             raise RslabError("edge tuple not sorted; use build_graph")
+
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[Edge, ...]) -> "Graph":
+        """A graph made without validation.  The caller guarantees that
+        `edges` is a sorted tuple of distinct normalised pairs u < v with
+        both ends in 0..n-1."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
+
+    @cached_property
+    def _adj(self) -> tuple[tuple[int, ...], ...]:
         adj = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "_edge_set", frozenset(self.edges))
+        return tuple(tuple(sorted(a)) for a in adj)
+
+    @cached_property
+    def _edge_set(self) -> frozenset[Edge]:
+        return frozenset(self.edges)
 
     # -- basic queries ----------------------------------------------------
 
@@ -68,7 +93,11 @@ class Graph:
         return len(self._adj[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self._adj)
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(self.degrees(), reverse=True))
@@ -98,14 +127,20 @@ class Graph:
 
     def add_edge(self, u: int, v: int) -> "Graph":
         e = normalise_edge(u, v)
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        if e[0] < 0 or e[1] >= self.n:
+            raise IndexOutOfRangeError(f"edge ({u},{v}) outside 0..{self.n - 1}")
         if e in self._edge_set:
             raise DuplicateEdgeError(f"edge {e} already present")
-        return Graph(self.n, tuple(sorted(self.edges + (e,))))
+        return Graph._trusted(self.n, tuple(sorted(self.edges + (e,))))
 
     def relabel(self, perm: list[int] | tuple[int, ...]) -> "Graph":
         """Image under the permutation v -> perm[v]."""
+        if sorted(perm) != list(range(self.n)):
+            raise RslabError(f"relabel needs a permutation of 0..{self.n - 1}")
         edges = tuple(sorted(normalise_edge(perm[u], perm[v]) for u, v in self.edges))
-        return Graph(self.n, edges)
+        return Graph._trusted(self.n, edges)
 
     # -- walks and structure ----------------------------------------------
 

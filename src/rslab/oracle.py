@@ -177,7 +177,8 @@ def _top_invariant_edges(
     top_key = _degree_key(deg[u], deg[v], n)
     tied = []
     for a, b in others:
-        key = _degree_key(deg[a], deg[b], n)
+        da, db = deg[a], deg[b]
+        key = (da + db) * n + (da if da < db else db)  # _degree_key, inline
         if key > top_key:
             return None
         if key == top_key:

@@ -200,10 +200,17 @@ def test_refine_matches_restarting_reference_up_to_5():
             _assert_refine_matches_reference(g)
 
 
-@given(small_graphs(min_n=1, max_n=10))
+@given(small_graphs(min_n=1, max_n=10), st.data())
 @settings(max_examples=200)
-def test_refine_matches_restarting_reference(g):
+def test_refine_matches_restarting_reference(g, data):
     _assert_refine_matches_reference(g)
+    # an arbitrary ordered partition into sorted cells, as deep in the search tree
+    order = data.draw(st.permutations(range(g.n)))
+    cuts = data.draw(st.lists(st.booleans(), min_size=g.n - 1, max_size=g.n - 1))
+    bounds = [0, *(i + 1 for i, cut in enumerate(cuts) if cut), g.n]
+    cells = [sorted(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    adjb = g.adjacency_bits()
+    assert canon._refine(adjb, cells) == _restarting_refine(adjb, cells), (g, cells)
 
 
 @st.composite

@@ -3,12 +3,14 @@ import math
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import small_graphs
 from rslab.errors import (
     DuplicateEdgeError,
     IndexOutOfRangeError,
+    RslabError,
     SelfLoopError,
 )
 from rslab.graphs import Graph, build_graph, disjoint_union, from_graph6, to_graph6
@@ -42,6 +44,52 @@ def test_self_loop_rejected():
 def test_out_of_range_rejected():
     with pytest.raises(IndexOutOfRangeError):
         build_graph(3, [(0, 3)])
+
+
+@pytest.mark.parametrize("n, edges, error, message", [
+    (-1, (), IndexOutOfRangeError, "negative vertex count"),
+    (3, ((1, 1),), SelfLoopError, "self-loop"),
+    (3, ((1, 0),), RslabError, "not normalised"),
+    (3, ((0, 3),), IndexOutOfRangeError, "outside"),
+    (3, ((0, 1), (0, 1)), DuplicateEdgeError, "repeated"),
+    (3, ((0, 2), (0, 1)), RslabError, "not sorted"),
+])
+def test_graph_constructor_validates(n, edges, error, message):
+    with pytest.raises(error, match=message):
+        Graph(n, edges)
+
+
+def test_derived_graphs_validate_their_arguments():
+    g = build_graph(3, [(0, 1)])
+    with pytest.raises(SelfLoopError):
+        g.add_edge(2, 2)
+    with pytest.raises(IndexOutOfRangeError):
+        g.add_edge(1, 3)
+    with pytest.raises(IndexOutOfRangeError):
+        g.add_edge(-1, 1)
+    with pytest.raises(DuplicateEdgeError):
+        g.add_edge(1, 0)
+    with pytest.raises(RslabError, match="permutation"):
+        g.relabel([0, 0, 1])
+    with pytest.raises(RslabError, match="permutation"):
+        g.relabel([0, 1])
+
+
+def _assert_same_graph(g, ref):
+    assert g == ref and hash(g) == hash(ref)
+    assert g.adjacency == ref.adjacency
+    assert g.edge_set() == ref.edge_set()
+    assert g.degrees() == ref.degrees()
+
+
+@given(small_graphs(max_n=8), st.data())
+def test_derived_graphs_equal_validated_ones(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    _assert_same_graph(g.relabel(perm), build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+    non_edges = g.non_edges()
+    assume(non_edges)
+    u, v = data.draw(st.sampled_from(non_edges))
+    _assert_same_graph(g.add_edge(v, u), build_graph(g.n, g.edges + ((u, v),)))
 
 
 def test_adjacency_consistent():
