@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import InvalidParameterError, RegularGraphError
 from .graphs import Graph
@@ -220,25 +221,14 @@ def _row_second_degree_lower(n: int, pattern: PatternSpec) -> BoundRow:
     )
 
 
-def _star_value(n: int, k: int) -> Fraction:
+def _row_star_exact(name: str, quantity: str, n: int, k: int) -> BoundRow:
+    """The closed form that prsat(n, K1,k) and sat(n, K1,k) share."""
     if n >= k + k // 2:
-        return Fraction(k - 1, 2) * n - Fraction(k * k // 4, 2)
-    return Fraction(math.comb(k, 2) + math.comb(n - k, 2))
-
-
-def _row_star_exact(n: int, k: int) -> BoundRow:
-    value = _star_value(n, k)
+        value = Fraction(k - 1, 2) * n - Fraction(k * k // 4, 2)
+    else:
+        value = Fraction(math.comb(k, 2) + math.comb(n - k, 2))
     return BoundRow(
-        "star-exact", "prsat", n, (("k", k),),
-        lower=value, upper=value, exact=value,
-        out_of_range=not (k >= 1 and n >= k + 1),
-    )
-
-
-def _row_star_exact_sat(n: int, k: int) -> BoundRow:
-    value = _star_value(n, k)
-    return BoundRow(
-        "star-exact-sat", "sat", n, (("k", k),),
+        name, quantity, n, (("k", k),),
         lower=value, upper=value, exact=value,
         out_of_range=not (k >= 1 and n >= k + 1),
     )
@@ -255,13 +245,9 @@ _FORMULAS = {
     "double-star-sat-upper": _row_double_star_sat_upper,
     "double-star-prsat": _row_double_star_prsat,
     "second-degree-lower": _row_second_degree_lower,
-    "star-exact": _row_star_exact,
-    "star-exact-sat": _row_star_exact_sat,
+    "star-exact": partial(_row_star_exact, "star-exact", "prsat"),
+    "star-exact-sat": partial(_row_star_exact, "star-exact-sat", "sat"),
 }
-
-
-def formula_names() -> list[str]:
-    return sorted(_FORMULAS)
 
 
 def evaluate_bound(name: str, n: int, **params) -> BoundRow:
@@ -271,7 +257,3 @@ def evaluate_bound(name: str, n: int, **params) -> BoundRow:
         raise InvalidParameterError(f"unknown formula {name!r}") from None
     return fn(n, **params)
 
-
-def formula_table(name: str, params: dict, n_range) -> list[BoundRow]:
-    """Evaluate one formula over a range of orders."""
-    return [evaluate_bound(name, n, **params) for n in n_range]

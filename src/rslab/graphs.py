@@ -199,8 +199,16 @@ class Graph:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Graph":
+        """Graph from {"n": int, "edges": [[int, int], ...]}; a float, a bool
+        or a string where an integer belongs raises RslabError."""
+        def integer(x):
+            if type(x) is not int:
+                raise TypeError(f"{x!r} is not an integer")
+            return x
+
         try:
-            return build_graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+            return build_graph(integer(data["n"]),
+                               [tuple(map(integer, e)) for e in data["edges"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise RslabError(
                 f"graph JSON needs an integer 'n' and an 'edges' list of pairs ({exc!r})"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rslab import canon
 from rslab.graphs import Graph, build_graph
+from rslab.reproduce import ReproConfig, run_suite
 
 
 @st.composite
@@ -92,3 +93,16 @@ def labelled_graphs_on_6():
     """(g, canon.labelling(g)) for all 32,768 labelled graphs on 6 vertices,
     labelled once for the tests that need every one of them."""
     return [(g, canon.labelling(g)) for g in all_graphs_on(6)]
+
+
+@pytest.fixture(scope="session")
+def suite_rows(tmp_path_factory):
+    """suite_rows(name, ell=4): the rows of one reproduce suite at the
+    default budgets, run once per session for every test that reads them."""
+    cache_dir = tmp_path_factory.mktemp("census-cache")
+
+    @functools.cache
+    def rows(name, ell=4):
+        return run_suite(name, ReproConfig(cache_dir=cache_dir, ell=ell))
+
+    return rows

@@ -155,6 +155,10 @@ def test_unparseable_arguments_exit_2(capsys):
     ("bad-pair.json", '{"n": 4, "edges": [[0, 1, 2]]}', "graph"),
     ("list.json", '{"n": 4, "edges": 3}', "graph"),
     ("truncated.json", '{"n": 4, "edges": [[0, 1]', "graph"),
+    ("float-end.json", '{"n": 3, "edges": [[0.5, 1]]}', "graph"),
+    ("bool-n.json", '{"n": true, "edges": []}', "graph"),
+    ("float-n.json", '{"n": 3.5, "edges": []}', "graph"),
+    ("string-n.json", '{"n": "4", "edges": []}', "graph"),
     ("missing.g6", None, "graph"),
 ])
 def test_bad_graph_input_exits_2(tmp_path, capsys, name, content, where):

@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from rslab.engine import (
     search_rainbow_free_colouring,
 )
 from rslab.graphs import build_graph, disjoint_union
-from rslab.oracle import enumerate_graphs
+from rslab.oracle import _augmented_levels, _class_verdict, enumerate_graphs
 from rslab.patterns import PatternSpec, parse_pattern, realize_pattern
 
 P4 = PatternSpec.path(4)
@@ -380,6 +381,75 @@ def test_saturation_verdicts_match_brute_force():
         for g in graphs:
             got = (is_saturated(g, spec).holds, is_semi_saturated(g, spec).holds)
             assert got == brute_force_saturation(g, spec), (g, spec)
+
+
+def brute_force_rainbow_free(g, spec):
+    """Whether g has a proper edge colouring with no rainbow copy of the
+    pattern.
+
+    Colourings are walked as restricted-growth strings over the edge list
+    (edge i takes a colour of an earlier edge or the next new one), each
+    colour checked against the adjacent earlier edges.  The copies are those
+    of `brute_force_copies`; a branch stops as soon as the last edge of some
+    copy gives it all distinct colours.
+    """
+    index = {e: i for i, e in enumerate(g.edges)}
+    ending = [set() for _ in g.edges]  # copies as edge indices, by their last edge
+    for image in brute_force_copies(g, None, spec):
+        copy = tuple(sorted(index[e] for e in image))
+        ending[copy[-1]].add(copy)
+    adjacent = [[j for j in range(i) if set(g.edges[i]) & set(g.edges[j])]
+                for i in range(len(g.edges))]
+    colour = [0] * len(g.edges)
+
+    def walk(i, used):
+        if i == len(g.edges):
+            return True
+        for c in range(used + 1):
+            if any(colour[j] == c for j in adjacent[i]):
+                continue
+            colour[i] = c
+            if any(len({colour[j] for j in copy}) == len(copy) for copy in ending[i]):
+                continue
+            if walk(i + 1, max(used, c + 1)):
+                return True
+        return False
+
+    return walk(0, 0)
+
+
+def brute_force_prsat(g, spec):
+    """g has a rainbow-free proper colouring, and for every non-edge e (all
+    of them, not one per orbit) no proper colouring of g + e has one."""
+    return brute_force_rainbow_free(g, spec) and not any(
+        brute_force_rainbow_free(g.add_edge(*e), spec) for e in g.non_edges())
+
+
+PRSAT_BRUTE_PATTERNS = (PatternSpec.path(3), P4, P5, K13, PatternSpec.subdivided_star(5))
+
+
+def assert_class_verdicts_match_brute_force(n):
+    for level in _augmented_levels(n):
+        for g, non_edges in level:
+            for spec in PRSAT_BRUTE_PATTERNS:
+                want = Status.ESTABLISHED if brute_force_prsat(g, spec) else Status.REFUTED
+                assert is_properly_rainbow_saturated(g, spec, 10**7).status is want, (g, spec)
+                assert _class_verdict(g, non_edges, spec, "prsat", 10**7)[0] is want, (g, spec)
+
+
+def test_prsat_verdicts_match_brute_force():
+    for n in range(1, 5):
+        for g in all_graphs_on(n):
+            for spec in PRSAT_BRUTE_PATTERNS:
+                want = Status.ESTABLISHED if brute_force_prsat(g, spec) else Status.REFUTED
+                assert is_properly_rainbow_saturated(g, spec, 10**7).status is want, (g, spec)
+    for n in range(1, 6):
+        assert_class_verdicts_match_brute_force(n)
+
+
+@pytest.mark.slow
+def test_prsat_verdicts_match_brute_force_at_6():
+    assert_class_verdicts_match_brute_force(6)
 
 
 # -- properly rainbow saturated -------------------------------------------------------

@@ -1,15 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from rslab import formulas, reproduce
 from rslab.errors import InvalidParameterError, RegularGraphError
-from rslab.formulas import (
-    bare_path_parameter,
-    evaluate_bound,
-    formula_names,
-    formula_table,
-    tree_second_degree,
-)
+from rslab.formulas import bare_path_parameter, evaluate_bound, tree_second_degree
 from rslab.patterns import PatternSpec
 
 SPIDER_3x2 = PatternSpec.explicit([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
@@ -104,20 +100,6 @@ def test_second_degree_lower_rows():
     assert star_row.out_of_range  # stars are excluded
 
 
-def test_rows_keep_lower_below_upper():
-    for name, params in (
-        ("broom4-bounds", {"m": 1}),
-        ("broom4-bounds", {"m": 2}),
-        ("subdivided-star-prsat", {"k": 4}),
-        ("subdivided-star-sat", {"k": 5}),
-        ("double-star-sat", {"t": 3, "s": 2}),
-    ):
-        for row in formula_table(name, params, range(10, 40)):
-            if not row.asymptotic and row.lower is not None and row.upper is not None:
-                if not row.out_of_range:
-                    assert row.lower <= row.upper
-
-
 def test_unknown_formula_rejected():
     with pytest.raises(InvalidParameterError):
         evaluate_bound("no-such-formula", 5)
@@ -130,7 +112,7 @@ def test_row_json_shape():
 
 
 def test_formula_names_listed():
-    names = formula_names()
+    names = sorted(formulas._FORMULAS)
     assert "subdivided-star-prsat" in names and "star-exact" in names
 
 
@@ -153,6 +135,34 @@ VALID_PARAMETERS = {
 
 
 def test_rows_carry_the_name_they_are_looked_up_by():
-    assert sorted(VALID_PARAMETERS) == formula_names()
+    assert sorted(VALID_PARAMETERS) == sorted(formulas._FORMULAS)
     for name, params in VALID_PARAMETERS.items():
         assert evaluate_bound(name, 30, **params).name == name
+
+
+def test_rows_keep_lower_below_upper(monkeypatch):
+    # The formulas suite checks lower <= upper over reproduce.BOUND_CHECKS.
+    # Every formula with two non-asymptotic bounds must be in that table,
+    # each table row must be such a row in its stated range, and the check
+    # must fail when any one formula puts its lower bound above its upper.
+    two_sided = set()
+    for name, params in VALID_PARAMETERS.items():
+        row = evaluate_bound(name, 30, **params)
+        if not row.asymptotic and row.lower is not None and row.upper is not None:
+            two_sided.add(name)
+    assert {name for name, _, _ in reproduce.BOUND_CHECKS} == two_sided
+    for name, params, orders in reproduce.BOUND_CHECKS:
+        for n in orders:
+            row = evaluate_bound(name, n, **params)
+            assert not (row.asymptotic or row.out_of_range), (name, params, n)
+    assert reproduce.bounds_in_order()
+
+    for broken in two_sided:
+        def flipped(name, n, **params):
+            row = evaluate_bound(name, n, **params)
+            if name != broken:
+                return row
+            return dataclasses.replace(row, lower=row.upper + 1)
+
+        monkeypatch.setattr(reproduce, "evaluate_bound", flipped)
+        assert not reproduce.bounds_in_order(), broken
