@@ -16,9 +16,7 @@ Adding a census point is adding a `Claim`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from functools import reduce
-from operator import xor
+from dataclasses import dataclass
 
 from .canon import canonical_form, non_edge_orbit_representatives
 from .colouring import is_proper
@@ -61,7 +59,12 @@ class ReproRow:
     status: str  # PASS | FAIL | UNKNOWN
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "claim": self.claim,
+            "expected": self.expected,
+            "computed": self.computed,
+            "status": self.status,
+        }
 
 
 @dataclass
@@ -90,56 +93,65 @@ def _established(claim: str, verdict) -> ReproRow:
 
 
 def run_suite(name: str, config: ReproConfig | None = None) -> list[ReproRow]:
-    suites = {"formulas": suite_formulas, "constructions": suite_constructions,
-              "lemma4": suite_lemma4, "census": suite_census}
-    if name not in suites:
-        raise RslabError(f"unknown suite {name!r}; choose one of {SUITES}")
-    return suites[name](config or ReproConfig())
+    config = config or ReproConfig()
+    if name == "formulas":
+        return suite_formulas(config)
+    if name == "constructions":
+        return suite_constructions(config)
+    if name == "lemma4":
+        return suite_lemma4(config)
+    if name == "census":
+        return suite_census(config)
+    raise RslabError(f"unknown suite {name!r}; choose one of {SUITES}")
 
 
 # -- the census claims ---------------------------------------------------------
+
+
+# The closed forms a claim can name, in the words its formulas row uses.
+FORMS = {
+    "subdivided-star-prsat": "n-floor((n+3)/5)",
+    "subdivided-star-sat": "n-floor((n+3)/5)",
+    "star-exact": "the star closed form",
+    "star-exact-sat": "the star closed form",
+}
 
 
 @dataclass(frozen=True)
 class Claim:
     """`quantity`(n, pattern) over graphs with at most `edge_cap` edges is
     `value` (None: no graph qualifies), and equals the closed form `formula`
-    at `params`, if named (`form` says it in words)."""
+    (a key of FORMS) at `params`, if named.  A capped claim is a prsat claim."""
 
     quantity: str
     n: int
     pattern: str
     value: int | None
-    label: str
     formula: str | None = None
     params: dict | None = None
-    form: str = ""
     edge_cap: int | None = None
 
     def spec(self) -> PatternSpec:
         return parse_pattern(self.pattern, allow_files=False)
 
+    def label(self) -> str:
+        if self.value is None:
+            return (f"no properly rainbow {self.pattern}-saturated graph on {self.n} "
+                    f"vertices has < {self.edge_cap + 1} edges")
+        return f"{self.quantity}({self.n},{self.pattern}) = {self.value}"
+
 
 # Every exact small-order value the suites check, in suite order.
 CLAIMS = (
-    Claim("prsat", 7, "P4", 5, "prsat(7,P4) = 5",
-          "subdivided-star-prsat", {"k": 4}, "n-floor((n+3)/5)"),
-    Claim("prsat", 8, "P4", 6, "prsat(8,P4) = 6",
-          "subdivided-star-prsat", {"k": 4}, "n-floor((n+3)/5)"),
-    Claim("sat", 7, "T5star", 5, "sat(7,T5star) = 5",
-          "subdivided-star-sat", {"k": 5}, "n-floor((n+3)/5)"),
-    Claim("sat", 8, "T5star", 6, "sat(8,T5star) = 6",
-          "subdivided-star-sat", {"k": 5}, "n-floor((n+3)/5)"),
-    Claim("sat", 9, "T5star", 7, "sat(9,T5star) = 7",
-          "subdivided-star-sat", {"k": 5}, "n-floor((n+3)/5)"),
-    Claim("prsat", 6, "K1,3", 5, "prsat(6,K1,3) = 5",
-          "star-exact", {"k": 3}, "the star closed form"),
-    Claim("sat", 6, "K1,3", 5, "sat(6,K1,3) = 5",
-          "star-exact-sat", {"k": 3}, "the star closed form"),
-    Claim("prsat", 5, "P5", None,
-          "no properly rainbow P5-saturated graph on 5 vertices has < 4 edges", edge_cap=3),
-    Claim("prsat", 6, "P5", None,
-          "no properly rainbow P5-saturated graph on 6 vertices has < 5 edges", edge_cap=4),
+    Claim("prsat", 7, "P4", 5, "subdivided-star-prsat", {"k": 4}),
+    Claim("prsat", 8, "P4", 6, "subdivided-star-prsat", {"k": 4}),
+    Claim("sat", 7, "T5star", 5, "subdivided-star-sat", {"k": 5}),
+    Claim("sat", 8, "T5star", 6, "subdivided-star-sat", {"k": 5}),
+    Claim("sat", 9, "T5star", 7, "subdivided-star-sat", {"k": 5}),
+    Claim("prsat", 6, "K1,3", 5, "star-exact", {"k": 3}),
+    Claim("sat", 6, "K1,3", 5, "star-exact-sat", {"k": 3}),
+    Claim("prsat", 5, "P5", None, edge_cap=3),
+    Claim("prsat", 6, "P5", None, edge_cap=4),
 )
 
 # (formula, params, orders) of every formula with two non-asymptotic bounds,
@@ -147,10 +159,10 @@ CLAIMS = (
 BOUND_CHECKS = (
     ("broom4-bounds", {"m": 1}, range(9, 40)),
     ("broom4-bounds", {"m": 2}, range(12, 40)),
-    ("subdivided-star-prsat", {"k": 4}, range(7, 30)),
+    ("subdivided-star-prsat", {"k": 4}, range(7, 40)),
     ("subdivided-star-prsat", {"k": 5}, range(8, 30)),
     ("subdivided-star-prsat", {"k": 6}, range(9, 30)),
-    ("subdivided-star-sat", {"k": 5}, range(7, 30)),
+    ("subdivided-star-sat", {"k": 5}, range(7, 40)),
     ("double-star-sat", {"t": 3, "s": 2}, range(27, 40)),
     ("star-exact", {"k": 3}, range(4, 20)),
     ("star-exact-sat", {"k": 3}, range(4, 20)),
@@ -173,7 +185,7 @@ def suite_formulas(config: ReproConfig) -> list[ReproRow]:
             continue
         rec = config.census(c.quantity, c.n, c.spec(), c.edge_cap)
         rows.append(_row(
-            f"{c.quantity}({c.n},{c.pattern}) census equals {c.form}",
+            f"{c.quantity}({c.n},{c.pattern}) census equals {FORMS[c.formula]}",
             int(evaluate_bound(c.formula, c.n, **c.params).exact), rec.value,
             unknown=not rec.exact,
         ))
@@ -208,9 +220,17 @@ def suite_constructions(config: ReproConfig) -> list[ReproRow]:
     ok = True
     for ell in (4, 5, 6, 7):
         dirs = FoldedCube(ell - 1).directions
-        sums = [reduce(xor, (a for i, a in enumerate(dirs) if mask >> i & 1), 0)
-                for mask in range(1, 1 << len(dirs))]
-        ok = ok and sums[-1] == 0 and 0 not in sums[:-1]  # only the full set sums to 0
+        full = 0
+        for a in dirs:
+            full ^= a
+        ok = ok and full == 0
+        for mask in range(1, (1 << len(dirs)) - 1):
+            acc = 0
+            for i, a in enumerate(dirs):
+                if mask >> i & 1:
+                    acc ^= a
+            if acc == 0:
+                ok = False
     rows.append(_row("direction sets in general position (ell=4..7)", True, ok))
 
     ok = True
@@ -298,10 +318,10 @@ def suite_census(config: ReproConfig) -> list[ReproRow]:
         rec = config.census(c.quantity, c.n, c.spec(), c.edge_cap)
         if c.value is None:
             # "no graph within the cap" shows the record's exactness too
-            rows.append(_row(c.label, (None, True), (rec.value, rec.exact),
+            rows.append(_row(c.label(), (None, True), (rec.value, rec.exact),
                              unknown=not rec.exact))
         else:
-            rows.append(_row(c.label, c.value, rec.value, unknown=not rec.exact))
+            rows.append(_row(c.label(), c.value, rec.value, unknown=not rec.exact))
         if rec.value is not None:
             valued.append((c, rec))
 
@@ -314,8 +334,10 @@ def suite_census(config: ReproConfig) -> list[ReproRow]:
     rows.append(_row("ssat <= prsat and ssat <= sat at every census point", True, ok,
                      unknown=not all(r.exact for r in read)))
 
-    # the second-smallest-degree lower bound sits below the prsat values (its
-    # hypothesis excludes stars)
+    # the raw second-smallest-degree lower bound, out_of_range ignored (no
+    # census order reaches its stated range), sits below the prsat values of
+    # the non-star claims; for a star the raw figure is no bound at all (at
+    # K1,3 it reads 6 > prsat(6,K1,3) = 5), so stars are left out
     read, ok = [], True
     for c, rec in valued:
         spec = c.spec()
@@ -329,7 +351,12 @@ def suite_census(config: ReproConfig) -> list[ReproRow]:
 
 
 def all_pass(rows: list[ReproRow], allow_unknown: bool = False) -> bool:
-    return all(r.status == "PASS" or (allow_unknown and r.status == "UNKNOWN") for r in rows)
+    for row in rows:
+        if row.status == "FAIL":
+            return False
+        if row.status == "UNKNOWN" and not allow_unknown:
+            return False
+    return True
 
 
 def format_rows(rows: list[ReproRow]) -> str:
