@@ -13,14 +13,16 @@ census of the same order in the process and bounded by
 `LEVEL_MEMO_CLASSES` classes; levels past the bound stream, two at a time,
 as :func:`enumerate_graphs_by_edges` always does.
 
-The three quantities share one per-class verdict (:func:`_class_verdict`):
-a base test on the graph and a step test on each non-edge orbit
-representative (see :mod:`rslab.engine`), the representatives being the
-carried ones rather than those of a new labelling search.  `sat` and `ssat`
-verdicts are exact; `prsat` verdicts are budgeted colouring searches and may
-stay Unknown.  An Unknown class at or below the best established value poisons
-exactness; such classes get one escalated retry with a ten-fold budget, and
-whatever is still unresolved is reported on the record rather than guessed.
+The three quantities share one per-class verdict (:func:`_class_verdict`),
+which checks the carried non-edge orbit representatives rather than those of
+a new labelling search.  `sat` and `ssat` take a base test on the graph and
+a step test on each representative (see :mod:`rslab.engine`); their verdicts
+are exact.  `prsat` decides the base and every step in one budgeted walk
+over the rainbow-free colourings of the graph
+(:func:`rslab.engine.prsat_in_one_walk`), and may stay Unknown.  An
+Unknown class at or below the best established value poisons exactness;
+such classes get one escalated retry with a ten-fold budget, and whatever
+is still unresolved is reported on the record rather than guessed.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from .colouring import is_proper
 from .engine import (
     Status,
     find_rainbow_copy,
-    is_properly_rainbow_saturated,
     is_saturated,
     is_semi_saturated,
+    prsat_in_one_walk,
 )
 from .errors import CacheMismatchError, InvalidParameterError
 from .graphs import Edge, Graph, from_graph6, normalise_edge, to_graph6
@@ -228,7 +230,9 @@ class CensusRecord:
 
     `value` is None when no graph within the edge cap qualified.  `exact`
     is False when some class at or below the value (or the cap) stayed
-    Unknown; those classes are listed in `unresolved`.
+    Unknown; those classes are listed in `unresolved`.  `budget` bounds the
+    one colouring walk of each prsat class, and `nodes_explored` sums the
+    nodes of those walks (not their extension calls).
     """
 
     n: int
@@ -295,9 +299,11 @@ def _class_verdict(
     g: Graph, non_edges, spec: PatternSpec, quantity: str, budget: int | None
 ) -> tuple[Status, int]:
     """Status and colouring-search nodes of one graph, checking the
-    non-edges `non_edges`, one per automorphism orbit."""
+    non-edges `non_edges`, one per automorphism orbit.  A prsat class takes
+    one colouring walk, which `budget` bounds; the nodes are that walk's,
+    not its extension calls."""
     if quantity == "prsat":
-        verdict = is_properly_rainbow_saturated(g, spec, budget, non_edges)
+        verdict = prsat_in_one_walk(g, spec, budget, non_edges)
         return verdict.status, verdict.nodes_explored
     check = {"sat": is_saturated, "ssat": is_semi_saturated}[quantity]
     return (Status.ESTABLISHED if check(g, spec, non_edges).holds else Status.REFUTED), 0
@@ -379,7 +385,9 @@ def census(
     (sat, ssat or prsat) for the pattern, with at most `edge_cap` edges.
 
     With a cache dir (or RSLAB_CACHE) an exact cached record is re-verified
-    and returned, and a computed one is stored.
+    and returned, and a computed one is stored.  For prsat, `budget` bounds
+    the one colouring walk of each class (ten times that in the escalated
+    retry of an Unknown class).
     """
     if quantity not in QUANTITIES:
         raise InvalidParameterError(f"unknown quantity {quantity!r}")

@@ -20,9 +20,10 @@ from rslab.engine import (
     is_properly_rainbow_saturated,
     is_saturated,
     is_semi_saturated,
+    prsat_in_one_walk,
     search_rainbow_free_colouring,
 )
-from rslab.graphs import build_graph, disjoint_union
+from rslab.graphs import Graph, build_graph, disjoint_union
 from rslab.oracle import _augmented_levels, _class_verdict, enumerate_graphs
 from rslab.patterns import PatternSpec, parse_pattern, realize_pattern
 
@@ -57,6 +58,14 @@ def assert_certificate_sound(g, spec, verdict):
     cert = verdict.certificate
     assert is_proper(g, cert)
     assert find_rainbow_copy(g, cert, spec) is None
+
+
+def assert_extension_sound(g, spec, witness):
+    """The colouring of g + e that refutes g is proper and rainbow-free."""
+    assert witness.edge in g.non_edges()
+    g2 = g.add_edge(*witness.edge)
+    assert is_proper(g2, witness.colouring)
+    assert find_rainbow_copy(g2, witness.colouring, spec) is None
 
 
 # -- find_rainbow_copy / contains_copy ------------------------------------------
@@ -452,6 +461,80 @@ def test_prsat_verdicts_match_brute_force_at_6():
     assert_class_verdicts_match_brute_force(6)
 
 
+# -- the census verdict: one walk decides the base and every step ---------------------
+
+ONE_WALK_PATTERNS = (P4, P5, P6, K13, PatternSpec.subdivided_star(5))
+
+
+def assert_one_walk_matches_the_step_walks(orders):
+    for n in orders:
+        for level in _augmented_levels(n):
+            for g, non_edges in level:
+                for spec in ONE_WALK_PATTERNS:
+                    want = is_properly_rainbow_saturated(g, spec, 10**7, non_edges)
+                    got = prsat_in_one_walk(g, spec, 10**7, non_edges)
+                    assert (got.status, got.note) == (want.status, want.note), (g, spec)
+                    if got.status is Status.ESTABLISHED:
+                        assert_certificate_sound(g, spec, got)
+                    elif got.certificate is not None:
+                        assert_extension_sound(g, spec, got.certificate)
+
+
+def test_one_walk_matches_the_step_walks():
+    assert_one_walk_matches_the_step_walks(range(1, 7))
+
+
+@pytest.mark.slow
+def test_one_walk_matches_the_step_walks_at_7():
+    # Only from this order on does a walk that kept the colours outside a
+    # copy's colour set, rather than those in it, go wrong (on three P5 and
+    # four P6 classes).
+    assert_one_walk_matches_the_step_walks([7])
+
+
+def test_one_walk_on_edgeless_graphs():
+    # the walk yields the empty colouring before it has coloured anything
+    verdict = prsat_in_one_walk(Graph(4, ()), P4, 10**6)
+    assert verdict.status is Status.REFUTED
+    assert verdict.certificate.colouring.colours == (1,)
+    assert_extension_sound(Graph(4, ()), P4, verdict.certificate)
+    k2 = PatternSpec.path(2)
+    for g in (Graph(1, ()), Graph(3, ())):
+        verdict = prsat_in_one_walk(g, k2, 10**6)
+        assert verdict.status is Status.ESTABLISHED
+        assert verdict.certificate.colours == ()
+
+
+def test_one_walk_stops_at_the_first_colouring_of_a_complete_graph():
+    for spec in (P4, P5):
+        verdict = prsat_in_one_walk(K4, spec, 10**6)
+        assert_certificate_sound(K4, spec, verdict)
+        assert verdict.nodes_explored == search_rainbow_free_colouring(K4, spec).nodes_explored
+
+
+def test_one_walk_in_the_degenerate_regime():
+    k3 = build_graph(3, [(0, 1), (0, 2), (1, 2)])
+    verdict = prsat_in_one_walk(k3, P4, 10**6)
+    assert (verdict.status, verdict.note) == (Status.ESTABLISHED, "degenerate regime")
+    p3 = build_graph(3, [(0, 1), (1, 2)])
+    verdict = prsat_in_one_walk(p3, P4, 10**6)
+    assert (verdict.status, verdict.note) == (Status.REFUTED, "degenerate regime")
+    # (0, 2) sees both colours of P3, so only a new colour extends it
+    assert verdict.certificate.colouring.colour_of(0, 2) == 3
+    assert_extension_sound(p3, P4, verdict.certificate)
+
+
+def test_one_walk_budget_bounds_the_whole_walk():
+    g = two_stars(4)
+    full = prsat_in_one_walk(g, P4, None)
+    assert full.status is Status.ESTABLISHED
+    assert prsat_in_one_walk(g, P4, full.nodes_explored).status is Status.ESTABLISHED
+    cut = prsat_in_one_walk(g, P4, full.nodes_explored - 1)
+    assert (cut.status, cut.certificate) == (Status.UNKNOWN, None)
+    assert cut.nodes_explored == full.nodes_explored - 1
+    assert prsat_in_one_walk(g, P4, 1).status is Status.UNKNOWN
+
+
 # -- properly rainbow saturated -------------------------------------------------------
 
 
@@ -470,11 +553,7 @@ def test_trees_refuted_for_p6():
     tree = realize_pattern(PatternSpec.broom(4, 2))  # 6-vertex tree
     verdict = is_properly_rainbow_saturated(tree, P6, 10**7)
     assert verdict.status is Status.REFUTED
-    witness = verdict.certificate
-    # the witness colouring of g+e must re-verify
-    g2 = tree.add_edge(*witness.edge)
-    assert is_proper(g2, witness.colouring)
-    assert find_rainbow_copy(g2, witness.colouring, P6) is None
+    assert_extension_sound(tree, P6, verdict.certificate)
 
 
 def test_degenerate_regime_note_and_literal_reading():

@@ -441,6 +441,26 @@ def test_cache_mismatch_refused(tmp_path):
     assert load_cached_record(tmp_path, rec.key()).value == fake.value
 
 
+# prsat(6, P4) as the cache stored it when each non-edge orbit took a walk of
+# its own: the same value and witnesses, more nodes
+STEP_WALK_ROW = ('{"budget": 10000000, "edge_cap": null, "exact": true, "n": 6, '
+                 '"nodes_explored": 276, "pattern": "P4", "quantity": "prsat", '
+                 '"total_graphs_examined": 33, "unresolved": [], "value": 5, '
+                 '"witnesses": ["E?Bw"]}\n')
+
+
+def test_records_of_the_step_walks_still_load(tmp_path):
+    (tmp_path / "census-prsat.jsonl").write_text(STEP_WALK_ROW, encoding="utf-8")
+    old = prsat_number(6, P4, cache_dir=tmp_path)
+    assert old.nodes_explored == 276 and old.verify()
+    new = prsat_number(6, P4, cache_dir=tmp_path, force=True)
+    assert (new.value, new.witnesses) == (old.value, old.witnesses)
+    assert new.nodes_explored < old.nodes_explored
+    assert load_cached_record(tmp_path, old.key()) == new
+    store_record(tmp_path, old)  # same value and witnesses: no force needed
+    assert load_cached_record(tmp_path, old.key()) == old
+
+
 def test_inexact_cached_record_is_replaced(tmp_path):
     first = prsat_number(6, P5, budget=1, cache_dir=tmp_path)
     assert not first.exact
