@@ -47,7 +47,15 @@ anchored at arcs of one orbit correspond with the same image edges), and
 turns each plan into generated code with one nested loop per pattern vertex
 and the used vertices and colours kept in bitmasks.  The full-pattern search
 behind `contains_copy` and `find_rainbow_copy` comes from the same
-generator.
+generator.  Every plan carries the degree feasibility rule of subgraph
+matching (Ullmann, J. ACM 1976; the look-ahead rules of VF2, Cordella et
+al., TPAMI 2004): a host vertex with fewer edges than the pattern vertex it
+would hold is never tried.  An injective copy maps the neighbours of a
+pattern vertex h to deg_H(h) distinct neighbours of its image, each joined
+to it by an edge the matcher sees (in the search, a coloured edge), so the
+rule cuts only branches that hold no copy.  Plans and scan order are those
+of the unguarded code, so every call returns the same copy and colour set,
+and node counts, call counts and certificates do not change.
 
 The three verdicts share one shape, a base test on g and a step test on
 each non-edge orbit representative e:
@@ -67,7 +75,7 @@ out of nodes reports Unknown, never a guess.
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -183,7 +191,9 @@ class _Matcher:
     recursion or a mapping list.  The anchored plans are compiled twice:
     with colours for :meth:`exists_through` (rainbow copies and their colour
     sets, in the colouring search) and without for :meth:`copy_through`
-    (the saturation step).
+    (the saturation step).  All four compiled forms skip host vertices
+    with fewer edges than the pattern vertex they would hold (see the
+    module notes and :func:`_compile_plans`).
     """
 
     def __init__(self, pattern: Graph):
@@ -192,10 +202,11 @@ class _Matcher:
         self.edge_count = len(pattern.edges)
         anchored = [(arc, self._plan(seed=arc)) for arc in _arc_orbit_representatives(pattern)]
         full = [((), self._plan(seed=()))]
-        self._through = _compile_plans(anchored, rainbow=True, colour_set=True)
-        self._through_plain = _compile_plans(anchored, rainbow=False)
-        self._find_rainbow = _compile_plans(full, rainbow=True)
-        self._find_plain = _compile_plans(full, rainbow=False)
+        deg = pattern.degrees()
+        self._through = _compile_plans(anchored, deg, rainbow=True, colour_set=True)
+        self._through_plain = _compile_plans(anchored, deg, rainbow=False)
+        self._find_rainbow = _compile_plans(full, deg, rainbow=True)
+        self._find_plain = _compile_plans(full, deg, rainbow=False)
 
     def _plan(self, seed: tuple[int, ...]):
         placed = list(seed)
@@ -226,7 +237,9 @@ class _Matcher:
 
         The mask holds c_uv >= 1, so it is true whenever a copy exists.  The
         colouring search keeps it: the copy stays rainbow when (u, v) alone
-        is recoloured with any colour outside the mask.
+        is recoloured with any colour outside the mask.  `adj` and `ecol`
+        hold the coloured edges, (u, v) among them: the degree guards count
+        it.
         """
         return self._through(u, v, c_uv, adj, ecol, n)
 
@@ -283,7 +296,7 @@ def _arc_orbit_representatives(pattern: Graph) -> list[Edge]:
 _MAX_NESTED_LOOPS = 16
 
 
-def _compile_plans(plans, rainbow: bool, colour_set: bool = False):
+def _compile_plans(plans, deg, rainbow: bool, colour_set: bool = False):
     """Generate one function that tries each (seed, steps) plan in turn.
 
     The function takes ``(u, v, c_uv, adj, ecol, n)``; a plan seeded with
@@ -294,7 +307,15 @@ def _compile_plans(plans, rainbow: bool, colour_set: bool = False):
     tuple of images of the pattern vertices (with `colour_set`, as the
     bitmask of its edge colours), and None when every plan is exhausted.
     With `rainbow` false the colours are ignored.  The source is built from
-    pattern vertex indices only.
+    pattern vertex indices and their degrees `deg` only.
+
+    Two degree guards cut the search: a plan seeded with the arc (a, b)
+    runs only if ``len(adj[u]) >= deg[a]`` and ``len(adj[v]) >= deg[b]``,
+    and a step placing a pattern vertex h with ``deg[h] >= 2`` skips a
+    candidate x with ``len(adj[x]) < deg[h]``.  The image of h in a copy
+    has deg[h] distinct neighbours through edges of `adj`, so a cut branch
+    holds no copy.  Guards of degree 1 are left out: they hold for the ends
+    of (u, v) and for every candidate reached through an edge.
     """
     helpers: list[list[str]] = []
 
@@ -323,6 +344,8 @@ def _compile_plans(plans, rainbow: bool, colour_set: bool = False):
             else:
                 lines.append(f"{pad}for {x}, c in adj[{names[primary]}]:")
             fails = []
+            if deg[hv] >= 2:
+                fails.append(f"len(adj[{x}]) < {deg[hv]}")
             if used != "0":
                 fails.append(f"{used} >> {x} & 1")
             if rainbow and primary is not None and colours != "0":
@@ -355,7 +378,10 @@ def _compile_plans(plans, rainbow: bool, colour_set: bool = False):
             main.append("    m0 = 1 << c_uv")
     for seed, steps in plans:
         if seed:
-            emit(main, steps, 1, dict(zip(seed, ("u", "v"))), "u0",
+            guards = [f"len(adj[{w}]) >= {deg[h]}" for h, w in zip(seed, "uv") if deg[h] >= 2]
+            if guards:
+                main.append(f"    if {' and '.join(guards)}:")
+            emit(main, steps, 2 if guards else 1, dict(zip(seed, ("u", "v"))), "u0",
                  "m0" if rainbow else "0", 0)
         else:
             emit(main, steps, 1, {}, "0", "0", 0)
@@ -384,29 +410,34 @@ def bfs_edge_order(g: Graph) -> tuple[Edge, ...]:
     early in the search.
     """
     n = g.n
-    if n == 0:
-        return ()
+    edges = g.edges
+    # neighbours in increasing order, as the sorted edge tuple lists them
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
     seen = [False] * n
-    bfs: list[int] = []
-    for start in sorted(range(n), key=lambda x: (-g.degree(x), x)):
+    bfs: list[int] = []  # also the queue: bfs[k:] are still to be expanded
+    # a stable sort in reverse keeps equal degrees in increasing vertex order
+    for start in sorted(range(n), key=[len(a) for a in nbrs].__getitem__, reverse=True):
         if seen[start]:
             continue
         seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            bfs.append(u)
-            for w in g.neighbours(u):
+        k = len(bfs)
+        bfs.append(start)
+        while k < len(bfs):
+            for w in nbrs[bfs[k]]:
                 if not seen[w]:
                     seen[w] = True
-                    queue.append(w)
-    pos = {v: i for i, v in enumerate(bfs)}
-    return tuple(
-        sorted(
-            g.edges,
-            key=lambda e: (max(pos[e[0]], pos[e[1]]), min(pos[e[0]], pos[e[1]])),
-        )
-    )
+                    bfs.append(w)
+            k += 1
+    pos = [0] * n
+    for i, x in enumerate(bfs):
+        pos[x] = i
+    # edge (a, b) ranks by (later position, earlier position), packed in one int
+    key = [pos[a] * n + pos[b] if pos[a] > pos[b] else pos[b] * n + pos[a]
+           for a, b in edges]
+    return tuple(edges[j] for j in sorted(range(len(key)), key=key.__getitem__))
 
 
 def _twin_positions(g: Graph, order) -> list[bool]:
@@ -646,9 +677,20 @@ def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> CheckRe
     The non-edges checked are `non_edges`, by default one representative
     per automorphism orbit: an automorphism carries a copy through e onto a
     copy through its image.  The witness of a failure is the non-edge.
+    By default the lexicographically first non-edge, which is the first
+    representative of its own orbit, is tried before the orbits are
+    computed, so a graph it refutes is never labelled.
     """
     matcher = _matcher_for(pattern)
-    for e in _non_edge_reps(g, non_edges):
+    if non_edges is None:
+        first = next((e for e in itertools.combinations(range(g.n), 2)
+                      if not g.has_edge(*e)), None)
+        if first is None:
+            return CheckResult(True, None)
+        if not matcher.copy_through(g, first):
+            return CheckResult(False, first)
+        non_edges = non_edge_orbit_representatives(g)[1:]
+    for e in non_edges:
         if not matcher.copy_through(g, e):
             return CheckResult(False, e)
     return CheckResult(True, None)

@@ -1,10 +1,12 @@
 import itertools
+from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs_on, small_graphs
+from rslab import canon
 from rslab.canon import non_edge_orbit_representatives
 from rslab.colouring import EdgeColouring, is_proper
 from rslab.constructions import caterpillar_construction
@@ -12,6 +14,7 @@ from rslab.engine import (
     ColouringSearch,
     Status,
     _matcher_for,
+    bfs_edge_order,
     contains_copy,
     count_proper_colourings,
     enumerate_rainbow_free_colourings,
@@ -23,7 +26,7 @@ from rslab.engine import (
     prsat_in_one_walk,
     search_rainbow_free_colouring,
 )
-from rslab.graphs import Graph, build_graph, disjoint_union
+from rslab.graphs import Graph, build_graph, disjoint_union, normalise_edge
 from rslab.oracle import _augmented_levels, _class_verdict, enumerate_graphs
 from rslab.patterns import PatternSpec, parse_pattern, realize_pattern
 
@@ -195,6 +198,82 @@ def test_matcher_agrees_with_brute_force_on_all_small_graphs():
                             assert got is None or got in masks[(u, v)]
 
 
+# the compiled plans' degree guards act on partial colourings; these patterns
+# mix degrees 1 to 4 at the anchors and inside the plans
+WALK_PATTERNS = [parse_pattern(t) for t in
+                 ("P6", "K1,4", "B4,2", "S3,2", "T5star", "cat:ell=3;leaves=2,0,1")]
+
+
+@st.composite
+def walk_prefixes(draw):
+    """A graph with n <= 8 and a proper colouring (edge -> colour) of a
+    prefix of its search order, each colour an old one free at both ends
+    or the next new one, as the colouring search assigns them."""
+    g = draw(small_graphs(max_n=8))
+    order = bfs_edge_order(g)
+    colours = {}
+    at = [set() for _ in range(g.n)]
+    top = 0
+    for u, v in order[:draw(st.integers(0, len(order)))]:
+        free = [c for c in range(1, top + 2) if c not in at[u] and c not in at[v]]
+        c = free[draw(st.integers(0, len(free) - 1))]
+        colours[(u, v)] = c
+        at[u].add(c)
+        at[v].add(c)
+        top = max(top, c)
+    return g, colours
+
+
+def rainbow_copy_masks(n, colours, spec):
+    """For each coloured edge, the colour-set bitmasks of the rainbow copies
+    of the pattern through it among the coloured edges, by trying every
+    injective map of the pattern vertices, in index order, that sends
+    pattern edges to coloured edges."""
+    h = realize_pattern(spec)
+    earlier = [[a for a in h.neighbours(b) if a < b] for b in range(h.n)]
+    masks = {e: set() for e in colours}
+    phi = []
+
+    def place(b):
+        if b == h.n:
+            image = [normalise_edge(phi[a], phi[c]) for a, c in h.edges]
+            used = {colours[e] for e in image}
+            if len(used) == len(image):
+                for e in image:
+                    masks[e].add(sum(1 << c for c in used))
+            return
+        for x in range(n):
+            if x not in phi and all(normalise_edge(phi[a], x) in colours for a in earlier[b]):
+                phi.append(x)
+                place(b + 1)
+                phi.pop()
+
+    place(0)
+    return masks
+
+
+@seed(20240)
+@given(walk_prefixes())
+@settings(max_examples=150, deadline=None)
+def test_matcher_agrees_with_brute_force_on_walk_prefixes(case):
+    g, colours = case
+    n = g.n
+    ecol = [[0] * n for _ in range(n)]
+    adj = [[] for _ in range(n)]
+    for (u, v), c in colours.items():
+        ecol[u][v] = ecol[v][u] = c
+        adj[u].append((v, c))
+        adj[v].append((u, c))
+    for spec in WALK_PATTERNS:
+        matcher = _matcher_for(spec)
+        masks = rainbow_copy_masks(n, colours, spec)
+        for (u, v), c in colours.items():
+            for a, b in ((u, v), (v, u)):
+                got = matcher.exists_through(a, b, c, adj, ecol, n)
+                assert (got is not None) == bool(masks[(u, v)]), (g, colours, spec, a, b)
+                assert got is None or got in masks[(u, v)], (g, colours, spec, a, b)
+
+
 def test_brute_force_matcher_sees_rainbow_condition():
     # guards the oracle itself: K4 matching-coloured has P4 copies, none rainbow
     colours = dict(zip(K4.edges, K4_MATCHINGS.colours))
@@ -254,6 +333,40 @@ def test_deep_pattern_plans_split_across_functions():
     gapped = build_graph(20, [(i, i + 1) for i in range(19) if i != 9])
     assert not is_semi_saturated(gapped, p20).holds
     assert is_semi_saturated(gapped, p20, non_edges=gapped.non_edges()).witness != (9, 10)
+
+
+def reference_bfs_edge_order(g):
+    """`bfs_edge_order` as first written: a deque, a position dict and a
+    (max, min) sort key."""
+    n = g.n
+    if n == 0:
+        return ()
+    seen = [False] * n
+    bfs = []
+    for start in sorted(range(n), key=lambda x: (-g.degree(x), x)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            bfs.append(u)
+            for w in g.neighbours(u):
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    pos = {v: i for i, v in enumerate(bfs)}
+    return tuple(sorted(
+        g.edges, key=lambda e: (max(pos[e[0]], pos[e[1]]), min(pos[e[0]], pos[e[1]]))))
+
+
+def test_bfs_edge_order_keeps_its_order():
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    host = caterpillar_construction(28, 6, 4)
+    graphs += [host] + [host.add_edge(*e) for e in non_edge_orbit_representatives(host)]
+    assert len(graphs) == 1 + 2 + 4 + 11 + 34 + 156 + 1044 + 4
+    for g in graphs:
+        assert bfs_edge_order(g) == reference_bfs_edge_order(g), g
 
 
 # -- search_rainbow_free_colouring ----------------------------------------------
@@ -364,6 +477,29 @@ def test_pattern_elsewhere_does_not_make_semi_saturated():
     res = is_semi_saturated(g, K13)
     assert not res.holds
     assert res.witness in g.non_edges() and 0 not in res.witness
+
+
+def test_first_non_edge_refutes_before_any_labelling(monkeypatch):
+    labelled = []  # orders of the graphs labelled
+    real = canon.labelling
+    monkeypatch.setattr(canon, "labelling", lambda h: labelled.append(h.n) or real(h))
+    p3 = PatternSpec.path(3)
+    for check in (is_semi_saturated, is_saturated):
+        res = check(Graph(300, ()), p3)
+        assert not res.holds and res.witness == (0, 1)
+    assert 300 not in labelled
+    # the spy sees the labelling once the first non-edge, (0, 2), passes
+    assert is_semi_saturated(Graph(5, ((0, 1),)), p3).witness == (2, 3)
+    assert 5 in labelled
+
+
+def test_first_non_edge_first_keeps_the_orbit_verdicts():
+    for spec in (parse_pattern(t) for t in ("P4", "K1,3", "T5star")):
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                reps = non_edge_orbit_representatives(g)
+                for check in (is_semi_saturated, is_saturated):
+                    assert check(g, spec) == check(g, spec, non_edges=reps), (g, spec)
 
 
 def brute_force_saturation(g, spec):
