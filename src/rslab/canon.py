@@ -237,15 +237,29 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     return labelling(g)[1]
 
 
+def orbit_roots(size: int, images) -> list[int]:
+    """For each point 0..size-1, the first point of its orbit under the
+    group generated by the permutations `images` (image[j] is the image of
+    point j), found by a breadth-first walk from each unvisited point."""
+    root = [-1] * size
+    for i in range(size):
+        if root[i] < 0:
+            root[i] = i
+            orbit = [i]
+            for j in orbit:
+                for image in images:
+                    k = image[j]
+                    if root[k] < 0:
+                        root[k] = i
+                        orbit.append(k)
+    return root
+
+
 def vertex_orbits(g: Graph) -> list[tuple[int, ...]]:
-    uf = _UnionFind(g.n)
-    for s in automorphism_generators(g):
-        for v in range(g.n):
-            uf.union(v, s[v])
     by_root: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_root.setdefault(uf.find(v), []).append(v)
-    return sorted(tuple(sorted(o)) for o in by_root.values())
+    for v, r in enumerate(orbit_roots(g.n, automorphism_generators(g))):
+        by_root.setdefault(r, []).append(v)
+    return [tuple(o) for o in by_root.values()]
 
 
 @lru_cache(maxsize=None)
@@ -264,19 +278,7 @@ def pair_orbit_roots(n: int, gens) -> list[int]:
     position of the first pair of its orbit under the group that the
     permutations `gens` of 0..n-1 generate."""
     pairs, index = _pair_table(n)
-    images = [[index[s[u] * n + s[v]] for u, v in pairs] for s in gens]
-    root = [-1] * len(pairs)
-    for i in range(len(pairs)):
-        if root[i] < 0:
-            root[i] = i
-            orbit = [i]
-            for j in orbit:
-                for image in images:
-                    k = image[j]
-                    if root[k] < 0:
-                        root[k] = i
-                        orbit.append(k)
-    return root
+    return orbit_roots(len(pairs), [[index[s[u] * n + s[v]] for u, v in pairs] for s in gens])
 
 
 def pair_orbits(g: Graph) -> list[tuple[Edge, ...]]:

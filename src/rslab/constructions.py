@@ -150,12 +150,7 @@ def broom_gadget(m: int) -> GadgetBundle:
     )
 
 
-def broom_saturated(
-    n: int,
-    m: int,
-    budget: int | None = None,
-    cache_dir=None,
-) -> Graph:
+def broom_saturated(n: int, m: int, cache_dir=None) -> Graph:
     """Disjoint broom gadgets plus a minimum remainder component.
 
     Uses floor(n / (3(m+2))) gadget copies; the remaining r vertices carry a
@@ -174,11 +169,7 @@ def broom_saturated(
         parts.append(Graph(1, ()))
     elif r > 1:
         spec = PatternSpec.broom(4, m)
-        record = oracle.prsat_number(
-            r, spec,
-            budget=budget if budget is not None else oracle.DEFAULT_CENSUS_BUDGET,
-            cache_dir=cache_dir,
-        )
+        record = oracle.prsat_number(r, spec, cache_dir=cache_dir)
         if not record.exact:
             raise OracleBudgetExceededError(
                 f"remainder census for r={r} left classes unresolved"

@@ -47,15 +47,20 @@ anchored at arcs of one orbit correspond with the same image edges), and
 turns each plan into generated code with one nested loop per pattern vertex
 and the used vertices and colours kept in bitmasks.  The full-pattern search
 behind `contains_copy` and `find_rainbow_copy` comes from the same
-generator.  Every plan carries the degree feasibility rule of subgraph
-matching (Ullmann, J. ACM 1976; the look-ahead rules of VF2, Cordella et
-al., TPAMI 2004): a host vertex with fewer edges than the pattern vertex it
-would hold is never tried.  An injective copy maps the neighbours of a
-pattern vertex h to deg_H(h) distinct neighbours of its image, each joined
-to it by an edge the matcher sees (in the search, a coloured edge), so the
-rule cuts only branches that hold no copy.  Plans and scan order are those
-of the unguarded code, so every call returns the same copy and colour set,
-and node counts, call counts and certificates do not change.
+generator.  There is one compiled form per plan kind, and it asks for a
+rainbow copy: an uncoloured question (a copy in g, or a copy through a new
+edge of g + e) gives every edge its own colour, under which every copy is
+rainbow, so the answer and the first copy in scan order are those of a
+colour-blind search.  Every plan carries the degree feasibility rule of
+subgraph matching (Ullmann, J. ACM 1976; the look-ahead rules of VF2,
+Cordella et al., TPAMI 2004): a host vertex with fewer edges than the
+pattern vertex it would hold is never tried.  An injective copy maps the
+neighbours of a pattern vertex h to deg_H(h) distinct neighbours of its
+image, each joined to it by an edge the matcher sees (in the search, a
+coloured edge), so the rule cuts only branches that hold no copy.  Plans
+and scan order are those of the unguarded code, so every call returns the
+same copy and colour set, and node counts, call counts and certificates do
+not change.
 
 The three verdicts share one shape, a base test on g and a step test on
 each non-edge orbit representative e:
@@ -80,7 +85,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .canon import _UnionFind, automorphism_generators, non_edge_orbit_representatives
+from .canon import automorphism_generators, non_edge_orbit_representatives, orbit_roots
 from .colouring import EdgeColouring
 from .graphs import Edge, Graph
 from .patterns import PatternSpec, realize_pattern
@@ -188,12 +193,14 @@ class _Matcher:
 
     Each plan is compiled by :func:`_compile_plans` into a generated
     function with one nested ``for`` loop per step, so a call runs without
-    recursion or a mapping list.  The anchored plans are compiled twice:
-    with colours for :meth:`exists_through` (rainbow copies and their colour
-    sets, in the colouring search) and without for :meth:`copy_through`
-    (the saturation step).  All four compiled forms skip host vertices
-    with fewer edges than the pattern vertex they would hold (see the
-    module notes and :func:`_compile_plans`).
+    recursion or a mapping list.  Two functions serve every question: the
+    anchored plans return the colour set of a rainbow copy through an edge
+    (:meth:`exists_through`: the colouring search and the saturation step),
+    the full plan the images of one (:meth:`find`).  An uncoloured
+    question gives each host edge its own colour, which makes every copy
+    rainbow (see :func:`_host_tables`).  Both skip host vertices with fewer
+    edges than the pattern vertex they would hold (see the module notes and
+    :func:`_compile_plans`).
     """
 
     def __init__(self, pattern: Graph):
@@ -203,10 +210,8 @@ class _Matcher:
         anchored = [(arc, self._plan(seed=arc)) for arc in _arc_orbit_representatives(pattern)]
         full = [((), self._plan(seed=()))]
         deg = pattern.degrees()
-        self._through = _compile_plans(anchored, deg, rainbow=True, colour_set=True)
-        self._through_plain = _compile_plans(anchored, deg, rainbow=False)
-        self._find_rainbow = _compile_plans(full, deg, rainbow=True)
-        self._find_plain = _compile_plans(full, deg, rainbow=False)
+        self._through = _compile_plans(anchored, deg, colour_set=True)
+        self._find = _compile_plans(full, deg)
 
     def _plan(self, seed: tuple[int, ...]):
         placed = list(seed)
@@ -243,10 +248,17 @@ class _Matcher:
         """
         return self._through(u, v, c_uv, adj, ecol, n)
 
-    def copy_through(self, host: Graph, e: Edge) -> bool:
-        """Does host + e hold a copy of the pattern that uses the new edge e?"""
-        adj, ecol = _host_tables(host.n, host.edges + (e,), None)
-        return self._through_plain(*e, 1, adj, ecol, host.n) is not None
+    def through_added_edge(self, u, v, c, adj, ecol, n) -> int | None:
+        """:meth:`exists_through` for the edge (u, v) coloured c, which
+        `adj` and `ecol` hold only for this one call."""
+        adj[u].append((v, c))
+        adj[v].append((u, c))
+        ecol[u][v] = ecol[v][u] = c
+        colours = self.exists_through(u, v, c, adj, ecol, n)
+        adj[u].pop()
+        adj[v].pop()
+        ecol[u][v] = ecol[v][u] = 0
+        return colours
 
     def find(self, host: Graph, colouring: EdgeColouring | None) -> Embedding | None:
         """Complete search; deterministic (first hit in the fixed scan order)."""
@@ -254,8 +266,7 @@ class _Matcher:
         if self.k > n:
             return None
         adj, ecol = _host_tables(n, host.edges, colouring)
-        match = self._find_plain if colouring is None else self._find_rainbow
-        mapping = match(-1, -1, 0, adj, ecol, n)
+        mapping = self._find(-1, -1, 0, adj, ecol, n)
         if mapping is None:
             return None
         image = tuple(
@@ -267,11 +278,14 @@ class _Matcher:
 
 def _host_tables(n: int, edges, colouring: EdgeColouring | None):
     """Per-vertex lists of (neighbour, colour) and the n x n colour matrix,
-    0 off the edges; without a colouring every edge has colour 1."""
+    0 off the edges.  Without a colouring edge i has colour i + 1: a copy
+    uses distinct edges, so under these colours every copy is rainbow, and
+    the rainbow plans answer the uncoloured question in the same scan
+    order."""
     ecol = [[0] * n for _ in range(n)]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edges):
-        c = colouring.colours[i] if colouring is not None else 1
+        c = colouring.colours[i] if colouring is not None else i + 1
         ecol[u][v] = ecol[v][u] = c
         adj[u].append((v, c))
         adj[v].append((u, c))
@@ -283,12 +297,9 @@ def _arc_orbit_representatives(pattern: Graph) -> list[Edge]:
     of directed edges under the automorphism group of the pattern."""
     arcs = [arc for a, b in pattern.edges for arc in ((a, b), (b, a))]
     index = {arc: i for i, arc in enumerate(arcs)}
-    uf = _UnionFind(len(arcs))
-    for s in automorphism_generators(pattern):
-        for i, (a, b) in enumerate(arcs):
-            uf.union(i, index[(s[a], s[b])])
-    # the union-find keeps the smallest index of each class as its root
-    return [arc for i, arc in enumerate(arcs) if uf.find(i) == i]
+    images = [[index[(s[a], s[b])] for a, b in arcs] for s in automorphism_generators(pattern)]
+    roots = orbit_roots(len(arcs), images)
+    return [arc for i, arc in enumerate(arcs) if roots[i] == i]
 
 
 # CPython refuses more than 20 statically nested blocks in one function; a
@@ -296,7 +307,7 @@ def _arc_orbit_representatives(pattern: Graph) -> list[Edge]:
 _MAX_NESTED_LOOPS = 16
 
 
-def _compile_plans(plans, deg, rainbow: bool, colour_set: bool = False):
+def _compile_plans(plans, deg, colour_set: bool = False):
     """Generate one function that tries each (seed, steps) plan in turn.
 
     The function takes ``(u, v, c_uv, adj, ecol, n)``; a plan seeded with
@@ -306,8 +317,10 @@ def _compile_plans(plans, deg, rainbow: bool, colour_set: bool = False):
     bitmasks after depth d.  The first embedding reached is returned as the
     tuple of images of the pattern vertices (with `colour_set`, as the
     bitmask of its edge colours), and None when every plan is exhausted.
-    With `rainbow` false the colours are ignored.  The source is built from
-    pattern vertex indices and their degrees `deg` only.
+    Every plan asks for a rainbow copy; an uncoloured question gives each
+    host edge its own colour (:func:`_host_tables`), so each of its copies
+    passes the colour tests.  The source is built from pattern vertex
+    indices and their degrees `deg` only.
 
     Two degree guards cut the search: a plan seeded with the arc (a, b)
     runs only if ``len(adj[u]) >= deg[a]`` and ``len(adj[v]) >= deg[b]``,
@@ -348,21 +361,18 @@ def _compile_plans(plans, deg, rainbow: bool, colour_set: bool = False):
                 fails.append(f"len(adj[{x}]) < {deg[hv]}")
             if used != "0":
                 fails.append(f"{used} >> {x} & 1")
-            if rainbow and primary is not None and colours != "0":
+            if primary is not None and colours != "0":
                 fails.append(f"{colours} >> c & 1")
             pad += "    "
             if fails:
                 lines += [f"{pad}if {' or '.join(fails)}:", f"{pad}    continue"]
-            if rainbow and primary is not None and (others or not last or colour_set):
+            if primary is not None and (others or not last or colour_set):
                 lines.append(f"{pad}m{depth} = {either(colours, '1 << c')}")
                 colours = f"m{depth}"
             for q in others:
-                lines.append(f"{pad}c = ecol[{names[q]}][{x}]")
-                if rainbow:
-                    lines += [f"{pad}if not c or {colours} >> c & 1:", f"{pad}    continue",
-                              f"{pad}{colours} |= 1 << c"]
-                else:
-                    lines += [f"{pad}if not c:", f"{pad}    continue"]
+                lines += [f"{pad}c = ecol[{names[q]}][{x}]",
+                          f"{pad}if not c or {colours} >> c & 1:", f"{pad}    continue",
+                          f"{pad}{colours} |= 1 << c"]
             if not last:
                 lines.append(f"{pad}u{depth} = {either(used, f'1 << {x}')}")
                 used = f"u{depth}"
@@ -373,16 +383,13 @@ def _compile_plans(plans, deg, rainbow: bool, colour_set: bool = False):
 
     main = ["def match(u, v, c_uv, adj, ecol, n):"]
     if any(seed for seed, _ in plans):
-        main.append("    u0 = 1 << u | 1 << v")
-        if rainbow:
-            main.append("    m0 = 1 << c_uv")
+        main += ["    u0 = 1 << u | 1 << v", "    m0 = 1 << c_uv"]
     for seed, steps in plans:
         if seed:
             guards = [f"len(adj[{w}]) >= {deg[h]}" for h, w in zip(seed, "uv") if deg[h] >= 2]
             if guards:
                 main.append(f"    if {' and '.join(guards)}:")
-            emit(main, steps, 2 if guards else 1, dict(zip(seed, ("u", "v"))), "u0",
-                 "m0" if rainbow else "0", 0)
+            emit(main, steps, 2 if guards else 1, dict(zip(seed, ("u", "v"))), "u0", "m0", 0)
         else:
             emit(main, steps, 1, {}, "0", "0", 0)
     main.append("    return None")
@@ -585,13 +592,7 @@ class ColouringSearch:
         allowed = -1
         for c in range(1, len(usage)):
             if not usage[c] & uvmask and allowed >> c & 1:
-                cadj[u].append((v, c))
-                cadj[v].append((u, c))
-                ecol[u][v] = ecol[v][u] = c
-                colours = self._matcher.exists_through(u, v, c, cadj, ecol, self.graph.n)
-                cadj[u].pop()
-                cadj[v].pop()
-                ecol[u][v] = ecol[v][u] = 0
+                colours = self._matcher.through_added_edge(u, v, c, cadj, ecol, self.graph.n)
                 if colours is None:
                     return c
                 allowed &= colours
@@ -679,19 +680,27 @@ def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> CheckRe
     copy through its image.  The witness of a failure is the non-edge.
     By default the lexicographically first non-edge, which is the first
     representative of its own orbit, is tried before the orbits are
-    computed, so a graph it refutes is never labelled.
+    computed, so a graph it refutes is never labelled.  The matcher's
+    tables of g are built once, each edge with its own colour; each
+    non-edge joins them, with a colour of its own, for one call.
     """
     matcher = _matcher_for(pattern)
+    adj, ecol = _host_tables(g.n, g.edges, None)
+    new_colour = len(g.edges) + 1
+
+    def copy_through(e: Edge) -> bool:
+        return matcher.through_added_edge(*e, new_colour, adj, ecol, g.n) is not None
+
     if non_edges is None:
         first = next((e for e in itertools.combinations(range(g.n), 2)
                       if not g.has_edge(*e)), None)
         if first is None:
             return CheckResult(True, None)
-        if not matcher.copy_through(g, first):
+        if not copy_through(first):
             return CheckResult(False, first)
         non_edges = non_edge_orbit_representatives(g)[1:]
     for e in non_edges:
-        if not matcher.copy_through(g, e):
+        if not copy_through(e):
             return CheckResult(False, e)
     return CheckResult(True, None)
 

@@ -228,19 +228,10 @@ class Graph:
 
 
 def build_graph(n: int, edges) -> Graph:
-    """Validating constructor: normalises pair order and sorts the edge list."""
-    norm = []
-    for u, v in edges:
-        u = int(u)
-        v = int(v)
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
-        norm.append(normalise_edge(u, v))
-    if len(set(norm)) != len(norm):
-        raise DuplicateEdgeError("duplicate edge after normalisation")
-    return Graph(n, tuple(sorted(norm)))
+    """Validating constructor: coerces the ends to int, normalises pair
+    order and sorts the edge list; :class:`Graph` then rejects self-loops,
+    out-of-range ends and duplicates."""
+    return Graph(n, tuple(sorted(normalise_edge(int(u), int(v)) for u, v in edges)))
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

@@ -20,9 +20,9 @@ a step test on each representative (see :mod:`rslab.engine`); their verdicts
 are exact.  `prsat` decides the base and every step in one budgeted walk
 over the rainbow-free colourings of the graph
 (:func:`rslab.engine.prsat_in_one_walk`), and may stay Unknown.  An
-Unknown class at or below the best established value poisons exactness;
-such classes get one escalated retry with a ten-fold budget, and whatever
-is still unresolved is reported on the record rather than guessed.
+Unknown class is retried at once with a ten-fold budget, in the one pass
+over the levels; one still Unknown at or below the value poisons exactness
+and is reported on the record rather than guessed.
 """
 
 from __future__ import annotations
@@ -232,7 +232,13 @@ class CensusRecord:
     is False when some class at or below the value (or the cap) stayed
     Unknown; those classes are listed in `unresolved`.  `budget` bounds the
     one colouring walk of each prsat class, and `nodes_explored` sums the
-    nodes of those walks (not their extension calls).
+    nodes of those walks (not their extension calls), retries included.
+    `total_graphs_examined` counts each class once.  An Unknown class is
+    retried at once, so when a retry establishes a class below the level
+    a first pass would have stopped at, no later level is made: such
+    records examine fewer classes and nodes than a census that retried
+    only after its first pass, with the same value, witnesses, exactness
+    and `unresolved`.
     """
 
     n: int
@@ -320,50 +326,35 @@ def _census(
     nodes_total = 0
     value: int | None = None
     witnesses: list[Graph] = []
-    unresolved: list[tuple] = []
+    unresolved: list[Graph] = []
+    bigger = None if budget is None else budget * ESCALATION_FACTOR
 
     # Levels 0..value, or 0..edge_cap if no class qualifies: the loop stops
-    # on the last level it examines, so no later level is made.
+    # on the last level it examines, so no later level is made.  A class
+    # left Unknown is retried at once with the bigger budget.
     for m, level in enumerate(_augmented_levels(n, _LEVEL_MEMO.setdefault(n, []))):
         for g, non_edges in level:
             status, nodes = _class_verdict(g, non_edges, spec, quantity, budget)
             examined += 1
             nodes_total += nodes
+            if status is Status.UNKNOWN:
+                status, nodes = _class_verdict(g, non_edges, spec, quantity, bigger)
+                nodes_total += nodes
             if status is Status.ESTABLISHED:
-                if value is None:
-                    value = m
+                value = m
                 witnesses.append(g)
             elif status is Status.UNKNOWN:
-                unresolved.append((g, non_edges))
+                unresolved.append(g)
         if value is not None or m == edge_cap:
             break
-
-    # Escalation pass for classes that stayed Unknown at or below the value.
-    still: list[Graph] = []
-    bigger = None if budget is None else budget * ESCALATION_FACTOR
-    for g, non_edges in unresolved:
-        m = len(g.edges)
-        if value is not None and m > value:
-            continue
-        status, nodes = _class_verdict(g, non_edges, spec, quantity, bigger)
-        nodes_total += nodes
-        if status is Status.ESTABLISHED:
-            if value is None or m < value:
-                value = m
-                witnesses = [g]
-            elif m == value:
-                witnesses.append(g)
-        elif status is Status.UNKNOWN:
-            still.append(g)
-    poisons = sorted(to_graph6(g) for g in still if value is None or len(g.edges) <= value)
     return CensusRecord(
         n=n,
         pattern=spec.token(),
         quantity=quantity,
         value=value,
-        exact=not poisons,
-        witnesses=tuple(sorted(to_graph6(g) for g in witnesses if len(g.edges) == value)),
-        unresolved=tuple(poisons),
+        exact=not unresolved,
+        witnesses=tuple(sorted(map(to_graph6, witnesses))),
+        unresolved=tuple(sorted(map(to_graph6, unresolved))),
         total_graphs_examined=examined,
         budget=budget,
         nodes_explored=nodes_total,
@@ -423,17 +414,6 @@ def sat_number(
 ) -> CensusRecord:
     """Minimum edges of an n-vertex graph saturated for the pattern."""
     return census("sat", n, spec, edge_cap=edge_cap, cache_dir=cache_dir, force=force)
-
-
-def ssat_number(
-    n: int,
-    spec: PatternSpec,
-    edge_cap: int | None = None,
-    cache_dir: str | Path | None = None,
-    force: bool = False,
-) -> CensusRecord:
-    """Minimum edges of an n-vertex semi-saturated graph."""
-    return census("ssat", n, spec, edge_cap=edge_cap, cache_dir=cache_dir, force=force)
 
 
 def prsat_number(

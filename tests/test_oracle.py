@@ -13,6 +13,7 @@ from rslab.canon import (
     canonical_graph,
     non_edge_orbit_representatives,
 )
+from rslab.engine import Status
 from rslab.errors import CacheMismatchError, InvalidParameterError
 from rslab.graphs import Graph, from_graph6, to_graph6
 from rslab.oracle import (
@@ -25,7 +26,6 @@ from rslab.oracle import (
     load_cached_record,
     prsat_number,
     sat_number,
-    ssat_number,
     store_record,
 )
 from rslab.patterns import PatternSpec, parse_pattern
@@ -258,15 +258,15 @@ def test_sat_census_t5star_order7():
 
 def test_ssat_below_sat():
     for n in (4, 5, 6):
-        assert ssat_number(n, P4).value <= sat_number(n, P4).value
+        assert census("ssat", n, P4).value <= sat_number(n, P4).value
 
 
 def test_ssat_needs_a_copy_through_the_new_edge():
     # K1,3 plus isolated vertices contains the star, which no longer makes
     # it semi-saturated: ssat(n,K1,3) was 3 at every order
     k13 = PatternSpec.star(3)
-    assert [ssat_number(n, k13).value for n in (5, 6)] == [4, 5]
-    assert [ssat_number(n, P4).value for n in (4, 5, 6)] == [2, 3, 3]
+    assert [census("ssat", n, k13).value for n in (5, 6)] == [4, 5]
+    assert [census("ssat", n, P4).value for n in (4, 5, 6)] == [2, 3, 3]
 
 
 def test_prsat_census_small():
@@ -337,6 +337,68 @@ def test_census_asks_for_no_level_past_the_last_it_examines(monkeypatch):
     rec = prsat_number(6, P5, budget=10**6, edge_cap=4)
     assert rec.value is None and rec.total_graphs_examined == 1 + 1 + 2 + 5 + 9
     assert asked == [0, 1, 2, 3, 4] and made == [1, 2, 3, 4]
+
+
+def test_an_unknown_class_is_retried_before_the_next_level(monkeypatch):
+    # at budget 1 the level-5 classes stay Unknown; retried at once, they
+    # settle the value there, and no level past it is asked for
+    want = prsat_number(6, P4, budget=10**6)
+    asked = _spy_levels_asked(monkeypatch)
+    rec = prsat_number(6, P4, budget=1)
+    assert asked == [0, 1, 2, 3, 4, 5]
+    assert (rec.value, rec.witnesses, rec.exact) == (want.value, want.witnesses, want.exact)
+
+
+def _two_pass_census(n, spec, budget):
+    """A prsat census that retries its Unknown classes in a second pass:
+    the first pass stops at the first level with an established class, and
+    each Unknown class at or below the value so far is retried after it.
+    Returns (value, exact, witnesses, unresolved, classes examined)."""
+    value = None
+    witnesses, unknown, still = [], [], []
+    examined = 0
+    for m, level in enumerate(oracle._augmented_levels(n)):
+        for g, non_edges in level:
+            status, _ = oracle._class_verdict(g, non_edges, spec, "prsat", budget)
+            examined += 1
+            if status is Status.ESTABLISHED:
+                value = m
+                witnesses.append(g)
+            elif status is Status.UNKNOWN:
+                unknown.append((g, non_edges))
+        if value is not None:
+            break
+    for g, non_edges in unknown:
+        m = len(g.edges)
+        if value is not None and m > value:
+            continue
+        status, _ = oracle._class_verdict(g, non_edges, spec, "prsat",
+                                          budget * oracle.ESCALATION_FACTOR)
+        if status is Status.ESTABLISHED:
+            if value is None or m < value:
+                value = m
+                witnesses = [g]
+            elif m == value:
+                witnesses.append(g)
+        elif status is Status.UNKNOWN:
+            still.append(g)
+    poisons = tuple(sorted(to_graph6(g) for g in still if value is None or len(g.edges) <= value))
+    found = tuple(sorted(to_graph6(g) for g in witnesses if len(g.edges) == value))
+    return value, not poisons, found, poisons, examined
+
+
+def test_in_place_retry_matches_a_second_pass_on_starved_budgets():
+    shrunk = 0
+    for n in (4, 5, 6):
+        for spec in (P4, P5, PatternSpec.star(3), PatternSpec.path(6)):
+            for budget in (1, 2, 3, 5, 8, 13, 30, 100):
+                value, exact, witnesses, unresolved, examined = _two_pass_census(n, spec, budget)
+                rec = prsat_number(n, spec, budget=budget)
+                assert (rec.value, rec.exact, rec.witnesses, rec.unresolved) == (
+                    value, exact, witnesses, unresolved), (n, spec, budget)
+                assert rec.total_graphs_examined <= examined
+                shrunk += rec.total_graphs_examined < examined
+    assert shrunk > 0
 
 
 # (quantity, n, pattern, edge cap): censuses of orders 6 and 7 whose levels
