@@ -99,28 +99,12 @@ def _refine(adjb: list[int], cells: list[list[int]]) -> list[list[int]]:
     return cells
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _search(g: Graph):
-    """Run the labelling search; returns (canonical position map, generators)."""
+def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Canonical position map of `g` (vertex v goes to pos[v]) and generators
+    of its automorphism group."""
     n = g.n
     if n == 0:
-        return (), []
+        return (), ()
     adjb = g.adjacency_bits()
     identity = tuple(range(n))
 
@@ -170,27 +154,23 @@ def _search(g: Graph):
         # Orbit pruning: skip v if a known automorphism fixing the
         # individualised prefix pointwise maps it onto a sibling already
         # expanded.  Sound: the skipped subtree is an exact image of an
-        # explored one.  The orbits of those automorphisms are kept in one
-        # union-find per node; generators found since are merged in.
-        uf = _UnionFind(n)
-        merged = 0
+        # explored one.  The orbits of those automorphisms are computed
+        # again whenever generators were found since.
+        roots: list[int] = []
+        known = 0
         for v in cell:
-            if tried:
-                for s in gens[merged:]:
-                    if all(s[f] == f for f in fixed):
-                        for x in range(n):
-                            if s[x] != x:
-                                uf.union(x, s[x])
-                merged = len(gens)
-                rv = uf.find(v)
-                if any(uf.find(u) == rv for u in tried):
+            if tried and gens:
+                if known < len(gens):
+                    known = len(gens)
+                    roots = orbit_roots(n, [s for s in gens if all(s[f] == f for f in fixed)])
+                if any(roots[u] == roots[v] for u in tried):
                     continue
             child = cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1:]
             dfs(_refine(adjb, child), fixed + (v,))
             tried.append(v)
 
     dfs(_refine(adjb, [list(range(n))]), ())
-    return best[1], gens
+    return best[1], tuple(gens)
 
 
 def _twin_transpositions(adjb: list[int]) -> list[tuple[int, ...]]:
@@ -210,13 +190,6 @@ def _twin_transpositions(adjb: list[int]) -> list[tuple[int, ...]]:
             sigma[a], sigma[b] = b, a
             out.append(tuple(sigma))
     return out
-
-
-def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Canonical position map of `g` (vertex v goes to pos[v]) and generators
-    of its automorphism group."""
-    pos, gens = _search(g)
-    return pos, tuple(gens)
 
 
 def canonical_graph(g: Graph) -> Graph:

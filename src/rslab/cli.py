@@ -71,37 +71,25 @@ def _emit(obj, fmt: str) -> str:
     return str(obj)
 
 
-# The construction parameters each family needs (--variant has a default).
-_FAMILY_PARAMETERS = {
-    "folded-cube": ("ell",),
-    "broom-gadget": ("m",),
-    "broom-saturated": ("n", "m"),
-    "caterpillar": ("n", "k", "ell"),
-    "star-forest": ("n", "k"),
-    "double-star": ("n", "t", "s"),
+# Each family: the construction parameters it needs (--variant has a
+# default), and its builder.
+_FAMILIES = {
+    "folded-cube": (("ell",), lambda a: folded_cube(a.ell)),
+    "broom-gadget": (("m",), lambda a: broom_gadget(a.m)),
+    "broom-saturated": (("n", "m"), lambda a: broom_saturated(a.n, a.m, cache_dir=a.cache_dir)),
+    "caterpillar": (("n", "k", "ell"), lambda a: caterpillar_bundle(a.n, a.k, a.ell)),
+    "star-forest": (("n", "k"), lambda a: star_forest(a.n, a.k)),
+    "double-star": (("n", "t", "s"),
+                    lambda a: double_star_construction(a.n, a.t, a.s, a.variant)),
 }
 
 
 def cmd_construct(args) -> int:
-    family = args.family
-    missing = [f"--{p}" for p in _FAMILY_PARAMETERS.get(family, ()) if getattr(args, p) is None]
+    parameters, build = _FAMILIES[args.family]
+    missing = [f"--{p}" for p in parameters if getattr(args, p) is None]
     if missing:
-        raise RslabError(f"{family} needs {', '.join(missing)}")
-    if family == "folded-cube":
-        obj: object = folded_cube(args.ell)
-    elif family == "broom-gadget":
-        obj = broom_gadget(args.m)
-    elif family == "broom-saturated":
-        obj = broom_saturated(args.n, args.m, cache_dir=args.cache_dir)
-    elif family == "caterpillar":
-        obj = caterpillar_bundle(args.n, args.k, args.ell)
-    elif family == "star-forest":
-        obj = star_forest(args.n, args.k)
-    elif family == "double-star":
-        obj = double_star_construction(args.n, args.t, args.s, args.variant)
-    else:
-        raise RslabError(f"unknown family {family!r}")
-    print(_emit(obj, args.output_format))
+        raise RslabError(f"{args.family} needs {', '.join(missing)}")
+    print(_emit(build(args), args.output_format))
     return EXIT_OK
 
 
@@ -195,10 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = _subcommand(sub, "construct", cmd_construct, "emit a named construction",
                     options=("--cache-dir",), formats=("text", "json", "graph6", "dot"))
-    c.add_argument("family", choices=[
-        "folded-cube", "broom-gadget", "broom-saturated",
-        "caterpillar", "star-forest", "double-star",
-    ])
+    c.add_argument("family", choices=list(_FAMILIES))
     c.add_argument("--n", type=int)
     c.add_argument("--k", type=int)
     c.add_argument("--m", type=int)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import oracle
 from .colouring import EdgeColouring
 from .engine import is_saturated
 from .errors import (
@@ -158,8 +159,6 @@ def broom_saturated(n: int, m: int, cache_dir=None) -> Graph:
     edges, sourced from the census oracle (for r below the broom order that
     is the complete graph K_r).
     """
-    from . import oracle
-
     block = 3 * (m + 2)
     if n < block:
         raise InvalidParameterError(f"broom_saturated needs n >= {block}")
@@ -335,12 +334,7 @@ def double_star_construction(n: int, t: int, s: int, variant: str = "sat") -> Gr
 
 def verify_bundle(bundle: GadgetBundle, target: PatternSpec) -> bool:
     """Colouring proper and free of rainbow copies of the target."""
-    from .colouring import is_proper
-    from .engine import find_rainbow_copy
-
-    if bundle.colouring is None:
-        return False
-    return is_proper(bundle.graph, bundle.colouring) and (
-        find_rainbow_copy(bundle.graph, bundle.colouring, target) is None
+    return bundle.colouring is not None and oracle.rainbow_free_certificate_ok(
+        bundle.graph, target, bundle.colouring
     )
 

@@ -63,14 +63,17 @@ same copy and colour set, and node counts, call counts and certificates do
 not change.
 
 The three verdicts share one shape, a base test on g and a step test on
-each non-edge orbit representative e:
+each non-edge e:
 
 - semi-saturated: no base test; step: g + e has a copy through e;
 - saturated: base: g has no copy; step as for semi-saturated;
 - properly rainbow saturated: base: g has a rainbow-free proper colouring;
   step: every proper colouring of g + e has a rainbow copy.
 
-The census decides the last with one walk over g instead
+A sat or ssat step is one matcher call, so those verdicts ask every
+non-edge in lexicographic order and never label g; a prsat step is a full
+colouring search, so prsat asks one non-edge per automorphism orbit.  The
+census decides the last with one walk over g instead
 (:func:`prsat_in_one_walk`): at each rainbow-free colouring the walk
 yields, it asks whether some colour extends it to g + e.
 
@@ -675,40 +678,31 @@ def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> CheckRe
     """Every single-edge addition creates a copy of the pattern through the
     new edge (Füredi & Kim, 2013); copies elsewhere in g do not count.
 
-    The non-edges checked are `non_edges`, by default one representative
-    per automorphism orbit: an automorphism carries a copy through e onto a
-    copy through its image.  The witness of a failure is the non-edge.
-    By default the lexicographically first non-edge, which is the first
-    representative of its own orbit, is tried before the orbits are
-    computed, so a graph it refutes is never labelled.  The matcher's
-    tables of g are built once, each edge with its own colour; each
-    non-edge joins them, with a colour of its own, for one call.
+    The non-edges checked are `non_edges`, by default every non-edge in
+    lexicographic order, taken one at a time, without labelling g.  The
+    witness of a failure is the non-edge.  Passing one representative per
+    automorphism orbit, each the first of its orbit, gives the same verdict
+    and witness: an automorphism carries a copy through e onto a copy
+    through its image, so the first failing non-edge is the first of its
+    orbit.  The matcher's tables of g are built once, each edge with its
+    own colour; each non-edge joins them, with a colour of its own, for one
+    call.
     """
     matcher = _matcher_for(pattern)
     adj, ecol = _host_tables(g.n, g.edges, None)
     new_colour = len(g.edges) + 1
-
-    def copy_through(e: Edge) -> bool:
-        return matcher.through_added_edge(*e, new_colour, adj, ecol, g.n) is not None
-
     if non_edges is None:
-        first = next((e for e in itertools.combinations(range(g.n), 2)
-                      if not g.has_edge(*e)), None)
-        if first is None:
-            return CheckResult(True, None)
-        if not copy_through(first):
-            return CheckResult(False, first)
-        non_edges = non_edge_orbit_representatives(g)[1:]
+        non_edges = (e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e))
     for e in non_edges:
-        if not copy_through(e):
+        if matcher.through_added_edge(*e, new_colour, adj, ecol, g.n) is None:
             return CheckResult(False, e)
     return CheckResult(True, None)
 
 
 def is_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> CheckResult:
-    """Pattern-free and semi-saturated over `non_edges` (by default one per
-    automorphism orbit).  The witness of a failure is a copy of the pattern
-    in g, or a non-edge whose addition creates none."""
+    """Pattern-free and semi-saturated over `non_edges` (by default every
+    non-edge).  The witness of a failure is a copy of the pattern in g, or
+    a non-edge whose addition creates none."""
     emb = contains_copy(g, pattern)
     if emb is not None:
         return CheckResult(False, emb)

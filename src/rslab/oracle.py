@@ -36,7 +36,6 @@ from pathlib import Path
 
 from .canon import (
     labelling,
-    non_edge_orbit_representatives,
     non_edge_representatives,
     pair_orbit_roots,
 )
@@ -294,8 +293,7 @@ class CensusRecord:
             g = from_graph6(w)
             if self.value is not None and len(g.edges) != self.value:
                 return False
-            status, _ = _class_verdict(g, non_edge_orbit_representatives(g), spec,
-                                       self.quantity, budget or self.budget)
+            status, _ = _class_verdict(g, None, spec, self.quantity, budget or self.budget)
             if status is not Status.ESTABLISHED:
                 return False
         return True
@@ -305,9 +303,11 @@ def _class_verdict(
     g: Graph, non_edges, spec: PatternSpec, quantity: str, budget: int | None
 ) -> tuple[Status, int]:
     """Status and colouring-search nodes of one graph, checking the
-    non-edges `non_edges`, one per automorphism orbit.  A prsat class takes
-    one colouring walk, which `budget` bounds; the nodes are that walk's,
-    not its extension calls."""
+    non-edges `non_edges`: in a census one per automorphism orbit, carried
+    by the level; None leaves them to the engine's defaults (every non-edge
+    for sat and ssat, one per orbit for prsat).  A prsat class takes one
+    colouring walk, which `budget` bounds; the nodes are that walk's, not
+    its extension calls."""
     if quantity == "prsat":
         verdict = prsat_in_one_walk(g, spec, budget, non_edges)
         return verdict.status, verdict.nodes_explored

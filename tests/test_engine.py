@@ -488,13 +488,14 @@ def test_first_non_edge_refutes_before_any_labelling(monkeypatch):
         res = check(Graph(300, ()), p3)
         assert not res.holds and res.witness == (0, 1)
     assert 300 not in labelled
-    # the spy sees the labelling once the first non-edge, (0, 2), passes
+    # every non-edge is asked in turn, so g is not labelled even after the
+    # first non-edge, (0, 2), passes
     assert is_semi_saturated(Graph(5, ((0, 1),)), p3).witness == (2, 3)
-    assert 5 in labelled
+    assert 5 not in labelled
 
 
 def test_first_non_edge_first_keeps_the_orbit_verdicts():
-    for spec in (parse_pattern(t) for t in ("P4", "K1,3", "T5star")):
+    for spec in (parse_pattern(t) for t in ("P3", "P4", "P5", "K1,3", "T5star", "S3,2")):
         for n in range(1, 7):
             for g in enumerate_graphs(n):
                 reps = non_edge_orbit_representatives(g)

@@ -256,6 +256,22 @@ def test_sat_census_t5star_order7():
     assert rec.verify()
 
 
+def test_verify_labels_prsat_witnesses_only(monkeypatch):
+    # a sat or ssat step is one matcher call, so their witnesses are checked
+    # at every non-edge, unlabelled; a prsat step is a colouring search, so
+    # a prsat witness is labelled for one non-edge per orbit
+    records = [sat_number(7, PatternSpec.subdivided_star(5)), census("ssat", 6, P4)]
+    prsat_record = prsat_number(5, P4, budget=10**6)
+    labelled = []
+    real = canon.labelling
+    monkeypatch.setattr(canon, "labelling", lambda g: labelled.append(to_graph6(g)) or real(g))
+    for rec in records:
+        assert rec.verify() and rec.witnesses
+    assert labelled == []
+    assert prsat_record.verify()
+    assert set(prsat_record.witnesses) <= set(labelled)
+
+
 def test_ssat_below_sat():
     for n in (4, 5, 6):
         assert census("ssat", n, P4).value <= sat_number(n, P4).value
