@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import networkx as nx
@@ -23,8 +24,15 @@ from rslab.canon import (
     pair_orbits,
     vertex_orbits,
 )
+from rslab.constructions import (
+    FoldedCube,
+    broom_saturated,
+    caterpillar_construction,
+    star_forest,
+)
 from rslab.errors import RslabError
-from rslab.graphs import build_graph
+from rslab.graphs import build_graph, to_graph6
+from rslab.oracle import _augmented_levels
 from rslab.patterns import PatternSpec, realize_pattern
 
 
@@ -152,6 +160,27 @@ def test_automorphism_group_sizes():
 def test_vertex_orbits_star():
     k13 = realize_pattern(PatternSpec.star(3))
     assert vertex_orbits(k13) == [(0,), (1, 2, 3)]
+
+
+def test_labelling_digest_pins_positions_and_generators():
+    # The level digest pins canonical graphs only; this one pins the whole
+    # output of `labelling`, the position map and the generators in the
+    # order found, on every class up to n = 6 (as made and reversed) and on
+    # larger hosts with many symmetries.
+    digest = hashlib.sha256()
+    graphs = []
+    for n in range(1, 7):
+        for level in _augmented_levels(n):
+            for g, _ in level:
+                graphs += [g, g.relabel(list(range(n))[::-1])]
+    assert len(graphs) == 416
+    graphs += [caterpillar_construction(28, 6, 4), star_forest(30, 4),
+               FoldedCube(5).graph(), broom_saturated(9, 1)]
+    for g in graphs:
+        digest.update(f"{to_graph6(g)} {canon.labelling(g)}\n".encode())
+    assert digest.hexdigest() == (
+        "bae504e5142cd2e14bd99b95fcbe53933de63a99bacb80697d45fbf1cc6b8739"
+    )
 
 
 def _restarting_refine(adjb, cells):
