@@ -31,7 +31,9 @@ differ from the one an unseeded search returns, but only by an
 automorphism; the canonical graph and the orbits are the same.
 
 Refinement (`_refine`) resumes its scan after a split instead of starting
-over, which makes the same splits in the same order (see there).
+over, which makes the same splits in the same order.  Its cells are
+bitmasks, each the sorted cell a list would hold, and the root starts from
+the degree partition, the first split of the unit partition (see there).
 
 This is exact, not heuristic: two graphs get the same label iff they are
 isomorphic.  Speed is adequate for the n <= 10 graphs this package works
@@ -46,57 +48,80 @@ from .errors import RslabError
 from .graphs import Edge, Graph, to_graph6
 
 
-def _refine(adjb: list[int], cells: list[list[int]]) -> list[list[int]]:
-    """Coarsest equitable partition refining `cells`, whose cells are sorted.
+def _refine(adjb: list[int], cells: list[int]) -> list[int]:
+    """Coarsest equitable partition refining `cells`, each cell a bitmask
+    of its vertices.
 
+    A bitmask holds exactly the vertices of a sorted cell, read in
+    ascending order, so every rule below reads the same on either form.
     Cells are kept in a deterministic order: the first cell that some cell,
-    its source, splits (sources and then targets taken in order) is replaced
-    in place by its fragments ordered by ascending neighbour count toward
-    the source, which is a label-independent rule, so the procedure commutes
-    with isomorphisms.  After a split of target `ci` by source `si` the scan
-    resumes at source min(si, ci) rather than at the first cell: the cells
-    before it are unchanged and split nothing, and the fragments of a cell
-    that had equal neighbour counts toward them still have.  For the same
-    reason, when the target lies after the source the scan of that source
-    goes on after the fragments.  So each split made is the one a scan from
-    the first cell would make.  A target is split exactly when some vertex
-    has a count other than its first vertex's, so the scan stops at the
-    first such vertex and groups the cell only then: the splits are the
-    same as grouping every cell would make.
+    its source, splits (sources and then targets taken in order) is
+    replaced in place by its fragments ordered by ascending neighbour count
+    toward the source, which is a label-independent rule, so the procedure
+    commutes with isomorphisms.  The unit partition is its own first
+    source, so it splits into the degree classes in ascending order and
+    resumes at the first cell: refining `_degree_partition` is the same.
+    A singleton source {s} splits a cell with one AND, into the fragments
+    cell & ~N(s) and cell & N(s) (counts 0 and 1).  After a split of target
+    `ci` by source `si` the scan resumes at source min(si, ci) rather than
+    at the first cell: the cells before it are unchanged and split nothing,
+    and the fragments of a cell that had equal neighbour counts toward them
+    still have.  For the same reason, when the target lies after the source
+    the scan of that source goes on over the fragments, which it splits no
+    further.  So each split made is the one a scan from the first cell
+    would make.  A target is split exactly when some vertex has a count
+    other than its first vertex's, so the scan stops at the first such
+    vertex and groups the cell only then: the splits are the same as
+    grouping every cell would make.
     """
     cells = list(cells)
     n = len(adjb)
     si = 0
     while si < len(cells) < n:  # a discrete partition is equitable
-        smask = 0
-        for v in cells[si]:
-            smask |= 1 << v
-        ci = 0
-        while ci < len(cells):
-            cell = cells[ci]
-            if len(cell) == 1:
-                ci += 1
+        smask = cells[si]
+        single = adjb[smask.bit_length() - 1] if smask & (smask - 1) == 0 else None
+        for ci, cell in enumerate(cells):
+            if cell & (cell - 1) == 0:
                 continue
-            k0 = (adjb[cell[0]] & smask).bit_count()
-            for j in range(1, len(cell)):
-                if (adjb[cell[j]] & smask).bit_count() != k0:
-                    break
+            if single is not None:
+                inter = cell & single
+                if inter == 0 or inter == cell:
+                    continue
+                fragments = [cell ^ inter, inter]
             else:
-                ci += 1
-                continue
-            groups = {k0: cell[:j]}
-            for v in cell[j:]:
-                groups.setdefault((adjb[v] & smask).bit_count(), []).append(v)
-            fragments = [groups[k] for k in sorted(groups)]
+                low = cell & -cell
+                k0 = (adjb[low.bit_length() - 1] & smask).bit_count()
+                rest = cell ^ low
+                while rest:
+                    bit = rest & -rest
+                    k = (adjb[bit.bit_length() - 1] & smask).bit_count()
+                    if k != k0:
+                        break
+                    rest ^= bit
+                else:
+                    continue
+                groups = {k0: cell ^ rest}
+                while rest:
+                    bit = rest & -rest
+                    k = (adjb[bit.bit_length() - 1] & smask).bit_count()
+                    groups[k] = groups.get(k, 0) | bit
+                    rest ^= bit
+                fragments = [groups[k] for k in sorted(groups)]
             cells[ci:ci + 1] = fragments
             if ci <= si:
                 si = ci
                 break
-            # the fragments have equal counts toward the source
-            ci += len(fragments)
         else:
             si += 1
     return cells
+
+
+def _degree_partition(adjb: list[int]) -> list[int]:
+    """The degree classes as bitmasks, in ascending order of degree."""
+    by_degree: dict[int, int] = {}
+    for v, a in enumerate(adjb):
+        by_degree[a.bit_count()] = by_degree.get(a.bit_count(), 0) | 1 << v
+    return [by_degree[d] for d in sorted(by_degree)]
 
 
 def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -118,7 +143,7 @@ def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     def record_leaf(cells):
         pos = [0] * n
         for i, c in enumerate(cells):
-            pos[c[0]] = i
+            pos[c.bit_length() - 1] = i
         enc = 0
         for u, v in edges:
             a, b = pos[u], pos[v]
@@ -143,7 +168,7 @@ def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     def dfs(cells, fixed: tuple[int, ...]):
         target = None
         for i, c in enumerate(cells):
-            if len(c) > 1:
+            if c & (c - 1):
                 target = i
                 break
         if target is None:
@@ -158,18 +183,18 @@ def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         # again whenever generators were found since.
         roots: list[int] = []
         known = 0
-        for v in cell:
+        for v in [v for v in range(n) if cell >> v & 1]:
             if tried and gens:
                 if known < len(gens):
                     known = len(gens)
                     roots = orbit_roots(n, [s for s in gens if all(s[f] == f for f in fixed)])
                 if any(roots[u] == roots[v] for u in tried):
                     continue
-            child = cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1:]
+            child = cells[:target] + [1 << v, cell ^ 1 << v] + cells[target + 1:]
             dfs(_refine(adjb, child), fixed + (v,))
             tried.append(v)
 
-    dfs(_refine(adjb, [list(range(n))]), ())
+    dfs(_refine(adjb, _degree_partition(adjb)), ())
     return best[1], tuple(gens)
 
 
@@ -183,6 +208,8 @@ def _twin_transpositions(adjb: list[int]) -> list[tuple[int, ...]]:
     for v, a in enumerate(adjb):
         open_twins.setdefault(a, []).append(v)
         closed_twins.setdefault(a | 1 << v, []).append(v)
+    if len(open_twins) == len(closed_twins) == n:
+        return []
     out = []
     for twins in (*open_twins.values(), *closed_twins.values()):
         for a, b in zip(twins, twins[1:]):
@@ -273,7 +300,7 @@ def non_edge_representatives(g: Graph, gens) -> list[Edge]:
     automorphisms `gens` of g generate, in lexicographic order."""
     pairs, _ = _pair_table(g.n)
     eset = g.edge_set()
-    roots = pair_orbit_roots(g.n, gens)
+    roots = pair_orbit_roots(g.n, gens) if gens else range(len(pairs))
     return [p for i, p in enumerate(pairs) if roots[i] == i and p not in eset]
 
 

@@ -31,10 +31,12 @@ import fcntl
 import json
 import os
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 from .canon import (
+    _pair_table,
     labelling,
     non_edge_representatives,
     pair_orbit_roots,
@@ -105,7 +107,7 @@ def _augmented_levels(n: int, memo: list | None = None):
                 level = [(empty, non_edge_representatives(empty, labelling(empty)[1]))]
             else:
                 level = [child for parent in level for child in _canonical_children(*parent)]
-                level.sort(key=lambda child: to_graph6(child[0]))
+                level.sort(key=lambda child: _graph6_key(child[0]))
             fits = _memo_classes() + len(level) <= LEVEL_MEMO_CLASSES
             if memo is not None and len(memo) == m and fits:
                 memo.append(level)
@@ -115,6 +117,13 @@ def _augmented_levels(n: int, memo: list | None = None):
 def _memo_classes() -> int:
     """Classes the level memo holds, over all orders."""
     return sum(len(level) for levels in _LEVEL_MEMO.values() for level in levels)
+
+
+def _graph6_key(g: Graph) -> int:
+    """An integer ordering graphs of one order as their graph6 strings do:
+    pair u < v at bit v(v-1)/2 + u counted from the most significant end."""
+    top = g.n * (g.n - 1) // 2 - 1
+    return sum(1 << (top - v * (v - 1) // 2 - u) for u, v in g.edges)
 
 
 def _canonical_children(parent: Graph, non_edges):
@@ -134,15 +143,16 @@ def _canonical_children(parent: Graph, non_edges):
     e does not have the largest invariant is refused before it is labelled.
     """
     n = parent.n
-    index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
+    _, index = _pair_table(n)
     deg = parent.degrees()
     adjb = parent.adjacency_bits()
+    keys = _degree_keys(n)
     # Degrees only grow from P to C, so an edge of P whose key in P beats
     # the key of e in C beats it in C as well.
-    parent_top = max((_degree_key(deg[a], deg[b], n) for a, b in parent.edges), default=-1)
+    parent_top = max((keys[deg[a]][deg[b]] for a, b in parent.edges), default=-1)
     for e in non_edges:
         u, v = e
-        if parent_top > _degree_key(deg[u] + 1, deg[v] + 1, n):
+        if parent_top > keys[deg[u] + 1][deg[v] + 1]:
             continue
         child_deg = list(deg)
         child_deg[u] += 1
@@ -158,12 +168,19 @@ def _canonical_children(parent: Graph, non_edges):
         m = max(top, key=lambda ab: normalise_edge(pos[ab[0]], pos[ab[1]]))
         if m != e:
             child_roots = pair_orbit_roots(n, child_gens)
-            if child_roots[index[e]] != child_roots[index[m]]:
+            if child_roots[index[u * n + v]] != child_roots[index[m[0] * n + m[1]]]:
                 continue
         at = sorted(range(n), key=pos.__getitem__)  # the vertex at each position
         canonical = child.relabel(pos)
         gens = [[pos[s[x]] for x in at] for s in child_gens]
         yield canonical, non_edge_representatives(canonical, gens)
+
+
+@lru_cache(maxsize=None)
+def _degree_keys(n: int) -> list[list[int]]:
+    """At [du][dv], the (degree sum, smaller degree) of an edge whose ends
+    have degrees du, dv < n, as one integer ordered as those pairs are."""
+    return [[(du + dv) * n + min(du, dv) for dv in range(n)] for du in range(n)]
 
 
 def _top_invariant_edges(
@@ -173,13 +190,12 @@ def _top_invariant_edges(
     smaller degree, common neighbours) of their ends, or None if `e` is not
     one of them.  `deg` and `adjb` are the degrees and adjacency bitmasks of
     the graph that has all these edges."""
-    n = len(deg)
+    keys = _degree_keys(len(deg))
     u, v = e
-    top_key = _degree_key(deg[u], deg[v], n)
+    top_key = keys[deg[u]][deg[v]]
     tied = []
     for a, b in others:
-        da, db = deg[a], deg[b]
-        key = (da + db) * n + (da if da < db else db)  # _degree_key, inline
+        key = keys[deg[a]][deg[b]]
         if key > top_key:
             return None
         if key == top_key:
@@ -193,12 +209,6 @@ def _top_invariant_edges(
         if common == top_common:
             top.append((a, b))
     return top
-
-
-def _degree_key(du: int, dv: int, n: int) -> int:
-    """(degree sum, smaller degree) of the ends of an edge, as one integer
-    ordered as those pairs are; degrees are below n."""
-    return (du + dv) * n + min(du, dv)
 
 
 def enumerate_graphs(n: int, edge_cap: int | None = None):

@@ -217,10 +217,23 @@ def _start_partitions(n):
         yield [[v], [w for w in range(n) if w != v]]
 
 
+def _bitmask_refine(adjb, cells):
+    """`canon._refine` on list cells: each cell goes in as the bitmask of
+    its vertices and comes out as the sorted list of them."""
+    masks = [sum(1 << v for v in cell) for cell in cells]
+    return [[v for v in range(len(adjb)) if m >> v & 1] for m in canon._refine(adjb, masks)]
+
+
 def _assert_refine_matches_reference(g):
     adjb = g.adjacency_bits()
     for cells in _start_partitions(g.n):
-        assert canon._refine(adjb, cells) == _restarting_refine(adjb, cells), (g, cells)
+        assert _bitmask_refine(adjb, cells) == _restarting_refine(adjb, cells), (g, cells)
+    # the root of the search starts from the degree partition, the first
+    # split of the unit partition
+    unit = _restarting_refine(adjb, [list(range(g.n))])
+    assert canon._refine(adjb, canon._degree_partition(adjb)) == [
+        sum(1 << v for v in cell) for cell in unit
+    ], g
 
 
 def test_refine_matches_restarting_reference_up_to_5():
@@ -239,7 +252,7 @@ def test_refine_matches_restarting_reference(g, data):
     bounds = [0, *(i + 1 for i, cut in enumerate(cuts) if cut), g.n]
     cells = [sorted(order[a:b]) for a, b in zip(bounds, bounds[1:])]
     adjb = g.adjacency_bits()
-    assert canon._refine(adjb, cells) == _restarting_refine(adjb, cells), (g, cells)
+    assert _bitmask_refine(adjb, cells) == _restarting_refine(adjb, cells), (g, cells)
 
 
 @st.composite

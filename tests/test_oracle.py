@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import all_graphs_on
 from rslab import canon, oracle
@@ -15,7 +18,7 @@ from rslab.canon import (
 )
 from rslab.engine import Status
 from rslab.errors import CacheMismatchError, InvalidParameterError
-from rslab.graphs import Graph, from_graph6, to_graph6
+from rslab.graphs import Graph, build_graph, from_graph6, to_graph6
 from rslab.oracle import (
     CensusRecord,
     _augmented_levels,
@@ -180,6 +183,28 @@ def test_carried_non_edges_are_the_census_non_edges(monkeypatch):
     assert len({to_graph6(g) for g, _ in visited}) > 300
     for g, non_edges in visited:
         assert non_edges == non_edge_orbit_representatives(g)
+
+
+@st.composite
+def same_order_pairs(draw):
+    """Two graphs on the same 1..20 vertices, the second the first with
+    some pairs flipped, so they can first differ at any pair."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {p for p, keep in zip(pairs, mask) if keep}
+    flips = set(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    return build_graph(n, edges), build_graph(n, edges ^ flips)
+
+
+@given(same_order_pairs())
+@example((Graph(1, ()), Graph(1, ())))
+@example((Graph(20, ()), Graph(20, ((18, 19),))))
+def test_graph6_key_orders_as_graph6(pair):
+    a, b = pair
+    key_a, key_b = oracle._graph6_key(a), oracle._graph6_key(b)
+    g6_a, g6_b = to_graph6(a), to_graph6(b)
+    assert (key_a < key_b, key_a == key_b) == (g6_a < g6_b, g6_a == g6_b)
 
 
 def test_levels_are_by_edge_count():
