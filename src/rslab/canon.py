@@ -120,7 +120,8 @@ def _degree_partition(adjb: list[int]) -> list[int]:
     """The degree classes as bitmasks, in ascending order of degree."""
     by_degree: dict[int, int] = {}
     for v, a in enumerate(adjb):
-        by_degree[a.bit_count()] = by_degree.get(a.bit_count(), 0) | 1 << v
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
     return [by_degree[d] for d in sorted(by_degree)]
 
 
@@ -183,7 +184,7 @@ def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         # again whenever generators were found since.
         roots: list[int] = []
         known = 0
-        for v in [v for v in range(n) if cell >> v & 1]:
+        for v in [w for w in range(n) if cell >> w & 1]:
             if tried and gens:
                 if known < len(gens):
                     known = len(gens)
