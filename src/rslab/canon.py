@@ -128,18 +128,22 @@ def _degree_partition(adjb: list[int]) -> list[int]:
 def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Canonical position map of `g` (vertex v goes to pos[v]) and generators
     of its automorphism group."""
-    n = g.n
+    pos, gens, _ = _label(g.n, g.adjacency_bits(), g.edges)
+    return pos, gens
+
+
+def _label(n: int, adjb: list[int], edges) -> tuple[tuple[int, ...], tuple, int]:
+    """:func:`labelling` of the graph on 0..n-1 with the adjacency bitmasks
+    `adjb` and the edges `edges` (u < v, in any order), and the encoding of
+    its canonical graph: bit a * n + b for each of its edges (a, b), a < b."""
     if n == 0:
-        return (), ()
-    adjb = g.adjacency_bits()
+        return (), (), 0
     identity = tuple(range(n))
 
     best: list = [None, None]    # encoding, position tuple
     first: list = [None, None]
     gens = _twin_transpositions(adjb)  # seeds: see the module docstring
     gen_seen = set(gens)
-
-    edges = g.edges
 
     def record_leaf(cells):
         pos = [0] * n
@@ -196,7 +200,17 @@ def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
             tried.append(v)
 
     dfs(_refine(adjb, _degree_partition(adjb)), ())
-    return best[1], tuple(gens)
+    return best[1], tuple(gens), best[0]
+
+
+def _encoded_edges(n: int, enc: int) -> tuple[Edge, ...]:
+    """The edges (a, b) of an encoding from :func:`_label`, in sorted order."""
+    edges = []
+    while enc:
+        low = enc & -enc
+        edges.append(divmod(low.bit_length() - 1, n))
+        enc ^= low
+    return tuple(edges)
 
 
 def _twin_transpositions(adjb: list[int]) -> list[tuple[int, ...]]:
@@ -204,20 +218,22 @@ def _twin_transpositions(adjb: list[int]) -> list[tuple[int, ...]]:
     twins: vertices with the same open, or the same closed, neighbourhood.
     Swapping two such vertices is an automorphism."""
     n = len(adjb)
-    open_twins: dict[int, list[int]] = {}
-    closed_twins: dict[int, list[int]] = {}
-    for v, a in enumerate(adjb):
-        open_twins.setdefault(a, []).append(v)
-        closed_twins.setdefault(a | 1 << v, []).append(v)
-    if len(open_twins) == len(closed_twins) == n:
-        return []
     out = []
-    for twins in (*open_twins.values(), *closed_twins.values()):
-        for a, b in zip(twins, twins[1:]):
-            sigma = list(range(n))
-            sigma[a], sigma[b] = b, a
-            out.append(tuple(sigma))
+    for neighbourhoods in (adjb, [a | 1 << v for v, a in enumerate(adjb)]):
+        if len(set(neighbourhoods)) == n:
+            continue
+        twins: dict[int, list[int]] = {}
+        for v, a in enumerate(neighbourhoods):
+            twins.setdefault(a, []).append(v)
+        out += [_transposition(n, a, b) for cls in twins.values() for a, b in zip(cls, cls[1:])]
     return out
+
+
+@lru_cache(maxsize=4096)
+def _transposition(n: int, a: int, b: int) -> tuple[int, ...]:
+    sigma = list(range(n))
+    sigma[a], sigma[b] = b, a
+    return tuple(sigma)
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -298,11 +314,20 @@ def pair_orbits(g: Graph) -> list[tuple[Edge, ...]]:
 
 def non_edge_representatives(g: Graph, gens) -> list[Edge]:
     """The first non-edge of each orbit under the group that the
-    automorphisms `gens` of g generate, in lexicographic order."""
-    pairs, _ = _pair_table(g.n)
+    automorphisms `gens` of g generate, in lexicographic order.  The orbits
+    are walked over the non-edges alone, which automorphisms permute."""
+    n = g.n
+    pairs, index = _pair_table(n)
     eset = g.edge_set()
-    roots = pair_orbit_roots(g.n, gens) if gens else range(len(pairs))
-    return [p for i, p in enumerate(pairs) if roots[i] == i and p not in eset]
+    non_edges = [p for p in pairs if p not in eset]
+    if not gens:
+        return non_edges
+    at = [0] * len(pairs)  # the position of each non-edge among them
+    for i, (u, v) in enumerate(non_edges):
+        at[index[u * n + v]] = i
+    roots = orbit_roots(len(non_edges),
+                        [[at[index[s[u] * n + s[v]]] for u, v in non_edges] for s in gens])
+    return [p for i, p in enumerate(non_edges) if roots[i] == i]
 
 
 def non_edge_orbit_representatives(g: Graph) -> list[Edge]:

@@ -36,6 +36,8 @@ from itertools import islice
 from pathlib import Path
 
 from .canon import (
+    _encoded_edges,
+    _label,
     _pair_table,
     labelling,
     non_edge_representatives,
@@ -134,18 +136,22 @@ def _canonical_children(parent: Graph, non_edges):
     `non_edges` holds one non-edge e per orbit of Aut(P); each is tried.
     The child C = P + e is kept only if e lies in the Aut(C)-orbit of C's
     canonical deletion edge m(C): among the edges with the largest (degree
-    sum, smaller degree, common neighbours) of their ends in C, the one
-    whose image under C's canonical labelling is largest.  The common
-    neighbours, the triangles through the edge, break ties of the degree
-    pair; they are counted in C, where e is an edge.  C - m(C) is the same
-    class whatever labelling C comes in, so each class with m+1 edges is
-    kept exactly once, from the representative of C - m(C).  A child whose
-    e does not have the largest invariant is refused before it is labelled.
+    sum, smaller degree, common neighbours, neighbour degrees) of their ends
+    in C, the one whose image under C's canonical labelling is largest.  The
+    common neighbours (the triangles through the edge) and then the
+    neighbour degrees (the degrees of the neighbours of both ends, summed)
+    break ties of the degree pair; both are counted in C, where e is an
+    edge.  Any isomorphism invariant would do: C - m(C) is the same class
+    whatever labelling C comes in, so each class with m+1 edges is kept
+    exactly once, from the representative of C - m(C).  A child whose e
+    does not have the largest invariant is refused before it is labelled,
+    and one whose e alone has it is m(C).  A labelled child is built once,
+    from the encoding of its canonical graph.
     """
     n = parent.n
     _, index = _pair_table(n)
-    deg = parent.degrees()
     adjb = parent.adjacency_bits()
+    deg = [a.bit_count() for a in adjb]
     keys = _degree_keys(n)
     # Degrees only grow from P to C, so an edge of P whose key in P beats
     # the key of e in C beats it in C as well.
@@ -163,15 +169,15 @@ def _canonical_children(parent: Graph, non_edges):
         top = _top_invariant_edges(e, parent.edges, child_deg, child_adjb)
         if top is None:
             continue
-        child = parent.add_edge(u, v)
-        pos, child_gens = labelling(child)
-        m = max(top, key=lambda ab: normalise_edge(pos[ab[0]], pos[ab[1]]))
-        if m != e:
-            child_roots = pair_orbit_roots(n, child_gens)
-            if child_roots[index[u * n + v]] != child_roots[index[m[0] * n + m[1]]]:
-                continue
+        pos, child_gens, enc = _label(n, child_adjb, parent.edges + (e,))
+        if len(top) > 1:
+            m = max(top, key=lambda ab: normalise_edge(pos[ab[0]], pos[ab[1]]))
+            if m != e:
+                child_roots = pair_orbit_roots(n, child_gens)
+                if child_roots[index[u * n + v]] != child_roots[index[m[0] * n + m[1]]]:
+                    continue
         at = sorted(range(n), key=pos.__getitem__)  # the vertex at each position
-        canonical = child.relabel(pos)
+        canonical = Graph._trusted(n, _encoded_edges(n, enc))
         gens = [[pos[s[x]] for x in at] for s in child_gens]
         yield canonical, non_edge_representatives(canonical, gens)
 
@@ -187,9 +193,11 @@ def _top_invariant_edges(
     e: Edge, others, deg: list[int], adjb: list[int]
 ) -> list[Edge] | None:
     """The edges among `e` and `others` with the largest (degree sum,
-    smaller degree, common neighbours) of their ends, or None if `e` is not
-    one of them.  `deg` and `adjb` are the degrees and adjacency bitmasks of
-    the graph that has all these edges."""
+    smaller degree, common neighbours, neighbour degrees) of their ends, or
+    None if `e` is not one of them; `e` comes first.  Each part of the key
+    is read only for the edges tied on the parts before it.  `deg` and
+    `adjb` are the degrees and adjacency bitmasks of the graph that has all
+    these edges."""
     keys = _degree_keys(len(deg))
     u, v = e
     top_key = keys[deg[u]][deg[v]]
@@ -208,7 +216,28 @@ def _top_invariant_edges(
             return None
         if common == top_common:
             top.append((a, b))
-    return top
+    if len(top) == 1:
+        return top
+    top_around = _neighbour_degrees(u, v, deg, adjb)
+    kept = [e]
+    for a, b in top[1:]:
+        around = _neighbour_degrees(a, b, deg, adjb)
+        if around > top_around:
+            return None
+        if around == top_around:
+            kept.append((a, b))
+    return kept
+
+
+def _neighbour_degrees(a: int, b: int, deg: list[int], adjb: list[int]) -> int:
+    """The degrees of the neighbours of a and of b, summed."""
+    total = 0
+    for bits in (adjb[a], adjb[b]):
+        while bits:
+            low = bits & -bits
+            total += deg[low.bit_length() - 1]
+            bits ^= low
+    return total
 
 
 def enumerate_graphs(n: int, edge_cap: int | None = None):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -13,14 +14,17 @@ from conftest import (
     brute_force_isomorphic,
     small_graphs,
 )
-from rslab import canon
+from rslab import canon, oracle
 from rslab.canon import (
+    _pair_table,
     automorphism_generators,
     automorphism_group,
     canonical_form,
     canonical_graph,
     is_isomorphic,
     non_edge_orbit_representatives,
+    non_edge_representatives,
+    pair_orbit_roots,
     pair_orbits,
     vertex_orbits,
 )
@@ -181,6 +185,36 @@ def test_labelling_digest_pins_positions_and_generators():
     assert digest.hexdigest() == (
         "bae504e5142cd2e14bd99b95fcbe53933de63a99bacb80697d45fbf1cc6b8739"
     )
+
+
+def _all_pair_non_edge_representatives(g, gens):
+    """`non_edge_representatives` before it walked orbits over the
+    non-edges alone, kept as a reference: orbits over all pairs, filtered
+    to the non-edges."""
+    pairs, _ = _pair_table(g.n)
+    eset = g.edge_set()
+    roots = pair_orbit_roots(g.n, gens)
+    return [p for i, p in enumerate(pairs) if roots[i] == i and p not in eset]
+
+
+def test_non_edge_representatives_match_all_pair_reference(monkeypatch):
+    # every class up to n = 6 with the generators the enumeration carries
+    # to it, with none, and with a random part of them
+    carried = []
+    real = oracle.non_edge_representatives
+    monkeypatch.setattr(oracle, "non_edge_representatives",
+                        lambda g, gens: carried.append((g, gens)) or real(g, gens))
+    for n in range(1, 7):
+        for _ in _augmented_levels(n):
+            pass
+    assert len(carried) == 208
+    assert sum(1 for _, gens in carried if len(gens) > 1) > 50
+    rng = random.Random(0)
+    for g, gens in carried:
+        some = [s for s in gens if rng.random() < 0.5]
+        for subset in (gens, [], some):
+            want = _all_pair_non_edge_representatives(g, subset)
+            assert non_edge_representatives(g, subset) == want, (to_graph6(g), subset)
 
 
 def _restarting_refine(adjb, cells):

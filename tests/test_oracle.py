@@ -3,10 +3,11 @@ import itertools
 import json
 import multiprocessing
 import os
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs_on
@@ -18,7 +19,7 @@ from rslab.canon import (
 )
 from rslab.engine import Status
 from rslab.errors import CacheMismatchError, InvalidParameterError
-from rslab.graphs import Graph, build_graph, from_graph6, to_graph6
+from rslab.graphs import Graph, build_graph, from_graph6, normalise_edge, to_graph6
 from rslab.oracle import (
     CensusRecord,
     _augmented_levels,
@@ -183,6 +184,48 @@ def test_carried_non_edges_are_the_census_non_edges(monkeypatch):
     assert len({to_graph6(g) for g, _ in visited}) > 300
     for g, non_edges in visited:
         assert non_edges == non_edge_orbit_representatives(g)
+
+
+@lru_cache(maxsize=None)
+def _classes_up_to_7():
+    return [g for n in range(2, 8) for level in enumerate_graphs_by_edges(n)
+            for g in level if len(g.edges) < n * (n - 1) // 2]
+
+
+def _top_edges_of_child(g, e):
+    """`_top_invariant_edges` for the child g + e, asked with g's edges."""
+    adjb = g.add_edge(*e).adjacency_bits()
+    return oracle._top_invariant_edges(e, g.edges, [a.bit_count() for a in adjb], adjb)
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_top_invariant_edges_commute_with_relabelling(data):
+    # The pre-filter refuses a child before labelling it, so its top set
+    # must be an isomorphism invariant: on any relabelling of the child it
+    # is the image of the top set, or None on both.
+    g = data.draw(st.sampled_from(_classes_up_to_7()))
+    e = data.draw(st.sampled_from(g.non_edges()))
+    perm = data.draw(st.permutations(range(g.n)))
+    top = _top_edges_of_child(g, e)
+    image = g.relabel(perm)
+    top_image = _top_edges_of_child(image, normalise_edge(perm[e[0]], perm[e[1]]))
+    if top is None:
+        assert top_image is None
+    else:
+        assert top_image is not None
+        assert sorted(top_image) == sorted(normalise_edge(perm[a], perm[b]) for a, b in top)
+
+
+def test_labellings_at_order_7_are_pinned(monkeypatch):
+    # The children labelled while the levels of order 7 are made, counted
+    # exactly: a change that refuses fewer children before labelling them,
+    # or labels one twice, fails here.
+    labelled = []
+    real = oracle._label
+    monkeypatch.setattr(oracle, "_label", lambda *args: labelled.append(1) or real(*args))
+    assert sum(len(level) for level in _augmented_levels(7)) == 1044
+    assert len(labelled) == 1069
 
 
 @st.composite
