@@ -37,9 +37,45 @@ colour set M the same vertices carry a rainbow copy with the colours of M,
 c' in place of c.  The walk therefore ORs the complement of M into a mask
 for position i, clears that mask whenever it advances to position i from
 i-1 (the earlier colours may have changed), and takes a colour in the mask
-as a hit without asking the matcher.  Only calls are saved: the walk meets
-the same nodes in the same order, so node counts, budget cut-offs and
-certificates are those of a walk that asks at every node.
+as a hit without asking the matcher.
+
+The walk backtracks by conflict-directed backjumping (Prosser,
+Computational Intelligence 9(3), 1993).  When position i runs out of
+colours, its conflict set S holds the positions j < i whose colour lies in
+seen[i], the OR of the colour sets of the copies found at i, and conf[i],
+the positions that the dead ends below the colours tried at i rested on.
+The walk undoes the positions between the highest position h of S and i
+without trying their other colours, returns to h, and adds S minus h to
+conf[h]; an empty S ends the walk.  conf[i] and seen[i] are cleared when
+the walk advances to i from i-1.  Positions enter S only by their colour,
+here or at a dead end below, and the positions below i keep their colours
+while the walk is at i or deeper, so S holds every position below i whose
+colour some position of S carries.  S is sound as a statement about the
+edge partition on S, not about colour values.  Take any colouring of the
+positions below i that gives the positions of S their present colours, and
+a colour y for i.  If a position of S carries y, then y was offered to i
+and is refused for the same reason as now: an earlier edge at e_i carries
+y, and S holds it, since S holds every position of its colour; or the same
+copy is rainbow, its other edges lying on S (their colours are in seen[i]);
+or, by induction, the subtree below y rests on conf[i].  If no position of
+S carries y, nor does the new colour c that i was offered, since c exceeds
+every colour below i; swapping the names y and c keeps the colours of S,
+and carries the refusal of c, by a copy on S or by a subtree resting on
+conf[i], over to y.  In particular the copy that refused the new colour
+holds only colours of positions in S, so it refuses every colour those
+positions do not carry, and edges that share an end with e_i need no entry
+of their own.  So no colouring that agrees with the present one on S
+extends past i, and the skipped subtrees hold no colouring at all.  Two
+cases rest on more than a conflict and backtrack chronologically instead.
+A dead end at a twin position was cut by the twin order, so its conflict
+set is every earlier position, and its ancestors step back one position at
+a time until they are entered again.  A position whose subtree has yielded
+since it was entered does the same; one integer, the lowest position
+entered since the last yield, marks those.  The walk therefore yields the
+same colourings in the same order, and ends the same way, as a
+chronological walk that asks the matcher at every node, and it meets a
+subset of that walk's nodes in the same order: within a budget it reaches
+at least as far, and its certificates are the same.
 
 The matcher compiles, once per pattern, one placement plan per orbit of
 directed pattern edges under the pattern's automorphism group (copies
@@ -483,7 +519,7 @@ class ColouringSearch:
     the tree was fully walked.  A colour that a copy found earlier at the
     same position, over the same earlier colours, already makes rainbow is
     pruned without a matcher call (see the module notes); it still counts
-    as a node.
+    as a node.  A dead end jumps back to the last position it rests on.
     """
 
     def __init__(self, graph: Graph, pattern: PatternSpec | None,
@@ -530,8 +566,14 @@ class ColouringSearch:
         ends = [(u, v, (1 << u) | (1 << v)) for u, v in order]
 
         # known_bad[i]: colours of position i already known to complete a
-        # rainbow copy with the colours now at positions < i
+        # rainbow copy with the colours now at positions < i; seen[i]: the
+        # colours of those copies; conf[i]: the positions that the dead ends
+        # below the colours tried at i so far rest on (see the module notes)
         known_bad = [0] * m
+        seen = [0] * m
+        conf = [0] * m
+        # positions below `poisoned` have yielded since they were entered
+        poisoned = 0
 
         i = 0
         while i >= 0:
@@ -549,7 +591,30 @@ class ColouringSearch:
                 c += 1
             if c > limit:
                 col[i] = 0
-                i -= 1
+                if i < poisoned:
+                    i -= 1
+                    continue
+                if twin[i]:
+                    cs = (1 << i) - 1
+                else:
+                    cs = conf[i]
+                    s = seen[i]
+                    if s:
+                        for j in range(i):
+                            if s >> col[j] & 1:
+                                cs |= 1 << j
+                h = cs.bit_length() - 1
+                for j in range(i - 1, h, -1):
+                    a, b, abmask = ends[j]
+                    usage[col[j]] ^= abmask
+                    cadj[a].pop()
+                    cadj[b].pop()
+                    ecol[a][b] = ecol[b][a] = 0
+                    assigned[j] = False
+                    col[j] = 0
+                if h >= 0:
+                    conf[h] |= cs ^ (1 << h)
+                i = h
                 continue
             if budget is not None and self.nodes_explored >= budget:
                 return
@@ -566,16 +631,20 @@ class ColouringSearch:
                 colours = matcher.exists_through(u, v, c, cadj, ecol, n)
                 if colours is not None:
                     known_bad[i] |= ~colours
+                    seen[i] |= colours
                     continue
             if i + 1 == m:
                 out = [0] * m
                 for j in range(m):
                     out[out_slot[j]] = col[j]
+                poisoned = m
                 yield tuple(out)
                 continue
             maxu[i + 1] = maxu[i] if c <= maxu[i] else c
             i += 1
-            known_bad[i] = 0
+            known_bad[i] = seen[i] = conf[i] = 0
+            if poisoned > i:
+                poisoned = i
             if twin[i]:
                 col[i] = c  # the next try is c + 1
         self.exhausted = True
@@ -770,8 +839,9 @@ def prsat_in_one_walk(
     sorts no twins: twins of g need not be twins of g + e.
 
     Hosts keep the per-step walks: on the caterpillar host (n = 28) this
-    walk is still Unknown after 10^6 nodes (260 s), while the three step
-    walks close in 7,870, 4,349 and 571,624 nodes.
+    walk is still Unknown after 10^6 nodes (52 s), while the three step
+    walks close in 4,508, 4,337 and 958 nodes (7,870, 4,349 and 571,624
+    before backjumping).
     """
     note = "degenerate regime" if g.n < realize_pattern(pattern).n else None
     non_edges = _non_edge_reps(g, non_edges)

@@ -38,10 +38,8 @@ from pathlib import Path
 from .canon import (
     _encoded_edges,
     _label,
-    _pair_table,
     labelling,
     non_edge_representatives,
-    pair_orbit_roots,
 )
 from .colouring import is_proper
 from .engine import (
@@ -149,7 +147,6 @@ def _canonical_children(parent: Graph, non_edges):
     from the encoding of its canonical graph.
     """
     n = parent.n
-    _, index = _pair_table(n)
     adjb = parent.adjacency_bits()
     deg = [a.bit_count() for a in adjb]
     keys = _degree_keys(n)
@@ -172,14 +169,32 @@ def _canonical_children(parent: Graph, non_edges):
         pos, child_gens, enc = _label(n, child_adjb, parent.edges + (e,))
         if len(top) > 1:
             m = max(top, key=lambda ab: normalise_edge(pos[ab[0]], pos[ab[1]]))
-            if m != e:
-                child_roots = pair_orbit_roots(n, child_gens)
-                if child_roots[index[u * n + v]] != child_roots[index[m[0] * n + m[1]]]:
-                    continue
+            if m != e and not _in_pair_orbit(n, child_gens, e, m):
+                continue
         at = sorted(range(n), key=pos.__getitem__)  # the vertex at each position
         canonical = Graph._trusted(n, _encoded_edges(n, enc))
         gens = [[pos[s[x]] for x in at] for s in child_gens]
         yield canonical, non_edge_representatives(canonical, gens)
+
+
+def _in_pair_orbit(n: int, gens, e: Edge, f: Edge) -> bool:
+    """Whether the pair f lies in the orbit of the pair e != f under the
+    group that the permutations `gens` of 0..n-1 generate.  The orbit is
+    walked breadth-first from e and the walk stops at f."""
+    goal = f[0] * n + f[1]
+    orbit = [e[0] * n + e[1]]
+    seen = set(orbit)
+    for p in orbit:
+        a, b = divmod(p, n)
+        for s in gens:
+            x, y = s[a], s[b]
+            q = x * n + y if x < y else y * n + x
+            if q == goal:
+                return True
+            if q not in seen:
+                seen.add(q)
+                orbit.append(q)
+    return False
 
 
 @lru_cache(maxsize=None)

@@ -889,12 +889,14 @@ def test_count_keeps_colourings_that_differ_by_a_twin_swap():
     assert sorted_twins == [(1, 2, 3, 2, 3), (1, 2, 3, 2, 4), (1, 2, 3, 3, 4), (1, 2, 3, 4, 5)]
 
 
-# -- remembered copies ---------------------------------------------------------
+# -- remembered copies and backjumps -------------------------------------------
 #
 # `ColouringSearch.run` skips the matcher for a colour that a copy found
-# earlier at the same position already makes rainbow.  The loop below is the
-# search as it was before, asking the matcher at every node; the two must
-# walk the same tree.
+# earlier at the same position already makes rainbow, and jumps back over
+# positions that a dead end does not rest on.  The loop below is the plain
+# chronological search, asking the matcher at every node.  The two must yield
+# the same colourings in the same order and end the same way; the real walk
+# visits a subset of the reference's nodes, in the same order.
 
 
 class _AskEveryNode(ColouringSearch):
@@ -968,14 +970,20 @@ class _AskEveryNode(ColouringSearch):
 
 
 def assert_walks_like_asking_every_node(g, spec, budget, twins):
+    # Within a budget the reference, which visits a superset of the nodes
+    # in the same order, may stop first: what it yields is a prefix of what
+    # the real walk yields, and an exhausted reference leaves nothing out.
     searches = [cls(g, spec, budget) for cls in (ColouringSearch, _AskEveryNode)]
     if twins:
         for s in searches:
             s.sort_twins()
     got, want = (list(s.run()) for s in searches)
-    assert got == want, (g, spec, budget, twins)
-    assert searches[0].nodes_explored == searches[1].nodes_explored
-    assert searches[0].exhausted == searches[1].exhausted
+    walk, reference = searches
+    assert got[:len(want)] == want, (g, spec, budget, twins)
+    assert walk.nodes_explored <= reference.nodes_explored
+    if budget is None or reference.exhausted:
+        assert got == want, (g, spec, budget, twins)
+        assert walk.exhausted and reference.exhausted
 
 
 def test_remembered_copies_keep_the_walk_on_all_classes_up_to_6():
@@ -995,3 +1003,24 @@ def test_remembered_copies_keep_the_walk_on_the_caterpillar_host():
     assert len(graphs) == 4
     for g in graphs:
         assert_walks_like_asking_every_node(g, spec, 20_000, True)
+
+
+@given(small_graphs(min_n=7, max_n=11),
+       st.sampled_from(["P4", "P5", "P6", "K1,3", "T5star", "S3,2"]), st.booleans())
+@settings(max_examples=150, deadline=None)
+@seed(7411)
+def test_backjumps_keep_the_walk_on_random_graphs(g, token, twins):
+    assert_walks_like_asking_every_node(g, parse_pattern(token), 5_000, twins)
+
+
+def test_backjumps_close_the_caterpillar_forcing_steps():
+    # Chronological backtracking left the step on non-edge (4, 8) Unknown
+    # after 200,000 nodes: its dead end at one pendant edge rests on none of
+    # the pendant edges before it, which it re-coloured again and again.
+    host = caterpillar_construction(28, 6, 4)
+    spec = parse_pattern("cat:ell=4;leaves=1,0,0,1")
+    step = forces_rainbow(host.add_edge(4, 8), spec, 2_000)
+    assert step.status is Status.ESTABLISHED
+    full = is_properly_rainbow_saturated(host, spec, 20_000)
+    assert full.status is Status.ESTABLISHED
+    assert full.nodes_explored <= 20_000
