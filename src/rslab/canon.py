@@ -203,14 +203,24 @@ def _label(n: int, adjb: list[int], edges) -> tuple[tuple[int, ...], tuple, int]
     return best[1], tuple(gens), best[0]
 
 
-def _encoded_edges(n: int, enc: int) -> tuple[Edge, ...]:
-    """The edges (a, b) of an encoding from :func:`_label`, in sorted order."""
+def _encoded_graph(n: int, enc: int) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
+    """The edges (a, b) of an encoding from :func:`_label`, in sorted order
+    and shared with :func:`_pair_table`, and the adjacency bitmasks of the
+    graph they make."""
+    mask = (1 << n) - 1
+    pairs, index = _pair_table(n)
     edges = []
-    while enc:
-        low = enc & -enc
-        edges.append(divmod(low.bit_length() - 1, n))
-        enc ^= low
-    return tuple(edges)
+    adjb = [0] * n
+    for a in range(n - 1):
+        row = enc >> a * n & mask  # the neighbours b > a of a
+        adjb[a] |= row
+        while row:
+            low = row & -row
+            b = low.bit_length() - 1
+            edges.append(pairs[index[a * n + b]])
+            adjb[b] |= 1 << a
+            row ^= low
+    return tuple(edges), tuple(adjb)
 
 
 def _twin_transpositions(adjb: list[int]) -> list[tuple[int, ...]]:

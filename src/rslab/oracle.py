@@ -4,14 +4,39 @@ Graphs of a given order are enumerated one representative per isomorphism
 class by canonical augmentation: each class is grown from exactly one parent
 class by adding one edge, so no child is compared with another, and each
 class comes with one representative per non-edge orbit of its automorphism
-group, taken from the generators its labelling found.  A census walks the
-classes in ascending edge count and reports the least edge count at which
-the requested property holds, together with every minimum witness.  It
-stops on the level of that value (or of the edge cap) and makes no later
-level.  The levels a census makes go into one level memo, shared by every
-census of the same order in the process and bounded by
-`LEVEL_MEMO_CLASSES` classes; levels past the bound stream, two at a time,
-as :func:`enumerate_graphs_by_edges` always does.
+group, taken from the generators its labelling found.  Only the classes with
+no isolated vertex are grown so: a graph of order n with an isolated vertex
+is a graph of order n-1 plus one, so the other classes of each level are
+those of the same level of order n-1, padded, which labels nothing.  A
+census walks the classes in ascending edge count and reports the least edge
+count at which the requested property holds, together with every minimum
+witness.  It stops on the level of that value (or of the edge cap) and
+makes no later level, at its order or below.  The levels a census makes, at
+its order and at the orders below that they are padded from, go into one
+level memo, shared by every census in the process whatever its order and
+bounded by `LEVEL_MEMO_CLASSES` classes over all orders; levels past the
+bound stream, two at a time, as :func:`enumerate_graphs_by_edges` always
+does.
+
+Padding is exact.  A padded class of g takes a new vertex 0 and moves every
+vertex v of g to v+1.  In a canonical graph the k isolated vertices sit at
+positions 0..k-1: the degree-0 cell comes first in the degree partition, no
+cell splits it or is split by it, and its vertices are twins.  So the
+labelling search of g plus an isolated vertex has the leaves of g's search
+with one more vertex in that cell, and since pair (a, b) precedes (c, d) in
+the encoding order exactly when (a+1, b+1) precedes (c+1, d+1), the least
+encoding is that of g's canonical graph padded: padding a canonical graph
+gives a canonical graph.  Its non-edge orbit representatives follow from
+g's, first pairs of orbits in lexicographic order as they are:
+
+- k = 0: (0, r+1) for each vertex-orbit root r of g, then every (u, v) of
+  g as (u+1, v+1), so a class with no isolated vertex carries its
+  vertex-orbit roots;
+- k = 1: (0, 1), the pair of the two isolated vertices, comes first;
+- k >= 2: g's (0, 1) stays (0, 1);
+- for k >= 1, each other (0, v) of g becomes (0, v+1), since the new vertex
+  and g's isolated vertices are twins, and every other (u, v) becomes
+  (u+1, v+1).
 
 The three quantities share one per-class verdict (:func:`_class_verdict`),
 which checks the carried non-edge orbit representatives rather than those of
@@ -36,10 +61,11 @@ from itertools import islice
 from pathlib import Path
 
 from .canon import (
-    _encoded_edges,
+    _encoded_graph,
     _label,
-    labelling,
+    _pair_table,
     non_edge_representatives,
+    orbit_roots,
 )
 from .colouring import is_proper
 from .engine import (
@@ -61,10 +87,11 @@ CACHE_ENV_VAR = "RSLAB_CACHE"
 # spend a node budget (the records of the others store budget null).
 QUANTITIES = {"sat": (9, False), "ssat": (9, False), "prsat": (8, True)}
 
-# The levels of each order that censuses in this process have made, as lists
-# of (canonical graph, non-edge orbit representatives), shared by every
-# census of that order; at most LEVEL_MEMO_CLASSES classes in all
-# (19-22 MiB, 2.4-2.8 KiB a class at orders 8 and 9, as tracemalloc counts it).
+# The levels of each order that censuses in this process have made, at
+# their orders and below, as lists of classes (see `_class_levels`), shared
+# by every census; at most LEVEL_MEMO_CLASSES classes over all orders
+# (9.4-10.4 MiB, 1.2-1.3 KiB a class, when the levels of order 9 or 8 fill
+# it, as tracemalloc counts it).
 LEVEL_MEMO_CLASSES = 8192
 _LEVEL_MEMO: dict[int, list] = {}
 
@@ -79,44 +106,99 @@ def enumerate_graphs_by_edges(n: int):
     canonical graph, sorted by graph6.  Level m+1 is generated from level m
     by canonical augmentation (McKay, 1998): every child accepts or rejects
     itself, with no comparison against other children (see
-    :func:`_canonical_children`).  Levels stream: none is kept.
+    :func:`_canonical_children`); the classes with an isolated vertex are
+    those of order n-1 padded (see :func:`_class_levels`).  Levels stream:
+    none is kept.
     """
-    for level in _augmented_levels(n):
-        yield [g for g, _ in level]
+    for level in _class_levels(n, None):
+        yield [g for g, _, _, _ in level]
 
 
-def _augmented_levels(n: int, memo: list | None = None):
+def _augmented_levels(n: int, memo: dict[int, list] | None = None):
     """The levels of :func:`enumerate_graphs_by_edges`, each graph paired
-    with its non-edge orbit representatives.
+    with its non-edge orbit representatives; with `memo`, the level memo,
+    as :func:`_class_levels` serves them."""
+    for level in _class_levels(n, memo):
+        yield [(g, reps) for g, reps, _, _ in level]
 
-    With `memo`, the list of the levels of order n that the level memo
-    holds, those levels are served from it, and a level made is appended to
-    it while the memo has room for it; a level that does not fit, and every
-    later one, streams.  A level is made only when it is asked for.
+
+def _class_levels(n: int, memo: dict[int, list] | None):
+    """The levels of order n, each class as (canonical graph, non-edge
+    orbit representatives, adjacency bitmasks, vertex-orbit roots).
+
+    Level m holds the classes of level m of order n-1, padded
+    (:func:`_padded`), and the children of level m-1 of order n that have
+    no isolated vertex (:func:`_canonical_children`), sorted by graph6.
+    The roots are carried only by a class with no isolated vertex, the one
+    kind whose padding needs them; a padded class has None.
+
+    With `memo`, the levels of every order that it holds are served from
+    it, and a level made is appended to it while the memo has room for it
+    over all orders; a level that does not fit, and every later level of
+    its order, streams.  A level is made only when it is asked for, and
+    level m of order n-1 is asked for only when level m of order n is made.
     """
     if n < 1:
         raise InvalidParameterError("enumeration needs n >= 1")
-    held = [] if memo is None else memo
-    level = None
+    held = [] if memo is None else memo.setdefault(n, [])
+    below = _class_levels(n - 1, memo) if n > 1 else iter(_ORDER_0)
+    asked = 0  # levels taken from `below`
+    level: list = []
     for m in range(n * (n - 1) // 2 + 1):
         if m < len(held):
             level = held[m]
         else:
-            if m == 0:
-                empty = Graph(n, ())
-                level = [(empty, non_edge_representatives(empty, labelling(empty)[1]))]
-            else:
-                level = [child for parent in level for child in _canonical_children(*parent)]
-                level.sort(key=lambda child: _graph6_key(child[0]))
-            fits = _memo_classes() + len(level) <= LEVEL_MEMO_CLASSES
-            if memo is not None and len(memo) == m and fits:
-                memo.append(level)
+            lower = next(islice(below, m - asked, None), [])
+            asked = m + 1
+            children = [child for g, reps, adjb, _ in level
+                        for child in _canonical_children(g, reps, adjb)]
+            level = [_padded(*c) for c in lower] + children
+            level.sort(key=lambda c: _graph6_key(c[0]))
+            fits = memo is not None and _memo_classes(memo) + len(level) <= LEVEL_MEMO_CLASSES
+            if fits and len(held) == m:
+                held.append(level)
         yield level
 
 
-def _memo_classes() -> int:
+# Order 0's one level, whose padding is order 1's level 0.
+_ORDER_0 = ([(Graph(0, ()), [], (), ())],)
+
+
+def _memo_classes(memo: dict[int, list]) -> int:
     """Classes the level memo holds, over all orders."""
-    return sum(len(level) for levels in _LEVEL_MEMO.values() for level in levels)
+    return sum(len(level) for levels in memo.values() for level in levels)
+
+
+def _isolated(g: Graph) -> int:
+    """The number k of isolated vertices of a canonical graph g.  They are
+    its vertices 0..k-1 (see the module docstring), so k is the first end of
+    its first edge."""
+    return g.edges[0][0] if g.edges else g.n
+
+
+def _padded(g: Graph, reps, adjb, roots):
+    """The class of g plus an isolated vertex, as :func:`_class_levels`
+    carries it: the new vertex is 0 and every vertex v of g moves to v+1.
+    This graph is canonical, and its non-edge orbit representatives follow
+    from g's (see the module docstring)."""
+    n = g.n
+    k = _isolated(g)
+    # The pairs are those of `_pair_table`, as a labelled class's are, so
+    # padding allocates no pair for the memo to hold and the garbage
+    # collector to scan: (u, v) sits at index[u * m + v], so g's (u, v)
+    # moves to the pair at index[u * m + v + m + 1].
+    m = n + 1
+    pairs, index = _pair_table(m)
+    if k == 0:
+        new_reps = [pairs[index[r + 1]] for r in roots]
+        new_reps += [pairs[index[u * m + v + m + 1]] for u, v in reps]
+    else:
+        # g's isolated pair (0, 1) stays (0, 1); with k = 1 it is new
+        new_reps = [pairs[0]]
+        new_reps += [pairs[index[v + 1] if u == 0 else index[u * m + v + m + 1]]
+                     for u, v in (reps[1:] if k > 1 else reps)]
+    edges = tuple([pairs[index[u * m + v + m + 1]] for u, v in g.edges])
+    return Graph._trusted(m, edges), new_reps, (0, *[a << 1 for a in adjb]), None
 
 
 def _graph6_key(g: Graph) -> int:
@@ -126,12 +208,17 @@ def _graph6_key(g: Graph) -> int:
     return sum(1 << (top - v * (v - 1) // 2 - u) for u, v in g.edges)
 
 
-def _canonical_children(parent: Graph, non_edges):
-    """The children P + e of a canonical graph P, one per isomorphism class
-    whose canonical parent is P, as (canonical graph, non-edge orbit
-    representatives).
+def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...]):
+    """The children P + e of a canonical graph P that have no isolated
+    vertex, one per isomorphism class whose canonical parent is P, as
+    :func:`_class_levels` carries a class.
 
-    `non_edges` holds one non-edge e per orbit of Aut(P); each is tried.
+    `non_edges` holds one non-edge e per orbit of Aut(P), and `adjb` the
+    adjacency bitmasks of P.  Only the e that leave no vertex isolated are
+    tried: none when P has three or more isolated vertices, (0, 1) when it
+    has two, those at vertex 0 when it has one, and every e when it has
+    none.  Automorphisms of P map such an e to another, so the first pair
+    of its orbit is one of them.
     The child C = P + e is kept only if e lies in the Aut(C)-orbit of C's
     canonical deletion edge m(C): among the edges with the largest (degree
     sum, smaller degree, common neighbours, neighbour degrees) of their ends
@@ -144,10 +231,14 @@ def _canonical_children(parent: Graph, non_edges):
     exactly once, from the representative of C - m(C).  A child whose e
     does not have the largest invariant is refused before it is labelled,
     and one whose e alone has it is m(C).  A labelled child is built once,
-    from the encoding of its canonical graph.
+    with its bitmasks, from the encoding of its canonical graph.
     """
     n = parent.n
-    adjb = parent.adjacency_bits()
+    k = _isolated(parent)
+    if k > 2:
+        return
+    if k:
+        non_edges = non_edges[:1] if k == 2 else [e for e in non_edges if e[0] == 0]
     deg = [a.bit_count() for a in adjb]
     keys = _degree_keys(n)
     # Degrees only grow from P to C, so an edge of P whose key in P beats
@@ -172,9 +263,12 @@ def _canonical_children(parent: Graph, non_edges):
             if m != e and not _in_pair_orbit(n, child_gens, e, m):
                 continue
         at = sorted(range(n), key=pos.__getitem__)  # the vertex at each position
-        canonical = Graph._trusted(n, _encoded_edges(n, enc))
+        edges, canonical_adjb = _encoded_graph(n, enc)
+        canonical = Graph._trusted(n, edges)
         gens = [[pos[s[x]] for x in at] for s in child_gens]
-        yield canonical, non_edge_representatives(canonical, gens)
+        roots = orbit_roots(n, gens) if gens else range(n)
+        yield (canonical, non_edge_representatives(canonical, gens), canonical_adjb,
+               tuple([v for v in range(n) if roots[v] == v]))
 
 
 def _in_pair_orbit(n: int, gens, e: Edge, f: Edge) -> bool:
@@ -386,7 +480,7 @@ def _census(
     # Levels 0..value, or 0..edge_cap if no class qualifies: the loop stops
     # on the last level it examines, so no later level is made.  A class
     # left Unknown is retried at once with the bigger budget.
-    for m, level in enumerate(_augmented_levels(n, _LEVEL_MEMO.setdefault(n, []))):
+    for m, level in enumerate(_augmented_levels(n, _LEVEL_MEMO)):
         for g, non_edges in level:
             status, nodes = _class_verdict(g, non_edges, spec, quantity, budget)
             examined += 1

@@ -16,6 +16,7 @@ from rslab.canon import (
     canonical_form,
     canonical_graph,
     non_edge_orbit_representatives,
+    vertex_orbits,
 )
 from rslab.engine import Status
 from rslab.errors import CacheMismatchError, InvalidParameterError
@@ -68,10 +69,10 @@ def _spy_levels_made(monkeypatch) -> list[int]:
     made = []
     real = oracle._canonical_children
 
-    def spy(parent, non_edges):
+    def spy(parent, *rest):
         if not made or made[-1] != len(parent.edges) + 1:
             made.append(len(parent.edges) + 1)
-        return real(parent, non_edges)
+        return real(parent, *rest)
 
     monkeypatch.setattr(oracle, "_canonical_children", spy)
     return made
@@ -166,6 +167,62 @@ def test_carried_non_edges_are_the_orbit_representatives():
         for level in _augmented_levels(n):
             for g, non_edges in level:
                 assert non_edges == non_edge_orbit_representatives(g), to_graph6(g)
+
+
+def test_classes_carry_their_bitmasks_and_vertex_orbit_roots():
+    for n in range(1, 8):
+        for level in oracle._class_levels(n, None):
+            for g, _, adjb, roots in level:
+                assert list(adjb) == g.adjacency_bits(), to_graph6(g)
+                if roots is not None:
+                    assert list(roots) == sorted(min(o) for o in vertex_orbits(g)), to_graph6(g)
+                else:  # a padded class
+                    assert not adjb[0]
+
+
+def test_padding_a_class_gives_a_canonical_class():
+    # every class up to n = 7 plus an isolated vertex: canonical as it
+    # stands, with the representatives and bitmasks labelling finds
+    padded = 0
+    for n in range(1, 8):
+        for level in oracle._class_levels(n, None):
+            for cls in level:
+                g, reps, adjb, roots = oracle._padded(*cls)
+                assert canonical_graph(g) == g, to_graph6(cls[0])
+                assert reps == non_edge_orbit_representatives(g), to_graph6(cls[0])
+                assert list(adjb) == g.adjacency_bits() and roots is None
+                padded += 1
+    assert padded == 1252
+
+
+def _level_dump(n, memo):
+    return [[(to_graph6(g), reps) for g, reps in level] for level in _augmented_levels(n, memo)]
+
+
+def _levels_three_ways():
+    """The levels of orders 1-7 streamed with no memo, made from an empty
+    memo, and made with the lower orders already in the memo."""
+    streamed = [_level_dump(n, None) for n in range(1, 8)]
+    fresh = [_level_dump(n, {}) for n in range(1, 8)]
+    memo = {}
+    shared = [_level_dump(n, memo) for n in range(1, 8)]
+    return streamed, fresh, shared, memo
+
+
+def test_levels_are_the_same_streamed_and_from_the_memo():
+    streamed, fresh, shared, memo = _levels_three_ways()
+    assert fresh == streamed and shared == streamed
+    assert oracle._memo_classes(memo) == 1252
+
+
+def test_levels_are_the_same_when_a_lower_order_streams_partway(monkeypatch):
+    monkeypatch.setattr(oracle, "LEVEL_MEMO_CLASSES", 100)
+    streamed, fresh, shared, memo = _levels_three_ways()
+    assert fresh == streamed and shared == streamed
+    # order 6 was held up to some level and streamed from there on, and
+    # order 7 found room for its first levels only
+    assert 0 < len(memo[6]) < len(streamed[5])
+    assert 0 < len(memo[7]) < len(streamed[6])
 
 
 def test_carried_non_edges_are_the_census_non_edges(monkeypatch):
@@ -393,18 +450,24 @@ def test_unresolved_classes_poison_the_record():
     assert rec.unresolved
 
 
-def _spy_levels_asked(monkeypatch) -> list[int]:
-    """Record the edge count of every level a census takes from its source."""
+def _spy_levels_asked(monkeypatch) -> list[tuple[int, int]]:
+    """Record the order and edge count of every level taken from
+    `_class_levels`: those a census examines, and those of the orders below
+    that its levels are made from."""
     asked = []
-    real = oracle._augmented_levels
+    real = oracle._class_levels
 
-    def spy(n, memo=None):
-        for level in real(n, memo):
-            asked.append(len(level[0][0].edges))
+    def spy(n, memo):
+        for m, level in enumerate(real(n, memo)):
+            asked.append((n, m))
             yield level
 
-    monkeypatch.setattr(oracle, "_augmented_levels", spy)
+    monkeypatch.setattr(oracle, "_class_levels", spy)
     return asked
+
+
+def _levels_of_order(asked, n) -> list[int]:
+    return [m for order, m in asked if order == n]
 
 
 def test_census_asks_for_no_level_past_the_last_it_examines(monkeypatch):
@@ -412,15 +475,23 @@ def test_census_asks_for_no_level_past_the_last_it_examines(monkeypatch):
     asked = _spy_levels_asked(monkeypatch)
     made = _spy_levels_made(monkeypatch)
     assert prsat_number(7, P4, budget=10**6).value == 5
-    assert asked == [0, 1, 2, 3, 4, 5] and made == [1, 2, 3, 4, 5]
+    assert _levels_of_order(asked, 7) == [0, 1, 2, 3, 4, 5] and made == [1, 2, 3, 4, 5]
+    # order n-1 gives the padded part of each level of order n, up to level 5
+    for n in range(1, 7):
+        assert _levels_of_order(asked, n) == list(range(min(5, n * (n - 1) // 2) + 1))
     asked.clear()
     made.clear()
     assert sat_number(7, P4).value == 5  # every level from the memo
-    assert asked == [0, 1, 2, 3, 4, 5] and made == []
+    assert asked == [(7, m) for m in range(6)] and made == []
     asked.clear()
     rec = prsat_number(6, P5, budget=10**6, edge_cap=4)
     assert rec.value is None and rec.total_graphs_examined == 1 + 1 + 2 + 5 + 9
-    assert asked == [0, 1, 2, 3, 4] and made == [1, 2, 3, 4]
+    # made beneath order 7 already
+    assert asked == [(6, m) for m in range(5)] and made == []
+    monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
+    asked.clear()
+    assert prsat_number(6, P5, budget=10**6, edge_cap=4) == rec
+    assert max(m for _, m in asked) == 4 and made == [1, 2, 3, 4]
 
 
 def test_an_unknown_class_is_retried_before_the_next_level(monkeypatch):
@@ -429,7 +500,8 @@ def test_an_unknown_class_is_retried_before_the_next_level(monkeypatch):
     want = prsat_number(6, P4, budget=10**6)
     asked = _spy_levels_asked(monkeypatch)
     rec = prsat_number(6, P4, budget=1)
-    assert asked == [0, 1, 2, 3, 4, 5]
+    assert _levels_of_order(asked, 6) == [0, 1, 2, 3, 4, 5]
+    assert max(m for _, m in asked) == 5
     assert (rec.value, rec.witnesses, rec.exact) == (want.value, want.witnesses, want.exact)
 
 
@@ -514,36 +586,49 @@ def test_census_after_census_matches_an_empty_memo(monkeypatch):
 def test_level_memo_keeps_to_its_bound(monkeypatch):
     want = _records_from_an_empty_memo(monkeypatch)
     monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
-    monkeypatch.setattr(oracle, "LEVEL_MEMO_CLASSES", 40)
+    monkeypatch.setattr(oracle, "LEVEL_MEMO_CLASSES", 80)
     held = []
     real = oracle._canonical_children
 
-    def spy(parent, non_edges):
-        held.append(oracle._memo_classes())
-        return real(parent, non_edges)
+    def spy(parent, *rest):
+        held.append(oracle._memo_classes(oracle._LEVEL_MEMO))
+        return real(parent, *rest)
 
     monkeypatch.setattr(oracle, "_canonical_children", spy)
     assert [_memo_census(point) for point in MEMO_POINTS] == want
-    held.append(oracle._memo_classes())
-    assert 0 < max(held) <= 40
-    # order 7 outgrew what order 6 left room for: its later levels streamed
-    assert 0 < len(oracle._LEVEL_MEMO[7]) < 9
+    held.append(oracle._memo_classes(oracle._LEVEL_MEMO))
+    assert 0 < max(held) <= 80
+    # the bound covers every order: the census at order 6 left levels of
+    # orders 1-5 in the memo, and the censuses at order 7, which reach
+    # level 8, found room for no more than a few levels of orders 6 and 7
+    memo = oracle._LEVEL_MEMO
+    assert sum(len(level) for n in range(1, 6) for level in memo[n]) > 0
+    assert 0 < len(memo[6]) < 9 and 0 < len(memo[7]) < 9
 
 
 def test_censuses_find_the_non_edges_of_each_class_once(monkeypatch):
+    # each class in the memo had its non-edges found once: by a labelling,
+    # or by padding a class of the order below
     monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
     found = []
     real = oracle.non_edge_representatives
+    real_padded = oracle._padded
 
     def spy(g, gens):
         found.append(to_graph6(g))
         return real(g, gens)
 
+    def padded_spy(*cls):
+        padded = real_padded(*cls)
+        found.append(to_graph6(padded[0]))
+        return padded
+
     monkeypatch.setattr(oracle, "non_edge_representatives", spy)
+    monkeypatch.setattr(oracle, "_padded", padded_spy)
     for point in MEMO_POINTS:
         _memo_census(point)
     made = [to_graph6(g) for levels in oracle._LEVEL_MEMO.values()
-            for level in levels for g, _ in level]
+            for level in levels for g, *_ in level]
     assert len(made) > 100
     assert sorted(found) == sorted(made)
 
