@@ -114,14 +114,6 @@ def enumerate_graphs_by_edges(n: int):
         yield [g for g, _, _, _ in level]
 
 
-def _augmented_levels(n: int, memo: dict[int, list] | None = None):
-    """The levels of :func:`enumerate_graphs_by_edges`, each graph paired
-    with its non-edge orbit representatives; with `memo`, the level memo,
-    as :func:`_class_levels` serves them."""
-    for level in _class_levels(n, memo):
-        yield [(g, reps) for g, reps, _, _ in level]
-
-
 def _class_levels(n: int, memo: dict[int, list] | None):
     """The levels of order n, each class as (canonical graph, non-edge
     orbit representatives, adjacency bitmasks, vertex-orbit roots).
@@ -480,8 +472,8 @@ def _census(
     # Levels 0..value, or 0..edge_cap if no class qualifies: the loop stops
     # on the last level it examines, so no later level is made.  A class
     # left Unknown is retried at once with the bigger budget.
-    for m, level in enumerate(_augmented_levels(n, _LEVEL_MEMO)):
-        for g, non_edges in level:
+    for m, level in enumerate(_class_levels(n, _LEVEL_MEMO)):
+        for g, non_edges, *_ in level:
             status, nodes = _class_verdict(g, non_edges, spec, quantity, budget)
             examined += 1
             nodes_total += nodes

@@ -5,7 +5,7 @@ import operator
 import pytest
 from hypothesis import strategies as st
 
-from rslab import canon
+from rslab import canon, oracle
 from rslab.graphs import Graph, build_graph
 from rslab.reproduce import ReproConfig, run_suite
 
@@ -28,6 +28,13 @@ def all_graphs_on(n):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def _augmented_levels(n, memo=None):
+    """The levels of order n as `oracle._class_levels` makes them, each
+    class as (canonical graph, non-edge orbit representatives)."""
+    for level in oracle._class_levels(n, memo):
+        yield [(g, reps) for g, reps, *_ in level]
 
 
 def permutations_of(n):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from conftest import (
+    _augmented_levels,
     all_graphs_on,
     brute_force_automorphisms,
     brute_force_isomorphic,
@@ -36,7 +37,6 @@ from rslab.constructions import (
 )
 from rslab.errors import RslabError
 from rslab.graphs import build_graph, to_graph6
-from rslab.oracle import _augmented_levels
 from rslab.patterns import PatternSpec, realize_pattern
 
 
@@ -198,20 +198,27 @@ def _all_pair_non_edge_representatives(g, gens):
 
 
 def test_non_edge_representatives_match_all_pair_reference(monkeypatch):
-    # every class up to n = 6 with no isolated vertex, each labelled once
-    # on the way to the levels of order 6, with the generators the
-    # enumeration carries to it, with none, and with a random part of them
-    # (the classes with an isolated vertex are padded, not labelled)
+    # every class up to n = 6, with the generators the enumeration carries
+    # to it, with none, and with a random part of them; a class with an
+    # isolated vertex is padded, not labelled, so it carries none, and its
+    # generators come from `automorphism_generators`
     carried = []
     real = oracle.non_edge_representatives
     monkeypatch.setattr(oracle, "non_edge_representatives",
                         lambda g, gens: carried.append((g, gens)) or real(g, gens))
-    for _ in _augmented_levels(6):
-        pass
+    # order 6 first, so that orders 1-5 are then served from the memo
+    memo = {}
+    classes = [g for n in range(6, 0, -1) for level in _augmented_levels(n, memo)
+               for g, _ in level]
+    assert len(classes) == 208  # OEIS A000088, n = 1..6
     assert len(carried) == 1 + 2 + 7 + 23 + 122  # OEIS A002494, n = 2..6
-    assert sum(1 for _, gens in carried if len(gens) > 1) > 50
+    gens_of = dict(carried)
+    gens_of.update((g, automorphism_generators(g)) for g in classes if g not in gens_of)
+    assert len(gens_of) == 208
+    assert sum(1 for gens in gens_of.values() if len(gens) > 1) > 100
     rng = random.Random(0)
-    for g, gens in carried:
+    for g in classes:
+        gens = gens_of[g]
         some = [s for s in gens if rng.random() < 0.5]
         for subset in (gens, [], some):
             want = _all_pair_non_edge_representatives(g, subset)

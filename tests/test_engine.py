@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs_on, small_graphs
+from conftest import _augmented_levels, all_graphs_on, small_graphs
 from rslab import canon
 from rslab.canon import non_edge_orbit_representatives
 from rslab.colouring import EdgeColouring, is_proper
@@ -27,7 +27,7 @@ from rslab.engine import (
     search_rainbow_free_colouring,
 )
 from rslab.graphs import Graph, build_graph, disjoint_union, normalise_edge
-from rslab.oracle import _augmented_levels, _class_verdict, enumerate_graphs
+from rslab.oracle import _class_verdict, enumerate_graphs
 from rslab.patterns import PatternSpec, parse_pattern, realize_pattern
 
 P4 = PatternSpec.path(4)

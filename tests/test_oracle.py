@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs_on
+from conftest import _augmented_levels, all_graphs_on
 from rslab import canon, oracle
 from rslab.canon import (
     canonical_form,
@@ -23,7 +23,6 @@ from rslab.errors import CacheMismatchError, InvalidParameterError
 from rslab.graphs import Graph, build_graph, from_graph6, normalise_edge, to_graph6
 from rslab.oracle import (
     CensusRecord,
-    _augmented_levels,
     census,
     enumerate_graphs,
     enumerate_graphs_by_edges,
@@ -513,7 +512,7 @@ def _two_pass_census(n, spec, budget):
     value = None
     witnesses, unknown, still = [], [], []
     examined = 0
-    for m, level in enumerate(oracle._augmented_levels(n)):
+    for m, level in enumerate(_augmented_levels(n)):
         for g, non_edges in level:
             status, _ = oracle._class_verdict(g, non_edges, spec, "prsat", budget)
             examined += 1
