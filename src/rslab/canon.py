@@ -35,6 +35,9 @@ over, which makes the same splits in the same order.  Its cells are
 bitmasks, each the sorted cell a list would hold, and the root starts from
 the degree partition, the first split of the unit partition (see there).
 
+The search drops its reference to itself when it ends, so a labelling
+leaves no reference cycle and reference counting frees all it allocates.
+
 This is exact, not heuristic: two graphs get the same label iff they are
 isomorphic.  Speed is adequate for the n <= 10 graphs this package works
 with, and for the caterpillar hosts of about 30 vertices.
@@ -200,6 +203,7 @@ def _label(n: int, adjb: list[int], edges) -> tuple[tuple[int, ...], tuple, int]
             tried.append(v)
 
     dfs(_refine(adjb, _degree_partition(adjb)), ())
+    dfs = None  # dfs calls itself: unbinding it frees it with no cycle left
     return best[1], tuple(gens), best[0]
 
 
@@ -322,14 +326,14 @@ def pair_orbits(g: Graph) -> list[tuple[Edge, ...]]:
     return [tuple(o) for o in by_root.values()]
 
 
-def non_edge_representatives(g: Graph, gens) -> list[Edge]:
-    """The first non-edge of each orbit under the group that the
-    automorphisms `gens` of g generate, in lexicographic order.  The orbits
-    are walked over the non-edges alone, which automorphisms permute."""
-    n = g.n
+def non_edge_representatives(adjb, gens) -> list[Edge]:
+    """The first non-edge of each orbit under the group that the automorphisms
+    `gens` of the graph with adjacency bitmasks `adjb` generate, in
+    lexicographic order, shared with :func:`_pair_table`.  The orbits are
+    walked over the non-edges alone, which automorphisms permute."""
+    n = len(adjb)
     pairs, index = _pair_table(n)
-    eset = g.edge_set()
-    non_edges = [p for p in pairs if p not in eset]
+    non_edges = [p for p in pairs if not adjb[p[0]] >> p[1] & 1]
     if not gens:
         return non_edges
     at = [0] * len(pairs)  # the position of each non-edge among them
@@ -342,7 +346,7 @@ def non_edge_representatives(g: Graph, gens) -> list[Edge]:
 
 def non_edge_orbit_representatives(g: Graph) -> list[Edge]:
     """The first non-edge of each non-edge orbit, in lexicographic order."""
-    return non_edge_representatives(g, automorphism_generators(g))
+    return non_edge_representatives(g.adjacency_bits(), automorphism_generators(g))
 
 
 def automorphism_group(g: Graph, limit: int = 100_000) -> list[tuple[int, ...]]:

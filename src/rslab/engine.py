@@ -431,6 +431,7 @@ def _compile_plans(plans, deg, colour_set: bool = False):
             emit(main, steps, 2 if guards else 1, dict(zip(seed, ("u", "v"))), "u0", "m0", 0)
         else:
             emit(main, steps, 1, {}, "0", "0", 0)
+    emit = None  # emit calls itself: unbinding it frees it with no cycle left
     main.append("    return None")
     source = "\n".join(line for block in (*helpers, main) for line in block)
     scope: dict = {}

@@ -8,6 +8,7 @@ indexing, so serialized certificates are byte-stable.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,8 +35,9 @@ class Graph:
     a self-loop, an unnormalised or out-of-range pair, a duplicate or an
     unsorted tuple.  The graphs that :meth:`add_edge` and :meth:`relabel`
     derive from a valid graph are made by :meth:`_trusted`, which skips
-    those checks.  The adjacency lists and the edge set are built on first
-    use.
+    those checks.  The adjacency lists are built on first use, and the edge
+    set is built and kept by :meth:`has_edge`, :meth:`edge_set` and
+    :meth:`non_edges` alone.
     """
 
     n: int
@@ -131,9 +133,10 @@ class Graph:
             raise SelfLoopError(f"self-loop at vertex {u}")
         if e[0] < 0 or e[1] >= self.n:
             raise IndexOutOfRangeError(f"edge ({u},{v}) outside 0..{self.n - 1}")
-        if e in self._edge_set:
+        i = bisect_left(self.edges, e)
+        if self.edges[i:i + 1] == (e,):
             raise DuplicateEdgeError(f"edge {e} already present")
-        return Graph._trusted(self.n, tuple(sorted(self.edges + (e,))))
+        return Graph._trusted(self.n, self.edges[:i] + (e,) + self.edges[i:])
 
     def relabel(self, perm: list[int] | tuple[int, ...]) -> "Graph":
         """Image under the permutation v -> perm[v]."""
@@ -263,22 +266,12 @@ def _g6_size_bytes(n: int) -> str:
 
 
 def to_graph6(g: Graph) -> str:
-    chars = [_g6_size_bytes(g.n)]
-    eset = g.edge_set()
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if (i, j) in eset else 0)
-            nbits += 1
-            if nbits == 6:
-                chars.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        chars.append(chr(acc + 63))
-    return "".join(chars)
+    head = _g6_size_bytes(g.n)
+    adjb = g.adjacency_bits()
+    # column j of the upper triangle is row j's bits below j, bit 0 first
+    bits = "".join(format(adjb[j] & (1 << j) - 1, f"0{j}b")[::-1] for j in range(1, g.n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
 def from_graph6(text: str) -> Graph:

@@ -90,7 +90,7 @@ QUANTITIES = {"sat": (9, False), "ssat": (9, False), "prsat": (8, True)}
 # The levels of each order that censuses in this process have made, at
 # their orders and below, as lists of classes (see `_class_levels`), shared
 # by every census; at most LEVEL_MEMO_CLASSES classes over all orders
-# (9.4-10.4 MiB, 1.2-1.3 KiB a class, when the levels of order 9 or 8 fill
+# (5.1-5.2 MiB, 650-680 B a class, when the levels of order 8 or 9 fill
 # it, as tracemalloc counts it).
 LEVEL_MEMO_CLASSES = 8192
 _LEVEL_MEMO: dict[int, list] = {}
@@ -259,7 +259,7 @@ def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...]):
         canonical = Graph._trusted(n, edges)
         gens = [[pos[s[x]] for x in at] for s in child_gens]
         roots = orbit_roots(n, gens) if gens else range(n)
-        yield (canonical, non_edge_representatives(canonical, gens), canonical_adjb,
+        yield (canonical, non_edge_representatives(canonical_adjb, gens), canonical_adjb,
                tuple([v for v in range(n) if roots[v] == v]))
 
 

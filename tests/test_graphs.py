@@ -3,7 +3,7 @@ import math
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import small_graphs
@@ -90,6 +90,26 @@ def test_derived_graphs_equal_validated_ones(g, data):
     assume(non_edges)
     u, v = data.draw(st.sampled_from(non_edges))
     _assert_same_graph(g.add_edge(v, u), build_graph(g.n, g.edges + ((u, v),)))
+
+
+@seed(20)
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(max_n=12), st.data())
+def test_add_edge_and_graph6_match_references(g, data):
+    # neither builds the edge set
+    u, v = (data.draw(st.integers(-1, g.n)) for _ in range(2))
+    try:
+        want = build_graph(g.n, g.edges + ((u, v),))
+    except (SelfLoopError, IndexOutOfRangeError, DuplicateEdgeError) as exc:
+        with pytest.raises(type(exc)):
+            g.add_edge(u, v)
+    else:
+        assert g.add_edge(u, v) == want
+    x = nx.Graph()
+    x.add_nodes_from(range(g.n))
+    x.add_edges_from(g.edges)
+    assert to_graph6(g) == nx.to_graph6_bytes(x, header=False).decode().rstrip("\n")
+    assert "_edge_set" not in vars(g)
 
 
 def test_adjacency_consistent():

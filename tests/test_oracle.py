@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import itertools
 import json
 import multiprocessing
 import os
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -11,13 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import _augmented_levels, all_graphs_on
-from rslab import canon, oracle
+from rslab import canon, engine, oracle
 from rslab.canon import (
     canonical_form,
     canonical_graph,
     non_edge_orbit_representatives,
     vertex_orbits,
 )
+from rslab.constructions import caterpillar_construction, star_forest
 from rslab.engine import Status
 from rslab.errors import CacheMismatchError, InvalidParameterError
 from rslab.graphs import Graph, build_graph, from_graph6, normalise_edge, to_graph6
@@ -613,23 +616,68 @@ def test_censuses_find_the_non_edges_of_each_class_once(monkeypatch):
     real = oracle.non_edge_representatives
     real_padded = oracle._padded
 
-    def spy(g, gens):
-        found.append(to_graph6(g))
-        return real(g, gens)
+    # a class is known by its adjacency bitmasks, which the labelling and
+    # the padding both return
+    def spy(adjb, gens):
+        found.append(tuple(adjb))
+        return real(adjb, gens)
 
     def padded_spy(*cls):
         padded = real_padded(*cls)
-        found.append(to_graph6(padded[0]))
+        found.append(tuple(padded[2]))
         return padded
 
     monkeypatch.setattr(oracle, "non_edge_representatives", spy)
     monkeypatch.setattr(oracle, "_padded", padded_spy)
     for point in MEMO_POINTS:
         _memo_census(point)
-    made = [to_graph6(g) for levels in oracle._LEVEL_MEMO.values()
-            for level in levels for g, *_ in level]
+    made = [tuple(adjb) for levels in oracle._LEVEL_MEMO.values()
+            for level in levels for _, _, adjb, _ in level]
     assert len(made) > 100
     assert sorted(found) == sorted(made)
+
+
+def test_class_making_leaves_no_cyclic_garbage(monkeypatch):
+    # labelling searches and pattern compiles free all they make by
+    # reference counting, so class making and a census leave the garbage
+    # collector nothing to find
+    monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
+    engine._matcher_for.cache_clear()  # so that the censuses compile their patterns
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in oracle._class_levels(7, None):
+            pass
+        canon.labelling(star_forest(20, 4))
+        canon.labelling(caterpillar_construction(28, 6, 4))
+        _memo_census(("prsat", 7, P4, None))
+        _memo_census(("sat", 7, P5, None))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_level_memo_holds_few_bytes_a_class():
+    # a class holds its canonical graph, the bitmasks and representatives
+    # its level carries and the roots of a labelled class, and no edge set:
+    # 570-600 bytes a class, against 1,236 with an edge set on each
+    # labelled class
+    for _ in oracle._class_levels(7, {}):  # fill the pair tables and other caches
+        pass
+    gc.collect()
+    memo = {}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in oracle._class_levels(7, memo):
+            pass
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    classes = oracle._memo_classes(memo)
+    assert classes == 1 + 2 + 4 + 11 + 34 + 156 + 1044  # OEIS A000088, n = 1..7
+    assert held <= 800 * classes
 
 
 def test_prsat_number_runs_in_one_process():
