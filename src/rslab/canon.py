@@ -30,6 +30,28 @@ The leaf that first reaches the minimum, and with it the position map, may
 differ from the one an unseeded search returns, but only by an
 automorphism; the canonical graph and the orbits are the same.
 
+A cell is a twin cell when its vertices all have the same open, or all the
+same closed, neighbourhood.  The search reads a node whose non-singleton
+cells are all twin cells as its one leaf: each such cell split into
+singletons in ascending vertex order (a discrete partition is the case with
+none; a discrete root admits no twins, so it gets no seeds).  The position
+map, the generators and their order are those of the full search, by three
+facts:
+1. Twins stay in one cell until one of them is individualised (swapping
+   them fixes the partition, and refinement commutes with automorphisms),
+   the search individualises the lowest vertex of a cell first, and the
+   seeds that fix the prefix join each later twin to it.  So at any node
+   the individualised members of a class of twins are its lowest ones, and
+   the others lie in one cell and form one orbit of those seeds.
+2. So below such a node the full search expands the lowest vertex of each
+   twin cell in turn and prunes every sibling: it reaches exactly one leaf,
+   and visits no leaf that could yield a new generator.
+3. Individualising a twin splits no other cell of an equitable partition,
+   and leaves the cell of its twins whole: each vertex outside that cell is
+   joined to all of the twins or to none, and open twins are joined to none
+   of each other, closed twins to all.  So no refinement is needed, and
+   that one leaf is the ascending split.
+
 Refinement (`_refine`) resumes its scan after a split instead of starting
 over, which makes the same splits in the same order.  Its cells are
 bitmasks, each the sorted cell a list would hold, and the root starts from
@@ -145,13 +167,19 @@ def _label(n: int, adjb: list[int], edges) -> tuple[tuple[int, ...], tuple, int]
 
     best: list = [None, None]    # encoding, position tuple
     first: list = [None, None]
-    gens = _twin_transpositions(adjb)  # seeds: see the module docstring
+    root = _refine(adjb, _degree_partition(adjb))
+    # seeds and twin classes: see the module docstring; a discrete root has no twins
+    gens, twin_of = _twins(adjb) if len(root) < n else ([], None)
     gen_seen = set(gens)
 
     def record_leaf(cells):
         pos = [0] * n
-        for i, c in enumerate(cells):
-            pos[c.bit_length() - 1] = i
+        i = 0
+        for c in cells:  # a twin cell splits into singletons in ascending order
+            while c:
+                pos[(c & -c).bit_length() - 1] = i
+                i += 1
+                c &= c - 1
         enc = 0
         for u, v in edges:
             a, b = pos[u], pos[v]
@@ -174,12 +202,16 @@ def _label(n: int, adjb: list[int], edges) -> tuple[tuple[int, ...], tuple, int]
             best[0], best[1] = enc, ptuple
 
     def dfs(cells, fixed: tuple[int, ...]):
+        # the target is the first non-singleton cell; a node whose
+        # non-singleton cells are all twin cells is its own one leaf
         target = None
         for i, c in enumerate(cells):
             if c & (c - 1):
-                target = i
-                break
-        if target is None:
+                if target is None:
+                    target = i
+                if c & ~twin_of[c.bit_length() - 1]:
+                    break
+        else:
             record_leaf(cells)
             return
         cell = cells[target]
@@ -202,7 +234,7 @@ def _label(n: int, adjb: list[int], edges) -> tuple[tuple[int, ...], tuple, int]
             dfs(_refine(adjb, child), fixed + (v,))
             tried.append(v)
 
-    dfs(_refine(adjb, _degree_partition(adjb)), ())
+    dfs(root, ())
     dfs = None  # dfs calls itself: unbinding it frees it with no cycle left
     return best[1], tuple(gens), best[0]
 
@@ -227,20 +259,28 @@ def _encoded_graph(n: int, enc: int) -> tuple[tuple[Edge, ...], tuple[int, ...]]
     return tuple(edges), tuple(adjb)
 
 
-def _twin_transpositions(adjb: list[int]) -> list[tuple[int, ...]]:
+def _twins(adjb: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
     """The transposition of each two consecutive vertices of a class of
     twins: vertices with the same open, or the same closed, neighbourhood.
-    Swapping two such vertices is an automorphism."""
+    Swapping two such vertices is an automorphism.  And for each vertex,
+    the bitmask of its class of twins (of one kind: a vertex with an open
+    twin has no closed twin)."""
     n = len(adjb)
-    out = []
+    seeds = []
+    twin_of = [1 << v for v in range(n)]
     for neighbourhoods in (adjb, [a | 1 << v for v, a in enumerate(adjb)]):
         if len(set(neighbourhoods)) == n:
             continue
         twins: dict[int, list[int]] = {}
         for v, a in enumerate(neighbourhoods):
             twins.setdefault(a, []).append(v)
-        out += [_transposition(n, a, b) for cls in twins.values() for a, b in zip(cls, cls[1:])]
-    return out
+        for cls in twins.values():
+            if len(cls) > 1:
+                seeds += [_transposition(n, a, b) for a, b in zip(cls, cls[1:])]
+                mask = sum(1 << v for v in cls)
+                for v in cls:
+                    twin_of[v] = mask
+    return seeds, twin_of
 
 
 @lru_cache(maxsize=4096)

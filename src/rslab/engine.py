@@ -436,7 +436,7 @@ def _compile_plans(plans, deg, colour_set: bool = False):
     source = "\n".join(line for block in (*helpers, main) for line in block)
     scope: dict = {}
     exec(compile(source, "<rslab matcher plan>", "exec"), scope)
-    return scope["match"]
+    return scope.pop("match")  # a matcher left in its own globals would form a cycle
 
 
 @lru_cache(maxsize=1024)

@@ -43,3 +43,7 @@ class RegularGraphError(RslabError):
 
 class CacheMismatchError(RslabError):
     """A cached census record disagrees with a freshly computed one."""
+
+
+class CacheAccessError(RslabError, OSError):
+    """The census cache dir or a cache file cannot be read or written."""

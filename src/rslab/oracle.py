@@ -75,7 +75,7 @@ from .engine import (
     is_semi_saturated,
     prsat_in_one_walk,
 )
-from .errors import CacheMismatchError, InvalidParameterError
+from .errors import CacheAccessError, CacheMismatchError, InvalidParameterError
 from .graphs import Edge, Graph, from_graph6, normalise_edge, to_graph6
 from .patterns import PatternSpec, parse_pattern
 
@@ -534,14 +534,14 @@ def census(
     root = resolve_cache_dir(cache_dir)
     key = (n, spec.token(), quantity, edge_cap)
     if root is not None and not force:
-        cached = load_cached_record(root, key)
+        cached = _on_cache(load_cached_record, root, key)
         if cached is not None and cached.exact:
             if not cached.verify(budget):
                 raise CacheMismatchError(f"cached witnesses for {key} fail to verify")
             return cached
     record = _census(n, spec, quantity, budget, edge_cap)
     if root is not None:
-        store_record(root, record, force=force)
+        _on_cache(store_record, root, record, force)
     return record
 
 
@@ -584,6 +584,15 @@ def resolve_cache_dir(cache_dir: str | Path | None) -> Path | None:
         return Path(cache_dir)
     env = os.environ.get(CACHE_ENV_VAR)
     return Path(env) if env else None
+
+
+def _on_cache(op, root: Path, *args):
+    """`op(root, *args)`, with an OSError on the cache dir or a cache file
+    raised as a CacheAccessError that names the path."""
+    try:
+        return op(root, *args)
+    except OSError as exc:
+        raise CacheAccessError(f"census cache {exc.filename or root}: {exc.strerror or exc}") from exc
 
 
 def _cache_file(root: Path, quantity: str) -> Path:

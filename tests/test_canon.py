@@ -4,7 +4,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
@@ -332,3 +332,26 @@ def test_twin_rich_groups_match_networkx(g):
             automorphism_group(g, limit=_GROUP_CAP)
     else:
         assert len(automorphism_group(g, limit=_GROUP_CAP)) == order
+
+
+@seed(21)
+@given(st.data())
+@settings(max_examples=1, deadline=None, phases=[Phase.generate])  # a fixed draw, unshrunk
+def test_twin_cells_end_the_search(data):
+    # a node whose non-singleton cells are all twin cells is read off as
+    # its one leaf; with no cell counted a twin cell, the search goes down
+    # to discrete partitions, and must find the same labelling
+    graphs = []
+    for n in range(1, 8):
+        for level in _augmented_levels(n):
+            for g, _ in level:
+                graphs += [g, g.relabel(list(range(n))[::-1])]
+    graphs += data.draw(st.lists(twin_rich_graphs(max_n=12), min_size=60, max_size=60))
+    graphs += [caterpillar_construction(n, 6, 4) for n in range(28, 35)]
+    with_rule = [canon._label(g.n, g.adjacency_bits(), g.edges) for g in graphs]
+    assert [canon.labelling(g) for g in graphs] == [r[:2] for r in with_rule]
+    real_twins = canon._twins
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canon, "_twins", lambda adjb: (real_twins(adjb)[0], [1 << v for v in range(len(adjb))]))
+        for g, label in zip(graphs, with_rule):
+            assert canon._label(g.n, g.adjacency_bits(), g.edges) == label, to_graph6(g)

@@ -224,6 +224,25 @@ def test_oracle_writes_cache(tmp_path, capsys):
     assert (tmp_path / "census-ssat.jsonl").exists()
 
 
+@pytest.mark.parametrize("where", ["file", "under-file", "file-is-dir", "env"])
+def test_unusable_cache_exits_2(tmp_path, monkeypatch, capsys, where):
+    # a cache dir that is a file, lies under a file, or holds a directory
+    # in place of its cache file is a bad input, named in the message
+    (tmp_path / "F").write_text("")
+    (tmp_path / "D" / "census-sat.jsonl").mkdir(parents=True)
+    cache, bad = {"file": ("F", "F"), "under-file": ("F/sub", "F/sub"),
+                  "file-is-dir": ("D", "D/census-sat.jsonl"), "env": (None, "F")}[where]
+    argv = ["oracle", "--quantity", "sat", "--n", "5", "--pattern", "P4"]
+    if cache is None:
+        monkeypatch.setenv("RSLAB_CACHE", str(tmp_path / "F"))
+    else:
+        argv += ["--cache-dir", str(tmp_path / cache)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and str(tmp_path / bad) in err and "Traceback" not in err
+
+
 def test_oracle_prsat_json(capsys):
     code, out = run(capsys, "oracle", "--n", "5", "--pattern", "P4",
                     "--quantity", "prsat", "--budget", "1000000", "--format", "json")
