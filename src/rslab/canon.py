@@ -31,26 +31,23 @@ differ from the one an unseeded search returns, but only by an
 automorphism; the canonical graph and the orbits are the same.
 
 A cell is a twin cell when its vertices all have the same open, or all the
-same closed, neighbourhood.  The search reads a node whose non-singleton
-cells are all twin cells as its one leaf: each such cell split into
-singletons in ascending vertex order (a discrete partition is the case with
-none; a discrete root admits no twins, so it gets no seeds).  The position
-map, the generators and their order are those of the full search, by three
-facts:
-1. Twins stay in one cell until one of them is individualised (swapping
-   them fixes the partition, and refinement commutes with automorphisms),
-   the search individualises the lowest vertex of a cell first, and the
-   seeds that fix the prefix join each later twin to it.  So at any node
-   the individualised members of a class of twins are its lowest ones, and
-   the others lie in one cell and form one orbit of those seeds.
+same closed, neighbourhood.  A node whose non-singleton cells are all twin
+cells is read off as its one leaf, those cells split into singletons in
+ascending order (a discrete partition is the case with none; a discrete
+root has no twins, so no seeds).  That is the full search's leaf, with the
+same generators in the same order, by three facts:
+1. Twins share a cell until one is individualised (swapping them fixes the
+   partition), the search individualises the lowest vertex of a cell
+   first, and the seeds fixing the prefix join each later twin to it.  So
+   the individualised twins of a class are its lowest, and the rest lie in
+   one cell and one orbit of those seeds.
 2. So below such a node the full search expands the lowest vertex of each
-   twin cell in turn and prunes every sibling: it reaches exactly one leaf,
-   and visits no leaf that could yield a new generator.
+   twin cell and prunes every sibling: it reaches one leaf, and no other
+   leaf that could yield a generator.
 3. Individualising a twin splits no other cell of an equitable partition,
-   and leaves the cell of its twins whole: each vertex outside that cell is
-   joined to all of the twins or to none, and open twins are joined to none
-   of each other, closed twins to all.  So no refinement is needed, and
-   that one leaf is the ascending split.
+   nor its twins' cell: every other vertex is joined to all of the twins
+   or to none, and twins of one kind to each other all or none.  So that
+   leaf is the ascending split, with no refinement.
 
 Refinement (`_refine`) resumes its scan after a split instead of starting
 over, which makes the same splits in the same order.  Its cells are
@@ -168,7 +165,7 @@ def _label(n: int, adjb: list[int], edges) -> tuple[tuple[int, ...], tuple, int]
     best: list = [None, None]    # encoding, position tuple
     first: list = [None, None]
     root = _refine(adjb, _degree_partition(adjb))
-    # seeds and twin classes: see the module docstring; a discrete root has no twins
+    # twin seeds and classes: see the module docstring
     gens, twin_of = _twins(adjb) if len(root) < n else ([], None)
     gen_seen = set(gens)
 
@@ -202,8 +199,7 @@ def _label(n: int, adjb: list[int], edges) -> tuple[tuple[int, ...], tuple, int]
             best[0], best[1] = enc, ptuple
 
     def dfs(cells, fixed: tuple[int, ...]):
-        # the target is the first non-singleton cell; a node whose
-        # non-singleton cells are all twin cells is its own one leaf
+        # a node whose non-singleton cells are all twin cells is a leaf
         target = None
         for i, c in enumerate(cells):
             if c & (c - 1):

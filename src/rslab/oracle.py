@@ -587,12 +587,13 @@ def resolve_cache_dir(cache_dir: str | Path | None) -> Path | None:
 
 
 def _on_cache(op, root: Path, *args):
-    """`op(root, *args)`, with an OSError on the cache dir or a cache file
-    raised as a CacheAccessError that names the path."""
+    """`op(root, *args)`, an OSError on the cache raised as a
+    CacheAccessError that names the path."""
     try:
         return op(root, *args)
     except OSError as exc:
-        raise CacheAccessError(f"census cache {exc.filename or root}: {exc.strerror or exc}") from exc
+        path = exc.filename or root
+        raise CacheAccessError(f"census cache {path}: {exc.strerror or exc}") from exc
 
 
 def _cache_file(root: Path, quantity: str) -> Path:
