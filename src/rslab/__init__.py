@@ -9,13 +9,9 @@ given order up to isomorphism.
 
 from .canon import (
     automorphism_generators,
-    automorphism_group,
     canonical_form,
     canonical_graph,
-    is_isomorphic,
     non_edge_orbit_representatives,
-    pair_orbits,
-    vertex_orbits,
 )
 from .colouring import EdgeColouring, is_proper
 from .engine import (
@@ -26,7 +22,6 @@ from .engine import (
     SearchVerdict,
     Status,
     contains_copy,
-    count_proper_colourings,
     enumerate_rainbow_free_colourings,
     find_rainbow_copy,
     forces_rainbow,

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import RslabError
 from .graphs import Edge, Graph, to_graph6
 
 
@@ -296,10 +295,6 @@ def canonical_form(g: Graph) -> bytes:
     return to_graph6(canonical_graph(g)).encode("ascii")
 
 
-def is_isomorphic(a: Graph, b: Graph) -> bool:
-    return a.n == b.n and canonical_form(a) == canonical_form(b)
-
-
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     return labelling(g)[1]
 
@@ -322,13 +317,6 @@ def orbit_roots(size: int, images) -> list[int]:
     return root
 
 
-def vertex_orbits(g: Graph) -> list[tuple[int, ...]]:
-    by_root: dict[int, list[int]] = {}
-    for v, r in enumerate(orbit_roots(g.n, automorphism_generators(g))):
-        by_root.setdefault(r, []).append(v)
-    return [tuple(o) for o in by_root.values()]
-
-
 @lru_cache(maxsize=None)
 def _pair_table(n: int) -> tuple[list[Edge], list[int]]:
     """The pairs u < v in lexicographic order, and the position of the pair
@@ -338,28 +326,6 @@ def _pair_table(n: int) -> tuple[list[Edge], list[int]]:
     for i, (u, v) in enumerate(pairs):
         index[u * n + v] = index[v * n + u] = i
     return pairs, index
-
-
-def pair_orbit_roots(n: int, gens) -> list[int]:
-    """For each pair u < v, by its position in lexicographic order, the
-    position of the first pair of its orbit under the group that the
-    permutations `gens` of 0..n-1 generate."""
-    pairs, index = _pair_table(n)
-    return orbit_roots(len(pairs), [[index[s[u] * n + s[v]] for u, v in pairs] for s in gens])
-
-
-def pair_orbits(g: Graph) -> list[tuple[Edge, ...]]:
-    """Partition of all unordered vertex pairs into automorphism orbits,
-    each orbit sorted and the orbits sorted by their first pair.
-
-    Automorphisms preserve adjacency, so each orbit consists of edges only
-    or of non-edges only.
-    """
-    pairs, _ = _pair_table(g.n)
-    by_root: dict[int, list[Edge]] = {}
-    for p, r in zip(pairs, pair_orbit_roots(g.n, automorphism_generators(g))):
-        by_root.setdefault(r, []).append(p)
-    return [tuple(o) for o in by_root.values()]
 
 
 def non_edge_representatives(adjb, gens) -> list[Edge]:
@@ -383,24 +349,3 @@ def non_edge_representatives(adjb, gens) -> list[Edge]:
 def non_edge_orbit_representatives(g: Graph) -> list[Edge]:
     """The first non-edge of each non-edge orbit, in lexicographic order."""
     return non_edge_representatives(g.adjacency_bits(), automorphism_generators(g))
-
-
-def automorphism_group(g: Graph, limit: int = 100_000) -> list[tuple[int, ...]]:
-    """Full group by closure of the generators.  Small graphs only."""
-    n = g.n
-    identity = tuple(range(n))
-    gens = automorphism_generators(g)
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for s in gens:
-                q = tuple(s[p[v]] for v in range(n))
-                if q not in group:
-                    if len(group) >= limit:
-                        raise RslabError(f"automorphism group larger than {limit}")
-                    group.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return sorted(group)

@@ -34,7 +34,7 @@ from .engine import (
     is_semi_saturated,
 )
 from .errors import RslabError
-from .graphs import Graph
+from .graphs import _G6_MAX_N, Graph
 from .oracle import DEFAULT_CENSUS_BUDGET, census
 from .patterns import load_graph_file, parse_pattern
 
@@ -183,7 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = _subcommand(sub, "construct", cmd_construct, "emit a named construction",
                     options=("--cache-dir",), formats=("text", "json", "graph6", "dot"))
-    c.add_argument("family", choices=list(_FAMILIES))
+    c.add_argument("family", choices=list(_FAMILIES),
+                   help=f"a family of at most {_G6_MAX_N} vertices, the most graph6 can "
+                        "write; larger sizes exit 2 before anything is built")
     c.add_argument("--n", type=int)
     c.add_argument("--k", type=int)
     c.add_argument("--m", type=int)

@@ -48,22 +48,6 @@ class EdgeColouring:
     def colour_count(self) -> int:
         return len(set(self.colours))
 
-    def classes(self) -> dict[int, tuple[Edge, ...]]:
-        out: dict[int, list[Edge]] = {}
-        for e, c in zip(self.graph.edges, self.colours):
-            out.setdefault(c, []).append(e)
-        return {c: tuple(v) for c, v in sorted(out.items())}
-
-    def partition(self) -> frozenset[frozenset[Edge]]:
-        """The colour classes with labels forgotten."""
-        return frozenset(frozenset(v) for v in self.classes().values())
-
-    def merge(self, c1: int, c2: int) -> "EdgeColouring":
-        """Recolour every c2 edge with c1."""
-        return EdgeColouring(
-            self.graph, tuple(c1 if c == c2 else c for c in self.colours)
-        )
-
     def to_json_dict(self) -> dict:
         d = self.graph.to_json_dict()
         d["colours"] = list(self.colours)

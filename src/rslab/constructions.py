@@ -19,7 +19,7 @@ from .errors import (
     NotRepresentableError,
     OracleBudgetExceededError,
 )
-from .graphs import Graph, build_graph, disjoint_union, from_graph6
+from .graphs import _G6_MAX_N, Graph, build_graph, disjoint_union, from_graph6
 from .patterns import PatternSpec
 
 STAR_FOREST_VALIDATION_CUTOFF = 12
@@ -40,6 +40,14 @@ class GadgetBundle:
             d = self.graph.to_json_dict()
         d["provenance"] = self.provenance
         return d
+
+
+def _check_order(order: int, name: str) -> None:
+    """Refuse, before anything is built, a construction on more vertices
+    than graph6 can write."""
+    if order > _G6_MAX_N:
+        raise InvalidParameterError(
+            f"{name} would have more than {_G6_MAX_N} vertices, the most graph6 can write")
 
 
 # -- folded cubes -----------------------------------------------------------------
@@ -94,6 +102,9 @@ def folded_cube(ell: int) -> GadgetBundle:
     """
     if ell < 4:
         raise InvalidParameterError("folded_cube needs ell >= 4")
+    # 2^(ell-2) vertices; past 2^18 the bound is exceeded, so a huge ell
+    # is clipped there rather than raised to its power
+    _check_order(1 << min(ell - 2, _G6_MAX_N.bit_length()), "folded_cube")
     cube = FoldedCube(ell - 1)
     return GadgetBundle(
         cube.graph(),
@@ -129,6 +140,7 @@ def broom_gadget(m: int) -> GadgetBundle:
     """
     if m < 1:
         raise InvalidParameterError("broom gadget needs m >= 1")
+    _check_order(3 * m + 6, "broom gadget")
     edges = [(0, 1), (0, 2), (1, 2)]
     colour_map = {}
     # opposite corner of each triangle edge: (1,2)->0, (0,2)->1, (0,1)->2
@@ -159,6 +171,7 @@ def broom_saturated(n: int, m: int, cache_dir=None) -> Graph:
     edges, sourced from the census oracle (for r below the broom order that
     is the complete graph K_r).
     """
+    _check_order(n, "broom_saturated")
     block = 3 * (m + 2)
     if n < block:
         raise InvalidParameterError(f"broom_saturated needs n >= {block}")
@@ -190,6 +203,7 @@ def caterpillar_construction(n: int, k: int, ell: int) -> Graph:
     Pendants are attached round-robin by cube vertex index, so every cube
     vertex receives at least k of them.  Total edges: n + (ell-3)*2^(ell-3).
     """
+    _check_order(n, "caterpillar host")
     if ell < 4:
         raise InvalidParameterError("caterpillar host needs ell >= 4")
     if k < ell + 2:
@@ -245,6 +259,7 @@ def star_forest(n: int, k: int) -> Graph:
     single edge.  Edge count: n - floor((n+k-1)/(k+1)).  Builds of order up
     to the validation cutoff re-check their own saturation.
     """
+    _check_order(n, "star_forest")
     if k < 4:
         raise InvalidParameterError("star_forest needs k >= 4")
     if n < k + 3:
@@ -304,6 +319,7 @@ def double_star_construction(n: int, t: int, s: int, variant: str = "sat") -> Gr
     the graph is a disjoint union of a components with m cliques and b with
     m+1 cliques, b minimal such that the orders sum to n.
     """
+    _check_order(n, "double star construction")
     if not (t >= s >= 1):
         raise InvalidParameterError("double star construction needs t >= s >= 1")
     if variant == "sat":

@@ -4,11 +4,12 @@ The central search enumerates proper edge colourings of a graph as
 restricted-growth assignments: edges are processed in a fixed breadth-first
 order from a maximum-degree vertex, and an edge may take colour c only when
 c is at most one more than the largest colour used so far.  Enumeration
-(:func:`enumerate_rainbow_free_colourings`, :func:`count_proper_colourings`)
-thereby walks each partition of the edge set into matchings exactly once,
-which removes colour relabelling symmetry outright.  A branch is pruned as
-soon as the fully coloured edges already contain a rainbow copy of the
-target pattern, since such a copy persists in every extension.
+(:func:`enumerate_rainbow_free_colourings`, or :class:`ColouringSearch`
+with no pattern) thereby walks each partition of the edge set into
+matchings exactly once, which removes colour relabelling symmetry
+outright.  A branch is pruned as soon as the fully coloured edges already
+contain a rainbow copy of the target pattern, since such a copy persists
+in every extension.
 
 The existence search (:func:`search_rainbow_free_colouring`, and through it
 the per-step prsat verdict) also breaks one symmetry of the graph,
@@ -119,7 +120,6 @@ out of nodes reports Unknown, never a guess.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -674,12 +674,6 @@ class ColouringSearch:
         return None
 
 
-def count_proper_colourings(g: Graph) -> int:
-    """Number of partitions of E(g) into matchings."""
-    search = ColouringSearch(g, None, None)
-    return sum(1 for _ in search.run())
-
-
 def enumerate_rainbow_free_colourings(g: Graph, pattern: PatternSpec):
     """All proper colourings of g without a rainbow copy, up to relabelling."""
     search = ColouringSearch(g, pattern, None)
@@ -762,7 +756,7 @@ def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> CheckRe
     adj, ecol = _host_tables(g.n, g.edges, None)
     new_colour = len(g.edges) + 1
     if non_edges is None:
-        non_edges = (e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e))
+        non_edges = g.non_edges()
     for e in non_edges:
         if matcher.through_added_edge(*e, new_colour, adj, ecol, g.n) is None:
             return CheckResult(False, e)

@@ -31,22 +31,6 @@ class BoundRow:
     asymptotic: bool = False
     out_of_range: bool = False
 
-    def to_json_dict(self) -> dict:
-        def enc(x):
-            return None if x is None else str(x)
-
-        return {
-            "name": self.name,
-            "quantity": self.quantity,
-            "n": self.n,
-            "params": {k: str(v) for k, v in self.params},
-            "lower": enc(self.lower),
-            "upper": enc(self.upper),
-            "exact": enc(self.exact),
-            "asymptotic": self.asymptotic,
-            "out_of_range": self.out_of_range,
-        }
-
 
 # -- tree statistics ---------------------------------------------------------
 

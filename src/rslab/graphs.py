@@ -36,8 +36,7 @@ class Graph:
     unsorted tuple.  The graphs that :meth:`add_edge` and :meth:`relabel`
     derive from a valid graph are made by :meth:`_trusted`, which skips
     those checks.  The adjacency lists are built on first use, and the edge
-    set is built and kept by :meth:`has_edge`, :meth:`edge_set` and
-    :meth:`non_edges` alone.
+    set is built and kept by :meth:`has_edge` and :meth:`non_edges` alone.
     """
 
     n: int
@@ -84,10 +83,6 @@ class Graph:
 
     # -- basic queries ----------------------------------------------------
 
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self._adj
-
     def neighbours(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
@@ -101,14 +96,8 @@ class Graph:
             deg[v] += 1
         return tuple(deg)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degrees(), reverse=True))
-
     def has_edge(self, u: int, v: int) -> bool:
         return normalise_edge(u, v) in self._edge_set
-
-    def edge_set(self) -> frozenset[Edge]:
-        return self._edge_set
 
     def non_edges(self) -> tuple[Edge, ...]:
         out = []

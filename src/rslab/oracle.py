@@ -341,25 +341,6 @@ def _neighbour_degrees(a: int, b: int, deg: list[int], adjb: list[int]) -> int:
     return total
 
 
-def enumerate_graphs(n: int, edge_cap: int | None = None):
-    """One representative per isomorphism class with at most edge_cap edges;
-    no level past the cap is made."""
-    levels = enumerate_graphs_by_edges(n)
-    for level in levels if edge_cap is None else islice(levels, max(edge_cap + 1, 0)):
-        yield from level
-
-
-def enumerate_trees(n: int):
-    """One representative per unlabelled tree on n vertices."""
-    if n == 1:
-        return [Graph(1, ())]
-    gen = enumerate_graphs_by_edges(n)
-    level: list[Graph] = []
-    for _ in range(n):
-        level = next(gen)
-    return [g for g in level if g.is_connected()]
-
-
 # -- census records ---------------------------------------------------------------
 
 

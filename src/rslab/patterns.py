@@ -94,12 +94,6 @@ class PatternSpec:
             return "g6:" + realize_pattern(self).to_graph6()
         raise RslabError(f"unknown pattern kind {self.kind!r}")
 
-    def order(self) -> int:
-        return realize_pattern(self).n
-
-    def size(self) -> int:
-        return len(realize_pattern(self).edges)
-
 
 @lru_cache(maxsize=4096)
 def realize_pattern(spec: PatternSpec) -> Graph:
@@ -218,12 +212,16 @@ def _parse_caterpillar(token: str) -> PatternSpec:
             raise InvalidParameterError(f"bad caterpillar field {part!r}")
         key, val = part.split("=", 1)
         key = key.strip()
-        if key in ("ell", "ℓ", "l"):
-            ell = int(val)
-        elif key == "leaves":
-            leaves = tuple(int(x) for x in val.split(",") if x != "")
-        else:
-            raise InvalidParameterError(f"unknown caterpillar field {key!r}")
+        try:
+            if key in ("ell", "ℓ", "l"):
+                ell = int(val)
+            elif key == "leaves":
+                leaves = tuple(int(x) for x in val.split(",") if x != "")
+            else:
+                raise InvalidParameterError(f"unknown caterpillar field {key!r}")
+        except ValueError:
+            raise InvalidParameterError(
+                f"caterpillar field {key!r} needs integers, got {val!r}") from None
     if leaves is None:
         raise InvalidParameterError("caterpillar token needs leaves=...")
     if ell is not None and ell != len(leaves):

@@ -30,6 +30,25 @@ def all_graphs_on(n):
         yield build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
+def enumerate_graphs(n):
+    """One canonical graph per isomorphism class on n vertices."""
+    return itertools.chain.from_iterable(oracle.enumerate_graphs_by_edges(n))
+
+
+def enumerate_trees(n):
+    """One representative per unlabelled tree on n >= 1 vertices: the
+    connected classes with n - 1 edges."""
+    level = next(itertools.islice(oracle.enumerate_graphs_by_edges(n), n - 1, None))
+    return [g for g in level if g.is_connected()]
+
+
+def partition(colouring):
+    """The colour classes of an edge colouring, with the colours forgotten."""
+    pairs = sorted(zip(colouring.colours, colouring.graph.edges))
+    return frozenset(frozenset(e for _, e in cls)
+                     for _, cls in itertools.groupby(pairs, operator.itemgetter(0)))
+
+
 def _augmented_levels(n, memo=None):
     """The levels of order n as `oracle._class_levels` makes them, each
     class as (canonical graph, non-edge orbit representatives)."""
@@ -44,7 +63,7 @@ def permutations_of(n):
 def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
     if a.n != b.n or len(a.edges) != len(b.edges):
         return False
-    eb = b.edge_set()
+    eb = set(b.edges)
     for perm in permutations_of(a.n):
         if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in eb for u, v in a.edges):
             return True
@@ -88,6 +107,25 @@ def brute_force_automorphisms(g: Graph):
     for start, table in tables:
         images = map(operator.or_, images, table[mask >> start & (1 << _CHUNK) - 1])
     return [perm for perm, image in zip(perms, images) if image == mask]
+
+
+def automorphism_group(n, gens, limit=100_000):
+    """The group that the permutations `gens` of 0..n-1 generate, closed
+    under composition; past `limit` elements it raises OverflowError."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for s in gens:
+                q = tuple(s[p[v]] for v in range(n))
+                if q not in group:
+                    if len(group) >= limit:
+                        raise OverflowError(f"automorphism group larger than {limit}")
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return group
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 
 import re
 
-from rslab.canon import automorphism_group, non_edge_orbit_representatives
+from conftest import automorphism_group, enumerate_trees, partition
+from rslab.canon import automorphism_generators, non_edge_orbit_representatives
 from rslab.colouring import is_proper
 from rslab.constructions import broom_gadget
 from rslab.engine import (
@@ -22,7 +23,6 @@ from rslab.engine import (
     is_properly_rainbow_saturated,
 )
 from rslab.graphs import Graph, disjoint_union
-from rslab.oracle import enumerate_trees
 from rslab.patterns import PatternSpec
 
 P6 = PatternSpec.path(6)
@@ -95,8 +95,8 @@ def test_criterion_6_broom_gadget():
         is_proper(g, phi) and find_rainbow_copy(g, phi, B41) is None,
     )
 
-    target = phi.partition()
-    group = automorphism_group(g)
+    target = partition(phi)
+    group = automorphism_group(g.n, automorphism_generators(g))
     found = list(enumerate_rainbow_free_colourings(g, B41))
 
     def image(partition, sigma):
@@ -106,7 +106,7 @@ def test_criterion_6_broom_gadget():
         )
 
     unique = bool(found) and all(
-        any(image(c.partition(), sigma) == target for sigma in group) for c in found
+        any(image(partition(c), sigma) == target for sigma in group) for c in found
     )
     report(
         f"criterion 6: all {len(found)} rainbow-P5-free proper colourings of the"

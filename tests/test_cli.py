@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,8 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rslab
+from rslab import cli, constructions
 from rslab.cli import main
 from rslab.graphs import from_graph6
 from rslab.patterns import PatternSpec, realize_pattern
@@ -74,6 +78,34 @@ def test_construct_missing_parameter_exits_2(capsys, argv, flag):
     err = capsys.readouterr().err
     assert code == 2
     assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["star-forest", "--n", "100000000000", "--k", "4"],
+    ["folded-cube", "--ell", "40"],
+])
+def test_construction_graph6_cannot_write_exits_2_before_building(monkeypatch, capsys, argv):
+    def built(*args):
+        raise AssertionError("a graph was built past the graph6 bound")
+
+    monkeypatch.setattr(constructions, "build_graph", built)
+    monkeypatch.setattr(constructions, "disjoint_union", built)
+    code = main(["construct", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "258047" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("token, field", [
+    ("cat:ell=x;leaves=1", "ell"),
+    ("cat:leaves=1,x", "leaves"),
+    ("cat:ell=;leaves=1", "ell"),
+])
+def test_caterpillar_token_with_a_non_integer_field_exits_2(capsys, token, field):
+    code = main(["oracle", "--n", "5", "--quantity", "sat", "--pattern", token])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and repr(field) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -274,3 +306,64 @@ def test_construct_roundtrip_reverifies(tmp_path, capsys):
                     "--format", "json")
     assert code == 0
     assert json.loads(out)["status"] == "established"
+
+
+# The fuzz test draws a command line of valid values, then perhaps puts a
+# malformed token in place of one of them.  Half the patterns it draws are
+# malformed, the caterpillar tokens with a non-integer field among them.
+# Census orders stop at 7 and the reproduce suites at the quick ones, so
+# that each call takes well under two seconds.
+_INT = st.integers(min_value=-2, max_value=12).map(str)
+_FORMAT = st.sampled_from(["text", "json"])
+_QUANTITY = st.sampled_from(["sat", "ssat", "prsat"])
+_CACHE = st.just("{root}/cache")
+_PATTERN = st.sampled_from(["P3", "P4", "P6", "K1,3", "T5star", "S3,2", "B4,1",
+                            "cat:ell=4;leaves=1,0,0,1"]) | st.sampled_from(
+    ["Q17", "g6:~~", "@no-such-file", "cat:ell=x;leaves=1", "cat:leaves=1,x",
+     "cat:ell=;leaves=1"])
+# For each subcommand: its positional argument, its required options and
+# its other options, each with the values drawn for it (None for a flag).
+_COMMANDS = {
+    "construct": (st.sampled_from(sorted(cli._FAMILIES)), {}, {
+        **{f"--{p}": _INT for p in ("n", "k", "m", "t", "s", "ell")},
+        "--variant": st.sampled_from(["sat", "prsat"]), "--cache-dir": _CACHE,
+        "--format": _FORMAT | st.sampled_from(["graph6", "dot"])}),
+    "verify": (st.sampled_from(["{root}/p4.g6", "{root}/forest.json", "{root}/garbage.txt"]),
+               {"--pattern": _PATTERN},
+               {"--mode": _QUANTITY, "--budget": _INT, "--format": _FORMAT}),
+    "oracle": (None, {"--n": st.integers(min_value=-2, max_value=7).map(str),
+                      "--pattern": _PATTERN, "--quantity": _QUANTITY},
+               {"--budget": _INT, "--edge-cap": _INT, "--cache-dir": _CACHE, "--force": None,
+                "--format": _FORMAT}),
+    "reproduce": (st.sampled_from(["formulas", "lemma4"]), {},
+                  {"--ell": _INT, "--budget": _INT, "--cache-dir": _CACHE,
+                   "--allow-unknown": None, "--format": _FORMAT}),
+}
+
+
+@given(st.data())
+@settings(max_examples=100, derandomize=True, deadline=2000)
+def test_cli_fuzz_exits_with_a_code_and_no_exception(tmp_path_factory, data):
+    root = tmp_path_factory.getbasetemp() / "cli-fuzz"
+    if not root.exists():
+        root.mkdir()
+        (root / "p4.g6").write_text("Ch")
+        (root / "forest.json").write_text('{"n": 6, "edges": [[0, 1], [0, 2], [3, 4], [3, 5]]}')
+        (root / "garbage.txt").write_text("%%%")
+    name = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    positional, required, optional = _COMMANDS[name]
+    options = {**required, **optional}
+    argv = [name] + ([data.draw(positional)] if positional is not None else [])
+    for option in [*required, *data.draw(st.lists(st.sampled_from(sorted(optional)),
+                                                  unique=True))]:
+        argv += [option] if options[option] is None else [option, data.draw(options[option])]
+    at = data.draw(st.integers(min_value=1, max_value=3 * len(argv)))
+    if at < len(argv):  # one token malformed, or none
+        argv[at] = data.draw(st.sampled_from(["", "x", "1.5", "-", "--", "--n"]))
+    argv = [a.replace("{root}", str(root)) for a in argv]
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        mp.delenv("RSLAB_CACHE", raising=False)
+        mp.setattr("sys.stdin", io.StringIO(""))
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv

@@ -1,6 +1,7 @@
 import pytest
 
-from rslab.canon import canonical_form, is_isomorphic
+from conftest import partition
+from rslab.canon import canonical_form
 from rslab.colouring import is_proper
 from rslab.constructions import (
     FoldedCube,
@@ -28,9 +29,9 @@ def test_folded_cube_4_is_k4_with_matchings():
     bundle = folded_cube(4)
     k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert bundle.graph == k4
-    classes = bundle.colouring.classes()
+    classes = partition(bundle.colouring)
     assert len(classes) == 3
-    for edges in classes.values():
+    for edges in classes:
         assert len(edges) == 2
         (a, b), (c, d) = edges
         assert {a, b}.isdisjoint({c, d})
@@ -215,7 +216,7 @@ def test_star_forest_10_4_is_two_stars():
     g = star_forest(10, 4)
     assert len(g.edges) == 8
     assert [len(c) for c in g.components()] == [5, 5]
-    assert is_isomorphic(g, double_star_construction(10, 2, 1, "sat"))
+    assert canonical_form(g) == canonical_form(double_star_construction(10, 2, 1, "sat"))
 
 
 def test_star_forest_edge_formula():

@@ -105,12 +105,6 @@ def test_unknown_formula_rejected():
         evaluate_bound("no-such-formula", 5)
 
 
-def test_row_json_shape():
-    row = evaluate_bound("star-exact", 6, k=3)
-    d = row.to_json_dict()
-    assert d["exact"] == "5" and d["quantity"] == "prsat"
-
-
 def test_formula_names_listed():
     names = sorted(formulas._FORMULAS)
     assert "subdivided-star-prsat" in names and "star-exact" in names

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _augmented_levels, all_graphs_on
-from rslab import canon, engine, oracle
-from rslab.canon import (
-    canonical_form,
-    canonical_graph,
-    non_edge_orbit_representatives,
-    vertex_orbits,
+from conftest import (
+    _augmented_levels,
+    all_graphs_on,
+    brute_force_automorphisms,
+    enumerate_graphs,
+    enumerate_trees,
 )
+from rslab import canon, engine, oracle
+from rslab.canon import canonical_form, canonical_graph, non_edge_orbit_representatives
 from rslab.constructions import caterpillar_construction, star_forest
 from rslab.engine import Status
 from rslab.errors import CacheMismatchError, InvalidParameterError
@@ -27,9 +28,7 @@ from rslab.graphs import Graph, build_graph, from_graph6, normalise_edge, to_gra
 from rslab.oracle import (
     CensusRecord,
     census,
-    enumerate_graphs,
     enumerate_graphs_by_edges,
-    enumerate_trees,
     load_cached_record,
     prsat_number,
     sat_number,
@@ -60,12 +59,6 @@ def test_class_count_n7():
     assert len(list(enumerate_graphs(7))) == 1044
 
 
-def test_edge_cap():
-    got = list(enumerate_graphs(3, edge_cap=1))
-    assert len(got) == 2
-    assert [len(g.edges) for g in got] == [0, 1]
-
-
 def _spy_levels_made(monkeypatch) -> list[int]:
     """Record the edge count of every level made by canonical augmentation."""
     made = []
@@ -85,10 +78,10 @@ def test_edge_cap_makes_no_later_level(monkeypatch):
     made = _spy_levels_made(monkeypatch)
     for cap in (0, 1, 4, 9, 10, 12):
         made.clear()
-        got = list(enumerate_graphs(5, edge_cap=cap))
+        got = [g for level in itertools.islice(enumerate_graphs_by_edges(5), cap + 1)
+               for g in level]
         assert got == [g for g in everything if len(g.edges) <= cap]
         assert made == list(range(1, min(cap, 10) + 1))
-    assert list(enumerate_graphs(5, edge_cap=-1)) == []
 
 
 def test_representatives_are_canonical_and_distinct():
@@ -177,7 +170,9 @@ def test_classes_carry_their_bitmasks_and_vertex_orbit_roots():
             for g, _, adjb, roots in level:
                 assert list(adjb) == g.adjacency_bits(), to_graph6(g)
                 if roots is not None:
-                    assert list(roots) == sorted(min(o) for o in vertex_orbits(g)), to_graph6(g)
+                    auts = brute_force_automorphisms(g)
+                    want = sorted({min(s[v] for s in auts) for v in range(n)})
+                    assert list(roots) == want, to_graph6(g)
                 else:  # a padded class
                     assert not adjb[0]
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rslab.canon import is_isomorphic
+from rslab.canon import canonical_form
 from rslab.errors import InvalidParameterError
 from rslab.graphs import build_graph
 from rslab.patterns import PatternSpec, parse_pattern, realize_pattern
@@ -11,27 +11,25 @@ from rslab.patterns import PatternSpec, parse_pattern, realize_pattern
 def test_subdivided_star_k4_is_p4():
     # subdividing one edge of the 2-leaf star gives the 4-vertex path
     t4 = realize_pattern(PatternSpec.subdivided_star(4))
-    assert is_isomorphic(t4, realize_pattern(PatternSpec.path(4)))
+    assert canonical_form(t4) == canonical_form(realize_pattern(PatternSpec.path(4)))
 
 
 def test_double_star_1_1_is_p4():
     s22 = realize_pattern(PatternSpec.double_star(1, 1))
-    assert is_isomorphic(s22, realize_pattern(PatternSpec.path(4)))
+    assert canonical_form(s22) == canonical_form(realize_pattern(PatternSpec.path(4)))
 
 
 def test_broom_4_2_shape():
     g = realize_pattern(PatternSpec.broom(4, 2))
     assert g.n == 6
     assert len(g.edges) == 5
-    assert g.degree_sequence() == (3, 2, 2, 1, 1, 1)
+    assert sorted(g.degrees()) == [1, 1, 1, 2, 2, 3]
     assert g.degree(0) == 3  # the head carries the pendants
 
 
 def test_broom_4_1_is_p5():
-    assert is_isomorphic(
-        realize_pattern(PatternSpec.broom(4, 1)),
-        realize_pattern(PatternSpec.path(5)),
-    )
+    assert canonical_form(realize_pattern(PatternSpec.broom(4, 1))) == canonical_form(
+        realize_pattern(PatternSpec.path(5)))
 
 
 def test_star_centre_is_vertex_zero():
@@ -125,7 +123,7 @@ def test_token_roundtrip():
 def test_parse_graph6_token():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     spec = parse_pattern("g6:" + g.to_graph6())
-    assert is_isomorphic(realize_pattern(spec), g)
+    assert canonical_form(realize_pattern(spec)) == canonical_form(g)
 
 
 def test_parse_file(tmp_path):
@@ -136,5 +134,7 @@ def test_parse_file(tmp_path):
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(InvalidParameterError):
-        parse_pattern("Q17")
+    for token, named in [("Q17", "Q17"), ("cat:ell=x;leaves=1", "'ell'"),
+                         ("cat:leaves=1,x", "'leaves'"), ("cat:ell=;leaves=1", "'ell'")]:
+        with pytest.raises(InvalidParameterError, match=named):
+            parse_pattern(token)
