@@ -15,7 +15,6 @@ from .canon import (
 )
 from .colouring import EdgeColouring, is_proper
 from .engine import (
-    CheckResult,
     DEFAULT_BUDGET,
     Embedding,
     NonEdgeWitness,

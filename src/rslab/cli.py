@@ -16,7 +16,6 @@ import json
 import sys
 
 from . import reproduce as repro
-from .colouring import EdgeColouring
 from .constructions import (
     GadgetBundle,
     broom_gadget,
@@ -34,41 +33,33 @@ from .engine import (
     is_semi_saturated,
 )
 from .errors import RslabError
-from .graphs import _G6_MAX_N, Graph
-from .oracle import DEFAULT_CENSUS_BUDGET, census
+from .graphs import _G6_MAX_N
+from .oracle import census
 from .patterns import load_graph_file, parse_pattern
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNKNOWN = 3
+_EXIT_OF = {Status.ESTABLISHED: EXIT_OK, Status.REFUTED: EXIT_FALSE,
+            Status.UNKNOWN: EXIT_UNKNOWN}
 
 
 def _emit(obj, fmt: str) -> str:
+    """What a construction built, a GadgetBundle or a Graph, in the format
+    `fmt`."""
+    bundle = isinstance(obj, GadgetBundle)
+    g = obj.graph if bundle else obj
     if fmt == "json":
-        if hasattr(obj, "to_json_dict"):
-            return json.dumps(obj.to_json_dict(), sort_keys=True)
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps(obj.to_json_dict(), sort_keys=True)
     if fmt == "graph6":
-        g = obj.graph if isinstance(obj, (GadgetBundle, EdgeColouring)) else obj
         return g.to_graph6()
     if fmt == "dot":
-        if isinstance(obj, GadgetBundle) and obj.colouring is not None:
-            return obj.colouring.to_dot()
-        if isinstance(obj, EdgeColouring):
-            return obj.to_dot()
-        g = obj.graph if isinstance(obj, GadgetBundle) else obj
-        return g.to_dot()
-    # text
-    if isinstance(obj, GadgetBundle):
-        g = obj.graph
-        head = f"{obj.provenance}: {g.n} vertices, {len(g.edges)} edges"
-        if obj.colouring is not None:
-            head += f", {obj.colouring.colour_count} colours"
-        return head + "\n" + g.to_graph6()
-    if isinstance(obj, Graph):
-        return f"{obj.n} vertices, {len(obj.edges)} edges\n{obj.to_graph6()}"
-    return str(obj)
+        return (obj.colouring if bundle else g).to_dot()
+    head = f"{g.n} vertices, {len(g.edges)} edges"
+    if bundle:
+        head = f"{obj.provenance}: {head}, {obj.colouring.colour_count} colours"
+    return head + "\n" + g.to_graph6()
 
 
 # Each family: the construction parameters it needs (--variant has a
@@ -96,23 +87,13 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     g = load_graph_file(args.graph)
     spec = parse_pattern(args.pattern)
-    if args.mode in ("sat", "ssat"):
-        res = (is_saturated if args.mode == "sat" else is_semi_saturated)(g, spec)
-        payload = res.to_json_dict()
-        code = EXIT_OK if res.holds else EXIT_FALSE
-    else:
+    if args.mode == "prsat":
         verdict = is_properly_rainbow_saturated(g, spec, args.budget)
-        payload = verdict.to_json_dict()
-        code = {
-            Status.ESTABLISHED: EXIT_OK,
-            Status.REFUTED: EXIT_FALSE,
-            Status.UNKNOWN: EXIT_UNKNOWN,
-        }[verdict.status]
-    if args.output_format == "json":
-        print(json.dumps(payload, sort_keys=True))
     else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    return code
+        verdict = (is_saturated if args.mode == "sat" else is_semi_saturated)(g, spec)
+    indent = None if args.output_format == "json" else 2
+    print(json.dumps(verdict.to_json_dict(), sort_keys=True, indent=indent))
+    return _EXIT_OF[verdict.status]
 
 
 def cmd_oracle(args) -> int:
@@ -162,6 +143,8 @@ _SHARED_OPTIONS = {
     "--force": dict(action="store_true", help="overwrite mismatched cached census records"),
     "--allow-unknown": dict(action="store_true",
                             help="treat Unknown reproduce rows as non-fatal"),
+    "--budget": dict(type=_at_least(1, "budget"), default=DEFAULT_BUDGET,
+                     help="node budget of each colouring walk"),
 }
 
 
@@ -194,26 +177,24 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ell", type=int)
     c.add_argument("--variant", choices=["sat", "prsat"], default="sat")
 
-    v = _subcommand(sub, "verify", cmd_verify, "check a graph file against a pattern")
+    v = _subcommand(sub, "verify", cmd_verify, "check a graph file against a pattern",
+                    options=("--budget",))
     v.add_argument("graph", help="graph6 or JSON graph file, or - for stdin")
     v.add_argument("--pattern", required=True,
                    help="P5, K1,4, B4,2, T5star, S3,2, cat:ell=4;leaves=1,0,0,1, g6:..., @file")
     v.add_argument("--mode", choices=["sat", "ssat", "prsat"], default="prsat")
-    v.add_argument("--budget", type=_at_least(1, "budget"), default=DEFAULT_BUDGET)
 
     o = _subcommand(sub, "oracle", cmd_oracle, "brute-force census of a saturation number",
-                    options=("--cache-dir", "--force"))
+                    options=("--cache-dir", "--force", "--budget"))
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--pattern", required=True)
     o.add_argument("--quantity", choices=["sat", "ssat", "prsat"], required=True)
-    o.add_argument("--budget", type=_at_least(1, "budget"), default=DEFAULT_CENSUS_BUDGET)
     o.add_argument("--edge-cap", type=_at_least(0, "edge cap"), default=None)
 
     r = _subcommand(sub, "reproduce", cmd_reproduce, "pass/fail table for a claim suite",
-                    options=("--cache-dir", "--allow-unknown"))
+                    options=("--cache-dir", "--allow-unknown", "--budget"))
     r.add_argument("suite", choices=list(repro.SUITES))
     r.add_argument("--ell", type=int, default=4)
-    r.add_argument("--budget", type=_at_least(1, "budget"), default=DEFAULT_CENSUS_BUDGET)
     return parser
 
 

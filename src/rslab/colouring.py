@@ -53,21 +53,6 @@ class EdgeColouring:
         d["colours"] = list(self.colours)
         return d
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "EdgeColouring":
-        """Colouring from the graph JSON plus a "colours" list, each colour
-        belonging to the edge listed beside it, in whatever order the edges
-        come; a colour that is not a JSON integer raises RslabError."""
-        g = Graph.from_json_dict(data)
-        colours = data.get("colours")
-        if type(colours) is not list or any(type(c) is not int for c in colours):
-            raise RslabError(f"colouring JSON needs a 'colours' list of integers, "
-                             f"got {colours!r}")
-        if len(colours) != len(g.edges):
-            raise MissingEdgeColourError(f"{len(colours)} colours for {len(g.edges)} edges")
-        return EdgeColouring.from_map(
-            g, {normalise_edge(*e): c for e, c in zip(data["edges"], colours)})
-
     def to_dot(self, name: str = "G") -> str:
         lines = [f"graph {name} {{"]
         for v in range(self.graph.n):

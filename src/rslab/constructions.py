@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 from . import oracle
 from .colouring import EdgeColouring
-from .engine import is_saturated
+from .engine import Status, is_saturated
 from .errors import (
     ConstructionInvalidError,
     InvalidParameterError,
     NotRepresentableError,
     OracleBudgetExceededError,
 )
-from .graphs import _G6_MAX_N, Graph, build_graph, disjoint_union, from_graph6
+from .graphs import _G6_MAX_N, Graph, _check_order, build_graph, disjoint_union, from_graph6
 from .patterns import PatternSpec
 
 STAR_FOREST_VALIDATION_CUTOFF = 12
@@ -30,24 +30,13 @@ class GadgetBundle:
     """A constructed graph together with its rainbow-free proper colouring."""
 
     graph: Graph
-    colouring: EdgeColouring | None
+    colouring: EdgeColouring
     provenance: str
 
     def to_json_dict(self) -> dict:
-        if self.colouring is not None:
-            d = self.colouring.to_json_dict()
-        else:
-            d = self.graph.to_json_dict()
+        d = self.colouring.to_json_dict()
         d["provenance"] = self.provenance
         return d
-
-
-def _check_order(order: int, name: str) -> None:
-    """Refuse, before anything is built, a construction on more vertices
-    than graph6 can write."""
-    if order > _G6_MAX_N:
-        raise InvalidParameterError(
-            f"{name} would have more than {_G6_MAX_N} vertices, the most graph6 can write")
 
 
 # -- folded cubes -----------------------------------------------------------------
@@ -208,6 +197,8 @@ def caterpillar_construction(n: int, k: int, ell: int) -> Graph:
         raise InvalidParameterError("caterpillar host needs ell >= 4")
     if k < ell + 2:
         raise InvalidParameterError("caterpillar host needs k >= ell + 2")
+    # k+1 vertices for each of the cube's 2^(ell-2), clipped as in folded_cube
+    _check_order((k + 1) << min(ell - 2, _G6_MAX_N.bit_length()), "caterpillar host")
     cube_size = 1 << (ell - 2)
     if n < (k + 1) * cube_size:
         raise InvalidParameterError(
@@ -279,9 +270,9 @@ def star_forest(n: int, k: int) -> Graph:
         )
     if n <= STAR_FOREST_VALIDATION_CUTOFF:
         check = is_saturated(g, PatternSpec.subdivided_star(k + 1))
-        if not check.holds:
+        if check.status is not Status.ESTABLISHED:
             raise ConstructionInvalidError(
-                f"star forest on {n} vertices is not saturated: {check.witness}"
+                f"star forest on {n} vertices is not saturated: {check.certificate}"
             )
     return g
 
@@ -350,7 +341,5 @@ def double_star_construction(n: int, t: int, s: int, variant: str = "sat") -> Gr
 
 def verify_bundle(bundle: GadgetBundle, target: PatternSpec) -> bool:
     """Colouring proper and free of rainbow copies of the target."""
-    return bundle.colouring is not None and oracle.rainbow_free_certificate_ok(
-        bundle.graph, target, bundle.colouring
-    )
+    return oracle.rainbow_free_certificate_ok(bundle.graph, target, bundle.colouring)
 

@@ -169,6 +169,10 @@ class NonEdgeWitness:
 
 @dataclass(frozen=True)
 class SearchVerdict:
+    """The verdict of a decision and the certificate that settles it.  sat
+    and ssat are exact: they walk no colourings, so `nodes_explored` is 0
+    and `budget` None."""
+
     status: Status
     certificate: object | None
     nodes_explored: int
@@ -192,27 +196,6 @@ class SearchVerdict:
         if self.note:
             out["note"] = self.note
         return out
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Boolean saturation verdict plus the witness that decided it."""
-
-    holds: bool
-    witness: object | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-    def to_json_dict(self) -> dict:
-        w: object | None
-        if self.witness is None:
-            w = None
-        elif hasattr(self.witness, "to_json_dict"):
-            w = self.witness.to_json_dict()
-        else:
-            w = list(self.witness)
-        return {"holds": self.holds, "witness": w}
 
 
 # -- pattern matching ---------------------------------------------------------
@@ -738,19 +721,19 @@ def _non_edge_reps(g: Graph, non_edges) -> list[Edge]:
     return non_edge_orbit_representatives(g) if non_edges is None else non_edges
 
 
-def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> CheckResult:
+def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> SearchVerdict:
     """Every single-edge addition creates a copy of the pattern through the
     new edge (Füredi & Kim, 2013); copies elsewhere in g do not count.
 
     The non-edges checked are `non_edges`, by default every non-edge in
-    lexicographic order, taken one at a time, without labelling g.  The
-    witness of a failure is the non-edge.  Passing one representative per
-    automorphism orbit, each the first of its orbit, gives the same verdict
-    and witness: an automorphism carries a copy through e onto a copy
-    through its image, so the first failing non-edge is the first of its
-    orbit.  The matcher's tables of g are built once, each edge with its
-    own colour; each non-edge joins them, with a colour of its own, for one
-    call.
+    lexicographic order, taken one at a time, without labelling g.  A
+    failure is Refuted with the non-edge as its certificate.  Passing one
+    representative per automorphism orbit, each the first of its orbit,
+    gives the same verdict and certificate: an automorphism carries a copy
+    through e onto a copy through its image, so the first failing non-edge
+    is the first of its orbit.  The matcher's tables of g are built once,
+    each edge with its own colour; each non-edge joins them, with a colour
+    of its own, for one call.
     """
     matcher = _matcher_for(pattern)
     adj, ecol = _host_tables(g.n, g.edges, None)
@@ -759,17 +742,17 @@ def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> CheckRe
         non_edges = g.non_edges()
     for e in non_edges:
         if matcher.through_added_edge(*e, new_colour, adj, ecol, g.n) is None:
-            return CheckResult(False, e)
-    return CheckResult(True, None)
+            return SearchVerdict(Status.REFUTED, e, 0, None)
+    return SearchVerdict(Status.ESTABLISHED, None, 0, None)
 
 
-def is_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> CheckResult:
+def is_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> SearchVerdict:
     """Pattern-free and semi-saturated over `non_edges` (by default every
-    non-edge).  The witness of a failure is a copy of the pattern in g, or
-    a non-edge whose addition creates none."""
+    non-edge).  The certificate of a Refuted verdict is a copy of the
+    pattern in g, or a non-edge whose addition creates none."""
     emb = contains_copy(g, pattern)
     if emb is not None:
-        return CheckResult(False, emb)
+        return SearchVerdict(Status.REFUTED, emb, 0, None)
     return is_semi_saturated(g, pattern, non_edges)
 
 

@@ -34,7 +34,7 @@ class ConstructionInvalidError(RslabError):
 
 
 class OracleBudgetExceededError(RslabError):
-    """A census sub-search stayed Unknown even after escalation."""
+    """A census left classes Unknown under its budget."""
 
 
 class RegularGraphError(RslabError):

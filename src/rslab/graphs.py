@@ -16,6 +16,7 @@ from functools import cached_property
 from .errors import (
     DuplicateEdgeError,
     IndexOutOfRangeError,
+    InvalidParameterError,
     RslabError,
     SelfLoopError,
 )
@@ -244,6 +245,14 @@ def disjoint_union(*graphs: Graph) -> Graph:
 # printable byte (offset 63).
 
 _G6_MAX_N = 258047
+
+
+def _check_order(order: int, name: str) -> None:
+    """Refuse, before anything is built, a graph on more vertices than
+    graph6 can write."""
+    if order > _G6_MAX_N:
+        raise InvalidParameterError(
+            f"{name} would have more than {_G6_MAX_N} vertices, the most graph6 can write")
 
 
 def _g6_size_bytes(n: int) -> str:

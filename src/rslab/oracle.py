@@ -44,10 +44,10 @@ a new labelling search.  `sat` and `ssat` take a base test on the graph and
 a step test on each representative (see :mod:`rslab.engine`); their verdicts
 are exact.  `prsat` decides the base and every step in one budgeted walk
 over the rainbow-free colourings of the graph
-(:func:`rslab.engine.prsat_in_one_walk`), and may stay Unknown.  An
-Unknown class is retried at once with a ten-fold budget, in the one pass
-over the levels; one still Unknown at or below the value poisons exactness
-and is reported on the record rather than guessed.
+(:func:`rslab.engine.prsat_in_one_walk`), and may stay Unknown.  Each
+class is asked once, under the census budget; a class Unknown at or below
+the value poisons exactness and is reported on the record rather than
+guessed.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ from .canon import (
 )
 from .colouring import is_proper
 from .engine import (
+    DEFAULT_BUDGET,
+    SearchVerdict,
     Status,
     find_rainbow_copy,
     is_saturated,
@@ -79,8 +81,6 @@ from .errors import CacheAccessError, CacheMismatchError, InvalidParameterError
 from .graphs import Edge, Graph, from_graph6, normalise_edge, to_graph6
 from .patterns import PatternSpec, parse_pattern
 
-DEFAULT_CENSUS_BUDGET = 10_000_000
-ESCALATION_FACTOR = 10
 CACHE_ENV_VAR = "RSLAB_CACHE"
 
 # Per quantity: the largest order a census accepts, and whether its verdicts
@@ -352,13 +352,8 @@ class CensusRecord:
     is False when some class at or below the value (or the cap) stayed
     Unknown; those classes are listed in `unresolved`.  `budget` bounds the
     one colouring walk of each prsat class, and `nodes_explored` sums the
-    nodes of those walks (not their extension calls), retries included.
-    `total_graphs_examined` counts each class once.  An Unknown class is
-    retried at once, so when a retry establishes a class below the level
-    a first pass would have stopped at, no later level is made: such
-    records examine fewer classes and nodes than a census that retried
-    only after its first pass, with the same value, witnesses, exactness
-    and `unresolved`.
+    nodes of those walks (not their extension calls).
+    `total_graphs_examined` counts the classes asked, each asked once.
     """
 
     n: int
@@ -414,26 +409,23 @@ class CensusRecord:
             g = from_graph6(w)
             if self.value is not None and len(g.edges) != self.value:
                 return False
-            status, _ = _class_verdict(g, None, spec, self.quantity, budget or self.budget)
-            if status is not Status.ESTABLISHED:
+            verdict = _class_verdict(g, None, spec, self.quantity, budget or self.budget)
+            if verdict.status is not Status.ESTABLISHED:
                 return False
         return True
 
 
 def _class_verdict(
     g: Graph, non_edges, spec: PatternSpec, quantity: str, budget: int | None
-) -> tuple[Status, int]:
-    """Status and colouring-search nodes of one graph, checking the
-    non-edges `non_edges`: in a census one per automorphism orbit, carried
-    by the level; None leaves them to the engine's defaults (every non-edge
-    for sat and ssat, one per orbit for prsat).  A prsat class takes one
-    colouring walk, which `budget` bounds; the nodes are that walk's, not
-    its extension calls."""
+) -> SearchVerdict:
+    """The verdict of one graph, checking the non-edges `non_edges`: in a
+    census one per automorphism orbit, carried by the level; None leaves
+    them to the engine's defaults (every non-edge for sat and ssat, one per
+    orbit for prsat).  A prsat class takes one colouring walk, which
+    `budget` bounds; its nodes are that walk's, not its extension calls."""
     if quantity == "prsat":
-        verdict = prsat_in_one_walk(g, spec, budget, non_edges)
-        return verdict.status, verdict.nodes_explored
-    check = {"sat": is_saturated, "ssat": is_semi_saturated}[quantity]
-    return (Status.ESTABLISHED if check(g, spec, non_edges).holds else Status.REFUTED), 0
+        return prsat_in_one_walk(g, spec, budget, non_edges)
+    return {"sat": is_saturated, "ssat": is_semi_saturated}[quantity](g, spec, non_edges)
 
 
 def _census(
@@ -448,23 +440,18 @@ def _census(
     value: int | None = None
     witnesses: list[Graph] = []
     unresolved: list[Graph] = []
-    bigger = None if budget is None else budget * ESCALATION_FACTOR
 
     # Levels 0..value, or 0..edge_cap if no class qualifies: the loop stops
-    # on the last level it examines, so no later level is made.  A class
-    # left Unknown is retried at once with the bigger budget.
+    # on the last level it examines, so no later level is made.
     for m, level in enumerate(_class_levels(n, _LEVEL_MEMO)):
         for g, non_edges, *_ in level:
-            status, nodes = _class_verdict(g, non_edges, spec, quantity, budget)
+            verdict = _class_verdict(g, non_edges, spec, quantity, budget)
             examined += 1
-            nodes_total += nodes
-            if status is Status.UNKNOWN:
-                status, nodes = _class_verdict(g, non_edges, spec, quantity, bigger)
-                nodes_total += nodes
-            if status is Status.ESTABLISHED:
+            nodes_total += verdict.nodes_explored
+            if verdict.status is Status.ESTABLISHED:
                 value = m
                 witnesses.append(g)
-            elif status is Status.UNKNOWN:
+            elif verdict.status is Status.UNKNOWN:
                 unresolved.append(g)
         if value is not None or m == edge_cap:
             break
@@ -488,7 +475,7 @@ def census(
     n: int,
     spec: PatternSpec,
     *,
-    budget: int | None = DEFAULT_CENSUS_BUDGET,
+    budget: int | None = DEFAULT_BUDGET,
     edge_cap: int | None = None,
     cache_dir: str | Path | None = None,
     force: bool = False,
@@ -498,8 +485,7 @@ def census(
 
     With a cache dir (or RSLAB_CACHE) an exact cached record is re-verified
     and returned, and a computed one is stored.  For prsat, `budget` bounds
-    the one colouring walk of each class (ten times that in the escalated
-    retry of an Unknown class).
+    the one colouring walk of each class.
     """
     if quantity not in QUANTITIES:
         raise InvalidParameterError(f"unknown quantity {quantity!r}")
@@ -540,7 +526,7 @@ def sat_number(
 def prsat_number(
     n: int,
     spec: PatternSpec,
-    budget: int | None = DEFAULT_CENSUS_BUDGET,
+    budget: int | None = DEFAULT_BUDGET,
     edge_cap: int | None = None,
     workers: int = 1,
     cache_dir: str | Path | None = None,

@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import InvalidParameterError, RslabError
-from .graphs import Edge, Graph, build_graph, from_graph6
+from .graphs import Edge, Graph, _check_order, build_graph, from_graph6
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,10 @@ def realize_pattern(spec: PatternSpec) -> Graph:
     """Build the fixed labelled realization of a pattern.
 
     Realizations never contain isolated vertices; every family except
-    `explicit` realizes to a tree.
+    `explicit` realizes to a tree.  A pattern on more vertices than graph6
+    can write is refused before anything is built.
     """
+    _check_order(_order(spec), "pattern")
     kind = spec.kind
     if kind == "path":
         k = spec.k
@@ -163,6 +165,19 @@ def realize_pattern(spec: PatternSpec) -> Graph:
             raise InvalidParameterError("pattern has an isolated vertex")
         return g
     raise RslabError(f"unknown pattern kind {kind!r}")
+
+
+def _order(spec: PatternSpec) -> int:
+    """The vertex count that a pattern's fields call for, read without
+    building anything; a missing field counts 0.  Each kind sets only its
+    own fields: path and subdivided star k, star k+1, broom k+m, double
+    star 2+t+s."""
+    if spec.kind == "caterpillar":
+        return len(spec.leaves or ()) + sum(spec.leaves or ())
+    if spec.kind == "explicit":
+        return 1 + max((max(e) for e in spec.edges or ()), default=-1)
+    fixed = {"star": 1, "double_star": 2}.get(spec.kind, 0)
+    return fixed + sum(x or 0 for x in (spec.k, spec.m, spec.t, spec.s))
 
 
 # -- the compact CLI grammar --------------------------------------------------

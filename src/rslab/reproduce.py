@@ -32,6 +32,7 @@ from .constructions import (
     verify_bundle,
 )
 from .engine import (
+    DEFAULT_BUDGET,
     Status,
     enumerate_rainbow_free_colourings,
     find_rainbow_copy,
@@ -42,7 +43,7 @@ from .engine import (
 from .errors import RslabError
 from .formulas import evaluate_bound
 from .graphs import build_graph
-from .oracle import DEFAULT_CENSUS_BUDGET, census as oracle_census
+from .oracle import census as oracle_census
 from .patterns import PatternSpec, parse_pattern
 
 SUITES = ("formulas", "constructions", "lemma4", "census")
@@ -69,7 +70,7 @@ class ReproRow:
 
 @dataclass
 class ReproConfig:
-    budget: int = DEFAULT_CENSUS_BUDGET
+    budget: int = DEFAULT_BUDGET
     cache_dir: object = None
     ell: int = 4
 
@@ -263,8 +264,8 @@ def suite_constructions(config: ReproConfig) -> list[ReproRow]:
                                                            config.budget)))
 
     ds = double_star_construction(10, 2, 1, "sat")
-    rows.append(_row("double_star_construction(10,2,1,sat) is S(3,2)-saturated",
-                     True, is_saturated(ds, PatternSpec.double_star(2, 1)).holds))
+    rows.append(_established("double_star_construction(10,2,1,sat) is S(3,2)-saturated",
+                             is_saturated(ds, PatternSpec.double_star(2, 1))))
 
     cb = caterpillar_bundle(28, 6, 4)
     cat = PatternSpec.caterpillar((1, 0, 0, 1))

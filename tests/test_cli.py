@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rslab
-from rslab import cli, constructions
+from rslab import cli, constructions, patterns
 from rslab.cli import main
 from rslab.graphs import from_graph6
 from rslab.patterns import PatternSpec, realize_pattern
@@ -83,6 +83,7 @@ def test_construct_missing_parameter_exits_2(capsys, argv, flag):
 @pytest.mark.parametrize("argv", [
     ["star-forest", "--n", "100000000000", "--k", "4"],
     ["folded-cube", "--ell", "40"],
+    ["caterpillar", "--n", "5", "--k", "20000", "--ell", "15000"],
 ])
 def test_construction_graph6_cannot_write_exits_2_before_building(monkeypatch, capsys, argv):
     def built(*args):
@@ -94,6 +95,17 @@ def test_construction_graph6_cannot_write_exits_2_before_building(monkeypatch, c
     err = capsys.readouterr().err
     assert code == 2
     assert "258047" in err and "Traceback" not in err
+
+
+def test_pattern_graph6_cannot_write_exits_2_before_building(monkeypatch, capsys):
+    def built(*args):
+        raise AssertionError("a pattern was built past the graph6 bound")
+
+    monkeypatch.setattr(patterns, "build_graph", built)
+    code = main(["oracle", "--n", "5", "--pattern", "P99999999999999999999", "--quantity", "sat"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "258047" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("token, field", [
@@ -165,7 +177,8 @@ def test_verify_sat_mode(tmp_path, capsys):
     code, out = run(capsys, "verify", str(path), "--pattern", "P4", "--mode", "sat",
                     "--format", "json")
     assert code == 0
-    assert json.loads(out)["holds"] is True
+    assert json.loads(out) == {"status": "established", "certificate": None,
+                               "nodes_explored": 0, "budget": None}
 
 
 def test_verify_garbage_exits_2(tmp_path, capsys):
@@ -214,7 +227,7 @@ def test_verify_reads_stdin(monkeypatch, capsys):
     code, out = run(capsys, "verify", "-", "--pattern", "P3", "--mode", "sat",
                     "--format", "json")
     assert code == 1
-    assert json.loads(out)["holds"] is False
+    assert json.loads(out)["status"] == "refuted"
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from conftest import all_graphs_on, partition, small_graphs
 from rslab.colouring import EdgeColouring, is_proper
 from rslab.engine import ColouringSearch
-from rslab.errors import MissingEdgeColourError, RslabError
+from rslab.errors import MissingEdgeColourError
 from rslab.graphs import build_graph
 
 TRIANGLE = build_graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -32,26 +32,6 @@ def test_colour_lookup_and_classes():
     c = EdgeColouring(TRIANGLE, (1, 2, 1))
     assert c.colour_of(2, 1) == 1
     assert c.colour_count == 2
-
-
-def test_json_roundtrip():
-    c = EdgeColouring(TRIANGLE, (1, 2, 3))
-    assert EdgeColouring.from_json_dict(c.to_json_dict()) == c
-
-
-def test_json_colours_follow_the_edge_listed_beside_them():
-    # the graph sorts its edges; each colour must stay with its own edge
-    for edges in ([[1, 2], [0, 1]], [[2, 1], [1, 0]]):
-        c = EdgeColouring.from_json_dict({"n": 3, "edges": edges, "colours": [5, 7]})
-        assert (c.colour_of(1, 2), c.colour_of(0, 1)) == (5, 7)
-    with pytest.raises(MissingEdgeColourError):
-        EdgeColouring.from_json_dict({"n": 3, "edges": [[0, 1], [1, 2]], "colours": [1, 2, 3]})
-
-
-@pytest.mark.parametrize("colours", [[1.7, True], [1, 2.0], [1, "2"], [True, 2], 3, None])
-def test_json_colours_must_be_integers(colours):
-    with pytest.raises(RslabError, match="integers"):
-        EdgeColouring.from_json_dict({"n": 3, "edges": [[0, 1], [1, 2]], "colours": colours})
 
 
 def _restricted_growth_strings(m):

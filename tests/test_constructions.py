@@ -229,7 +229,7 @@ def test_star_forest_self_validates():
     # build-time saturation check runs for every order below the cutoff
     for n in range(7, 13):
         g = star_forest(n, 4)
-        assert is_saturated(g, PatternSpec.subdivided_star(5)).holds
+        assert is_saturated(g, PatternSpec.subdivided_star(5)).status is Status.ESTABLISHED
 
 
 def test_star_forest_prsat_established():
@@ -248,13 +248,14 @@ def test_star_forest_rejects_small_n():
 def test_double_star_sat_example():
     g = double_star_construction(10, 2, 1, "sat")
     assert [len(c) for c in g.components()] == [5, 5]
-    assert is_saturated(g, PatternSpec.double_star(2, 1)).holds
+    assert is_saturated(g, PatternSpec.double_star(2, 1)).status is Status.ESTABLISHED
 
 
 def test_double_star_sat_s22():
     g = double_star_construction(8, 1, 1, "sat")
     assert [len(c) for c in g.components()] == [4, 4]
-    assert is_saturated(g, PatternSpec.path(4)).holds  # S(2,2) is the 4-vertex path
+    # S(2,2) is the 4-vertex path
+    assert is_saturated(g, PatternSpec.path(4)).status is Status.ESTABLISHED
 
 
 def test_double_star_prsat_variant_structure():

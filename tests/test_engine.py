@@ -327,11 +327,11 @@ def test_deep_pattern_plans_split_across_functions():
     p20 = PatternSpec.path(20)
     near_complete = build_graph(20, [e for e in itertools.combinations(range(20), 2)
                                      if e != (0, 19)])
-    assert is_semi_saturated(near_complete, p20).holds
-    assert not is_saturated(near_complete, p20).holds
+    assert is_semi_saturated(near_complete, p20).status is Status.ESTABLISHED
+    assert is_saturated(near_complete, p20).status is Status.REFUTED
     gapped = build_graph(20, [(i, i + 1) for i in range(19) if i != 9])
-    assert not is_semi_saturated(gapped, p20).holds
-    assert is_semi_saturated(gapped, p20, non_edges=gapped.non_edges()).witness != (9, 10)
+    assert is_semi_saturated(gapped, p20).status is Status.REFUTED
+    assert is_semi_saturated(gapped, p20, non_edges=gapped.non_edges()).certificate != (9, 10)
 
 
 def reference_bfs_edge_order(g):
@@ -428,44 +428,44 @@ def test_path_does_not_force_itself():
 
 
 def test_two_stars_saturated_for_double_star():
-    assert is_saturated(two_stars(4), PatternSpec.double_star(2, 1)).holds
+    assert is_saturated(two_stars(4), PatternSpec.double_star(2, 1)).status is Status.ESTABLISHED
 
 
 def test_two_stars_saturated_for_subdivided_star():
-    assert is_saturated(two_stars(4), PatternSpec.subdivided_star(5)).holds
+    assert is_saturated(two_stars(4), PatternSpec.subdivided_star(5)).status is Status.ESTABLISHED
 
 
 def test_complete_graph_never_saturated_for_contained_tree():
     for k in (4, 5):
         kn = build_graph(k, list(itertools.combinations(range(k), 2)))
         res = is_saturated(kn, P4)
-        assert not res.holds
-        assert res.witness is not None  # the embedding
+        assert res.status is Status.REFUTED
+        assert res.certificate is not None  # the embedding
 
 
 def test_saturated_implies_semi_saturated():
     g = two_stars(4)
-    assert is_semi_saturated(g, PatternSpec.double_star(2, 1)).holds
+    assert is_semi_saturated(g, PatternSpec.double_star(2, 1)).status is Status.ESTABLISHED
 
 
 def test_complete_graph_vacuously_semi_saturated():
     k5 = build_graph(5, list(itertools.combinations(range(5), 2)))
-    assert is_semi_saturated(k5, P4).holds
+    assert is_semi_saturated(k5, P4).status is Status.ESTABLISHED
 
 
 def test_two_disjoint_edges_semi_saturated_for_p4():
     g = build_graph(4, [(0, 1), (2, 3)])
-    assert is_semi_saturated(g, P4).holds
+    assert is_semi_saturated(g, P4).status is Status.ESTABLISHED
     # every non-edge is a cross edge and creates a path, so g is saturated too
-    assert is_saturated(g, P4).holds
+    assert is_saturated(g, P4).status is Status.ESTABLISHED
 
 
 def test_saturation_witness_is_checkable():
     g = build_graph(5, [(0, 1), (1, 2)])  # P3 plus two isolated vertices
     res = is_saturated(g, P4)
-    assert not res.holds
-    assert not hasattr(res.witness, "vertices")
-    u, v = res.witness
+    assert res.status is Status.REFUTED
+    assert not hasattr(res.certificate, "vertices")
+    u, v = res.certificate
     assert contains_copy(g.add_edge(u, v), P4) is None
 
 
@@ -474,8 +474,8 @@ def test_pattern_elsewhere_does_not_make_semi_saturated():
     # the isolated vertex to a leaf) makes no copy through the new edge
     g = build_graph(5, [(0, 1), (0, 2), (0, 3)])
     res = is_semi_saturated(g, K13)
-    assert not res.holds
-    assert res.witness in g.non_edges() and 0 not in res.witness
+    assert res.status is Status.REFUTED
+    assert res.certificate in g.non_edges() and 0 not in res.certificate
 
 
 def test_first_non_edge_refutes_before_any_labelling(monkeypatch):
@@ -485,11 +485,11 @@ def test_first_non_edge_refutes_before_any_labelling(monkeypatch):
     p3 = PatternSpec.path(3)
     for check in (is_semi_saturated, is_saturated):
         res = check(Graph(300, ()), p3)
-        assert not res.holds and res.witness == (0, 1)
+        assert res.status is Status.REFUTED and res.certificate == (0, 1)
     assert 300 not in labelled
     # every non-edge is asked in turn, so g is not labelled even after the
     # first non-edge, (0, 2), passes
-    assert is_semi_saturated(Graph(5, ((0, 1),)), p3).witness == (2, 3)
+    assert is_semi_saturated(Graph(5, ((0, 1),)), p3).certificate == (2, 3)
     assert 5 not in labelled
 
 
@@ -524,7 +524,8 @@ def test_saturation_verdicts_match_brute_force():
     graphs = [g for n in range(6) for g in all_graphs_on(n)] + list(enumerate_graphs(6))
     for spec in (P4, K13, PatternSpec.subdivided_star(5)):
         for g in graphs:
-            got = (is_saturated(g, spec).holds, is_semi_saturated(g, spec).holds)
+            got = tuple(check(g, spec).status is Status.ESTABLISHED
+                        for check in (is_saturated, is_semi_saturated))
             assert got == brute_force_saturation(g, spec), (g, spec)
 
 
@@ -579,7 +580,7 @@ def assert_class_verdicts_match_brute_force(n):
             for spec in PRSAT_BRUTE_PATTERNS:
                 want = Status.ESTABLISHED if brute_force_prsat(g, spec) else Status.REFUTED
                 assert is_properly_rainbow_saturated(g, spec, 10**7).status is want, (g, spec)
-                assert _class_verdict(g, non_edges, spec, "prsat", 10**7)[0] is want, (g, spec)
+                assert _class_verdict(g, non_edges, spec, "prsat", 10**7).status is want, (g, spec)
 
 
 def test_prsat_verdicts_match_brute_force():
@@ -718,8 +719,8 @@ def test_orbit_reduction_is_conservative():
                 without = is_properly_rainbow_saturated(g, spec, 10**6,
                                                         non_edges=g.non_edges())
                 assert with_orbits.status == without.status
-                assert is_saturated(g, spec).holds == is_saturated(
-                    g, spec, non_edges=g.non_edges()).holds
+                assert is_saturated(g, spec).status is is_saturated(
+                    g, spec, non_edges=g.non_edges()).status
 
 
 def test_prsat_established_implies_semi_saturated():
@@ -727,7 +728,7 @@ def test_prsat_established_implies_semi_saturated():
         for g in all_graphs_on(n):
             verdict = is_properly_rainbow_saturated(g, P4, 10**6)
             if verdict.status is Status.ESTABLISHED:
-                assert is_semi_saturated(g, P4).holds
+                assert is_semi_saturated(g, P4).status is Status.ESTABLISHED
 
 
 def test_star_pattern_collapse_to_classical_saturation():
@@ -735,7 +736,8 @@ def test_star_pattern_collapse_to_classical_saturation():
     for n in range(2, 6):
         for g in all_graphs_on(n):
             verdict = is_properly_rainbow_saturated(g, K13, 10**6)
-            assert (verdict.status is Status.ESTABLISHED) == is_saturated(g, K13).holds
+            assert (verdict.status is Status.ESTABLISHED) == (
+                is_saturated(g, K13).status is Status.ESTABLISHED)
 
 
 def test_verdict_serializes():
@@ -785,7 +787,7 @@ def test_random_graphs_verdicts_are_consistent(g):
     verdict = is_properly_rainbow_saturated(g, P4, 10**6)
     if verdict.status is Status.ESTABLISHED:
         assert_certificate_sound(g, P4, verdict)
-        assert is_semi_saturated(g, P4).holds
+        assert is_semi_saturated(g, P4).status is Status.ESTABLISHED
 
 
 # -- twin-edge symmetry breaking -------------------------------------------------

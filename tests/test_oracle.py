@@ -22,7 +22,6 @@ from conftest import (
 from rslab import canon, engine, oracle
 from rslab.canon import canonical_form, canonical_graph, non_edge_orbit_representatives
 from rslab.constructions import caterpillar_construction, star_forest
-from rslab.engine import Status
 from rslab.errors import CacheMismatchError, InvalidParameterError
 from rslab.graphs import Graph, build_graph, from_graph6, normalise_edge, to_graph6
 from rslab.oracle import (
@@ -425,11 +424,6 @@ def test_edge_capped_census_returns_none_when_nothing_qualifies():
     assert rec.total_graphs_examined == 8  # classes with <= 3 edges on 5 vertices
 
 
-def test_tiny_budget_resolves_small_orders_via_escalation():
-    rec = prsat_number(4, P4, budget=1)
-    assert rec.exact and rec.value == 6  # only the complete graph qualifies
-
-
 def test_prsat_census_order5_value():
     rec = prsat_number(5, P4, budget=10**6)
     assert rec.value == 4
@@ -445,6 +439,12 @@ def test_unresolved_classes_poison_the_record():
     assert rec.value is None
     assert not rec.exact
     assert rec.unresolved
+
+
+def test_a_starved_census_walks_no_class_past_its_budget():
+    rec = prsat_number(6, PatternSpec.path(6), budget=5, edge_cap=13)
+    assert rec.unresolved and rec.budget == 5
+    assert rec.nodes_explored <= 5 * rec.total_graphs_examined
 
 
 def _spy_levels_asked(monkeypatch) -> list[tuple[int, int]]:
@@ -489,69 +489,6 @@ def test_census_asks_for_no_level_past_the_last_it_examines(monkeypatch):
     asked.clear()
     assert prsat_number(6, P5, budget=10**6, edge_cap=4) == rec
     assert max(m for _, m in asked) == 4 and made == [1, 2, 3, 4]
-
-
-def test_an_unknown_class_is_retried_before_the_next_level(monkeypatch):
-    # at budget 1 the level-5 classes stay Unknown; retried at once, they
-    # settle the value there, and no level past it is asked for
-    want = prsat_number(6, P4, budget=10**6)
-    asked = _spy_levels_asked(monkeypatch)
-    rec = prsat_number(6, P4, budget=1)
-    assert _levels_of_order(asked, 6) == [0, 1, 2, 3, 4, 5]
-    assert max(m for _, m in asked) == 5
-    assert (rec.value, rec.witnesses, rec.exact) == (want.value, want.witnesses, want.exact)
-
-
-def _two_pass_census(n, spec, budget):
-    """A prsat census that retries its Unknown classes in a second pass:
-    the first pass stops at the first level with an established class, and
-    each Unknown class at or below the value so far is retried after it.
-    Returns (value, exact, witnesses, unresolved, classes examined)."""
-    value = None
-    witnesses, unknown, still = [], [], []
-    examined = 0
-    for m, level in enumerate(_augmented_levels(n)):
-        for g, non_edges in level:
-            status, _ = oracle._class_verdict(g, non_edges, spec, "prsat", budget)
-            examined += 1
-            if status is Status.ESTABLISHED:
-                value = m
-                witnesses.append(g)
-            elif status is Status.UNKNOWN:
-                unknown.append((g, non_edges))
-        if value is not None:
-            break
-    for g, non_edges in unknown:
-        m = len(g.edges)
-        if value is not None and m > value:
-            continue
-        status, _ = oracle._class_verdict(g, non_edges, spec, "prsat",
-                                          budget * oracle.ESCALATION_FACTOR)
-        if status is Status.ESTABLISHED:
-            if value is None or m < value:
-                value = m
-                witnesses = [g]
-            elif m == value:
-                witnesses.append(g)
-        elif status is Status.UNKNOWN:
-            still.append(g)
-    poisons = tuple(sorted(to_graph6(g) for g in still if value is None or len(g.edges) <= value))
-    found = tuple(sorted(to_graph6(g) for g in witnesses if len(g.edges) == value))
-    return value, not poisons, found, poisons, examined
-
-
-def test_in_place_retry_matches_a_second_pass_on_starved_budgets():
-    shrunk = 0
-    for n in (4, 5, 6):
-        for spec in (P4, P5, PatternSpec.star(3), PatternSpec.path(6)):
-            for budget in (1, 2, 3, 5, 8, 13, 30, 100):
-                value, exact, witnesses, unresolved, examined = _two_pass_census(n, spec, budget)
-                rec = prsat_number(n, spec, budget=budget)
-                assert (rec.value, rec.exact, rec.witnesses, rec.unresolved) == (
-                    value, exact, witnesses, unresolved), (n, spec, budget)
-                assert rec.total_graphs_examined <= examined
-                shrunk += rec.total_graphs_examined < examined
-    assert shrunk > 0
 
 
 # (quantity, n, pattern, edge cap): censuses of orders 6 and 7 whose levels

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from rslab.canon import canonical_form
 from rslab.errors import InvalidParameterError
 from rslab.graphs import build_graph
+from rslab import patterns
 from rslab.patterns import PatternSpec, parse_pattern, realize_pattern
 
 
@@ -89,6 +90,19 @@ def test_invalid_parameters():
         realize_pattern(PatternSpec.subdivided_star(3))
     with pytest.raises(InvalidParameterError):
         realize_pattern(PatternSpec.broom(0, 1))
+
+
+@pytest.mark.parametrize("spec", [
+    PatternSpec.path(10**20), PatternSpec.star(10**20), PatternSpec.broom(4, 10**20),
+    PatternSpec.double_star(10**20, 1), PatternSpec.caterpillar((10**20,)),
+])
+def test_an_order_graph6_cannot_write_is_refused_before_building(monkeypatch, spec):
+    def built(*args):
+        raise AssertionError("a pattern was built past the graph6 bound")
+
+    monkeypatch.setattr(patterns, "build_graph", built)
+    with pytest.raises(InvalidParameterError, match="258047"):
+        realize_pattern(spec)
 
 
 def test_explicit_rejects_isolated_vertices():
