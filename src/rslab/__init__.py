@@ -43,6 +43,6 @@ from .errors import (
     SelfLoopError,
 )
 from .graphs import Graph, build_graph, disjoint_union, from_graph6, to_graph6
-from .patterns import PatternSpec, load_graph_file, parse_pattern, realize_pattern
+from .patterns import PatternSpec, load_graph_file, parse_pattern
 
 __version__ = "0.1.0"

@@ -113,7 +113,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    rc = repro.ReproConfig(budget=args.budget, cache_dir=args.cache_dir, ell=args.ell)
+    rc = repro.ReproConfig(budget=args.budget, cache_dir=args.cache_dir)
     rows = repro.run_suite(args.suite, rc)
     if args.output_format == "json":
         print(json.dumps([r.to_json_dict() for r in rows], sort_keys=True))
@@ -194,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = _subcommand(sub, "reproduce", cmd_reproduce, "pass/fail table for a claim suite",
                     options=("--cache-dir", "--allow-unknown", "--budget"))
     r.add_argument("suite", choices=list(repro.SUITES))
-    r.add_argument("--ell", type=int, default=4)
     return parser
 
 

@@ -7,7 +7,6 @@ construction they instantiate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import oracle
@@ -299,7 +298,7 @@ def _clique_star(cliques: int, s: int) -> Graph:
 def double_star_multiplier(t: int, s: int) -> int:
     """Minimum cliques per centre so that every edge addition creates the
     double star with centre degrees t+1 and s+1."""
-    return math.ceil((t + 1) / s) + 1
+    return -(-(t + 1) // s) + 1
 
 
 def double_star_construction(n: int, t: int, s: int, variant: str = "sat") -> Graph:

@@ -127,7 +127,7 @@ from functools import lru_cache
 from .canon import automorphism_generators, non_edge_orbit_representatives, orbit_roots
 from .colouring import EdgeColouring
 from .graphs import Edge, Graph
-from .patterns import PatternSpec, realize_pattern
+from .patterns import PatternSpec
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -285,8 +285,6 @@ class _Matcher:
     def find(self, host: Graph, colouring: EdgeColouring | None) -> Embedding | None:
         """Complete search; deterministic (first hit in the fixed scan order)."""
         n = host.n
-        if self.k > n:
-            return None
         adj, ecol = _host_tables(n, host.edges, colouring)
         mapping = self._find(-1, -1, 0, adj, ecol, n)
         if mapping is None:
@@ -424,7 +422,16 @@ def _compile_plans(plans, deg, colour_set: bool = False):
 
 @lru_cache(maxsize=1024)
 def _matcher_for(spec: PatternSpec) -> _Matcher:
-    return _Matcher(realize_pattern(spec))
+    return _Matcher(spec.graph)
+
+
+def _matcher_in(g: Graph, spec: PatternSpec | None) -> _Matcher | None:
+    """The matcher of the pattern for questions about copies in g, or None
+    when g holds no copy whatever its edges and colours: no pattern, or one
+    on more vertices than g.  No matcher is compiled for such a pattern."""
+    if spec is None or spec.graph.n > g.n:
+        return None
+    return _matcher_for(spec)
 
 
 # -- the colouring search ------------------------------------------------------
@@ -515,7 +522,7 @@ class ColouringSearch:
         self._order = bfs_edge_order(graph)
         pos = {e: i for i, e in enumerate(graph.edges)}
         self._out_slot = [pos[e] for e in self._order]
-        self._matcher = _matcher_for(pattern) if pattern is not None else None
+        self._matcher = _matcher_in(graph, pattern)
         self._twin = [False] * len(self._order)
 
     def sort_twins(self) -> ColouringSearch:
@@ -641,14 +648,17 @@ class ColouringSearch:
         The colours offered are those used at neither end, and one new
         colour.  A copy through (u, v) with colour set M stays rainbow when
         (u, v) takes any colour outside M instead, so only the colours of M
-        are tried after it.
+        are tried after it.  With no matcher (no pattern, or one on more
+        vertices than g) the first colour offered is taken.
         """
         cadj, ecol, usage = self._tables
+        matcher = self._matcher
         uvmask = 1 << u | 1 << v
         allowed = -1
         for c in range(1, len(usage)):
             if not usage[c] & uvmask and allowed >> c & 1:
-                colours = self._matcher.through_added_edge(u, v, c, cadj, ecol, self.graph.n)
+                colours = (None if matcher is None else
+                           matcher.through_added_edge(u, v, c, cadj, ecol, self.graph.n))
                 if colours is None:
                     return c
                 allowed &= colours
@@ -669,7 +679,8 @@ def enumerate_rainbow_free_colourings(g: Graph, pattern: PatternSpec):
 
 def contains_copy(g: Graph, pattern: PatternSpec) -> Embedding | None:
     """Complete subgraph-isomorphism search for the pattern in g."""
-    return _matcher_for(pattern).find(g, None)
+    matcher = _matcher_in(g, pattern)
+    return None if matcher is None else matcher.find(g, None)
 
 
 def find_rainbow_copy(
@@ -677,7 +688,8 @@ def find_rainbow_copy(
 ) -> Embedding | None:
     """Complete search for a copy of the pattern whose edge colours are
     pairwise distinct.  The colouring need not be proper."""
-    return _matcher_for(pattern).find(g, colouring)
+    matcher = _matcher_in(g, pattern)
+    return None if matcher is None else matcher.find(g, colouring)
 
 
 def search_rainbow_free_colouring(
@@ -733,15 +745,16 @@ def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> SearchV
     through e onto a copy through its image, so the first failing non-edge
     is the first of its orbit.  The matcher's tables of g are built once,
     each edge with its own colour; each non-edge joins them, with a colour
-    of its own, for one call.
+    of its own, for one call.  A pattern on more vertices than g has no
+    copy in any g + e, so the first non-edge refutes.
     """
-    matcher = _matcher_for(pattern)
+    matcher = _matcher_in(g, pattern)
     adj, ecol = _host_tables(g.n, g.edges, None)
     new_colour = len(g.edges) + 1
     if non_edges is None:
         non_edges = g.non_edges()
     for e in non_edges:
-        if matcher.through_added_edge(*e, new_colour, adj, ecol, g.n) is None:
+        if matcher is None or matcher.through_added_edge(*e, new_colour, adj, ecol, g.n) is None:
             return SearchVerdict(Status.REFUTED, e, 0, None)
     return SearchVerdict(Status.ESTABLISHED, None, 0, None)
 
@@ -776,8 +789,7 @@ def is_properly_rainbow_saturated(
     copy, so only complete graphs qualify; such verdicts are flagged with a
     "degenerate regime" note.
     """
-    hg = realize_pattern(pattern)
-    note = "degenerate regime" if g.n < hg.n else None
+    note = "degenerate regime" if g.n < pattern.graph.n else None
     base = search_rainbow_free_colouring(g, pattern, budget)
     total = base.nodes_explored
     if base.status is not Status.ESTABLISHED:
@@ -821,7 +833,7 @@ def prsat_in_one_walk(
     walks close in 4,508, 4,337 and 958 nodes (7,870, 4,349 and 571,624
     before backjumping).
     """
-    note = "degenerate regime" if g.n < realize_pattern(pattern).n else None
+    note = "degenerate regime" if g.n < pattern.graph.n else None
     non_edges = _non_edge_reps(g, non_edges)
     search = ColouringSearch(g, pattern, budget)
     first = None

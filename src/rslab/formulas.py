@@ -16,7 +16,7 @@ from functools import partial
 
 from .errors import InvalidParameterError, RegularGraphError
 from .graphs import Graph
-from .patterns import PatternSpec, realize_pattern
+from .patterns import PatternSpec
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class BoundRow:
 
 def tree_second_degree(spec: PatternSpec) -> int:
     """Second smallest degree value of the realization (delta_2)."""
-    g = realize_pattern(spec)
-    degs = sorted(set(g.degrees()))
+    degs = sorted(set(spec.graph.degrees()))
     if len(degs) < 2:
         raise RegularGraphError("second smallest degree undefined for regular graphs")
     return degs[1]
@@ -47,7 +46,7 @@ def tree_second_degree(spec: PatternSpec) -> int:
 def bare_path_parameter(spec: PatternSpec) -> int:
     """max(t, 2), where t is the longest path whose internal vertices all
     have degree 2 in the tree."""
-    g = realize_pattern(spec)
+    g = spec.graph
     if not g.is_tree():
         raise InvalidParameterError("bare path parameter needs a tree")
     best = 1 if g.edges else 0
@@ -72,6 +71,13 @@ def bare_path_parameter(spec: PatternSpec) -> int:
     return max(best, 2)
 
 
+def is_star(spec: PatternSpec) -> bool:
+    """Whether the realization is a star: a tree with a vertex joined to
+    every other."""
+    g = spec.graph
+    return g.is_tree() and g.n >= 2 and max(g.degrees()) == g.n - 1
+
+
 def _has_degree2_leaf_neighbour(g: Graph) -> bool:
     for v in range(g.n):
         if g.degree(v) == 2 and any(g.degree(w) == 1 for w in g.neighbours(v)):
@@ -89,7 +95,7 @@ def _row_long_path_lower(n: int, pattern: PatternSpec | None = None) -> BoundRow
     if pattern is not None:
         from .engine import contains_copy
 
-        g = realize_pattern(pattern)
+        g = pattern.graph
         out_of_range = not (
             g.is_connected() and contains_copy(g, PatternSpec.path(6)) is not None
         )
@@ -121,7 +127,7 @@ def _row_caterpillar_upper(n: int, k: int, ell: int) -> BoundRow:
 
 
 def _row_bare_path_lower(n: int, pattern: PatternSpec) -> BoundRow:
-    g = realize_pattern(pattern)
+    g = pattern.graph
     out = not (
         g.is_tree()
         and g.diameter() >= 4
@@ -167,7 +173,7 @@ def _row_double_star_sat(n: int, t: int, s: int) -> BoundRow:
 
 
 def _row_double_star_sat_upper(n: int, t: int, s: int) -> BoundRow:
-    m = math.ceil((t + 1) / s) + 1
+    m = -(-(t + 1) // s) + 1
     coeff = Fraction(m * s, m * s + 1) * Fraction(s + 1, 2)
     return BoundRow(
         "double-star-sat-upper", "sat", n, (("t", t), ("s", s), ("m", m)),
@@ -177,7 +183,7 @@ def _row_double_star_sat_upper(n: int, t: int, s: int) -> BoundRow:
 
 
 def _row_double_star_prsat(n: int, t: int, s: int) -> BoundRow:
-    m = math.ceil((t + s + 1) / s) + 1
+    m = -(-(t + s + 1) // s) + 1
     coeff = Fraction(m * s, m * s + 1) * Fraction(s + 1, 2)
     return BoundRow(
         "double-star-prsat", "prsat", n, (("t", t), ("s", s), ("m", m)),
@@ -187,14 +193,13 @@ def _row_double_star_prsat(n: int, t: int, s: int) -> BoundRow:
 
 
 def _row_second_degree_lower(n: int, pattern: PatternSpec) -> BoundRow:
-    g = realize_pattern(pattern)
-    is_star = g.is_tree() and g.n >= 2 and max(g.degrees()) == g.n - 1
+    g = pattern.graph
     try:
         d2 = tree_second_degree(pattern)
     except RegularGraphError:
         d2 = None
     out = not (
-        g.is_tree() and not is_star and g.n >= 5
+        g.is_tree() and not is_star(pattern) and g.n >= 5
         and d2 is not None and n >= (d2 - 1) ** 3
     )
     lower = None if d2 is None else Fraction(d2 - 1, 2) * n

@@ -5,9 +5,14 @@ pendants on one endpoint), subdivided stars (K_{1,k-2} with one edge
 subdivided, on k vertices), double stars (K_2 with t and s pendants),
 caterpillars given by per-spine leaf counts, and explicit edge lists.
 
-Each family fixes one labelling so that certificates are byte-stable:
-vertex 0 is the distinguished high-degree vertex where the family has one
-(star centre, broom head, double-star major centre).
+A pattern is its one-word name and its labelled graph.  Each family's
+constructor checks the family's parameters, refuses an order graph6 cannot
+write before any edge list exists, builds the graph and names it; the
+labelling of a family lives in its constructor and nowhere else.  Each
+family fixes one labelling so that certificates are byte-stable: vertex 0
+is the distinguished high-degree vertex where the family has one (star
+centre, broom head, double-star major centre).  Realizations never contain
+isolated vertices; every family except `explicit` realizes to a tree.
 """
 
 from __future__ import annotations
@@ -16,168 +21,108 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 from .errors import InvalidParameterError, RslabError
-from .graphs import Edge, Graph, _check_order, build_graph, from_graph6
+from .graphs import Graph, _check_order, build_graph, from_graph6
 
 
 @dataclass(frozen=True)
 class PatternSpec:
-    kind: str
-    k: int | None = None
-    m: int | None = None
-    t: int | None = None
-    s: int | None = None
-    leaves: tuple[int, ...] | None = None
-    edges: tuple[Edge, ...] | None = None
+    """A pattern: `name`, the token :func:`parse_pattern` reads back, and
+    `graph`, its fixed labelled realization."""
+
+    name: str
+    graph: Graph
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def path(k: int) -> "PatternSpec":
-        return PatternSpec(kind="path", k=k)
+        if k < 2:
+            raise InvalidParameterError("path needs k >= 2 vertices")
+        _check_order(k, "pattern")
+        return PatternSpec(f"P{k}", build_graph(k, [(i, i + 1) for i in range(k - 1)]))
 
     @staticmethod
     def star(k: int) -> "PatternSpec":
-        return PatternSpec(kind="star", k=k)
+        if k < 1:
+            raise InvalidParameterError("star needs k >= 1 leaves")
+        _check_order(k + 1, "pattern")
+        return PatternSpec(f"K1,{k}", build_graph(k + 1, [(0, i) for i in range(1, k + 1)]))
 
     @staticmethod
     def broom(k: int, m: int) -> "PatternSpec":
-        return PatternSpec(kind="broom", k=k, m=m)
+        if k < 1 or m < 1:
+            raise InvalidParameterError("broom needs k >= 1 and m >= 1")
+        _check_order(k + m, "pattern")
+        # head = vertex 0; path 0,1,..,k-1; pendants k..k+m-1 on the head
+        edges = [(i, i + 1) for i in range(k - 1)]
+        edges += [(0, k + j) for j in range(m)]
+        return PatternSpec(f"B{k},{m}", build_graph(k + m, edges))
 
     @staticmethod
     def subdivided_star(k: int) -> "PatternSpec":
-        return PatternSpec(kind="subdivided_star", k=k)
+        if k < 4:
+            raise InvalidParameterError("subdivided star needs k >= 4 vertices")
+        _check_order(k, "pattern")
+        # centre 0; direct leaves 1..k-3; path 0,(k-2),(k-1)
+        edges = [(0, i) for i in range(1, k - 2)]
+        edges += [(0, k - 2), (k - 2, k - 1)]
+        return PatternSpec(f"T{k}star", build_graph(k, edges))
 
     @staticmethod
     def double_star(t: int, s: int) -> "PatternSpec":
         """The tree with adjacent centres of degree t+1 and s+1."""
         if t < s:
             t, s = s, t
-        return PatternSpec(kind="double_star", t=t, s=s)
-
-    @staticmethod
-    def caterpillar(leaves) -> "PatternSpec":
-        return PatternSpec(kind="caterpillar", leaves=tuple(int(x) for x in leaves))
-
-    @staticmethod
-    def explicit(edges) -> "PatternSpec":
-        norm = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-        return PatternSpec(kind="explicit", edges=norm)
-
-    @staticmethod
-    def from_graph(g: Graph) -> "PatternSpec":
-        return PatternSpec.explicit(g.edges)
-
-    # -- naming --------------------------------------------------------------
-
-    def token(self) -> str:
-        """Compact one-word name, also used as the census cache key."""
-        if self.kind == "path":
-            return f"P{self.k}"
-        if self.kind == "star":
-            return f"K1,{self.k}"
-        if self.kind == "broom":
-            return f"B{self.k},{self.m}"
-        if self.kind == "subdivided_star":
-            return f"T{self.k}star"
-        if self.kind == "double_star":
-            return f"S{self.t + 1},{self.s + 1}"
-        if self.kind == "caterpillar":
-            return "cat:ell=%d;leaves=%s" % (
-                len(self.leaves),
-                ",".join(str(x) for x in self.leaves),
-            )
-        if self.kind == "explicit":
-            return "g6:" + realize_pattern(self).to_graph6()
-        raise RslabError(f"unknown pattern kind {self.kind!r}")
-
-
-@lru_cache(maxsize=4096)
-def realize_pattern(spec: PatternSpec) -> Graph:
-    """Build the fixed labelled realization of a pattern.
-
-    Realizations never contain isolated vertices; every family except
-    `explicit` realizes to a tree.  A pattern on more vertices than graph6
-    can write is refused before anything is built.
-    """
-    _check_order(_order(spec), "pattern")
-    kind = spec.kind
-    if kind == "path":
-        k = spec.k
-        if k is None or k < 2:
-            raise InvalidParameterError("path needs k >= 2 vertices")
-        return build_graph(k, [(i, i + 1) for i in range(k - 1)])
-    if kind == "star":
-        k = spec.k
-        if k is None or k < 1:
-            raise InvalidParameterError("star needs k >= 1 leaves")
-        return build_graph(k + 1, [(0, i) for i in range(1, k + 1)])
-    if kind == "broom":
-        k, m = spec.k, spec.m
-        if k is None or m is None or k < 1 or m < 1:
-            raise InvalidParameterError("broom needs k >= 1 and m >= 1")
-        # head = vertex 0; path 0,1,..,k-1; pendants k..k+m-1 on the head
-        edges = [(i, i + 1) for i in range(k - 1)]
-        edges += [(0, k + j) for j in range(m)]
-        return build_graph(k + m, edges)
-    if kind == "subdivided_star":
-        k = spec.k
-        if k is None or k < 4:
-            raise InvalidParameterError("subdivided star needs k >= 4 vertices")
-        # centre 0; direct leaves 1..k-3; path 0,(k-2),(k-1)
-        edges = [(0, i) for i in range(1, k - 2)]
-        edges += [(0, k - 2), (k - 2, k - 1)]
-        return build_graph(k, edges)
-    if kind == "double_star":
-        t, s = spec.t, spec.s
-        if t is None or s is None or s < 1 or t < s:
+        if s < 1:
             raise InvalidParameterError("double star needs t >= s >= 1")
+        _check_order(2 + t + s, "pattern")
         edges = [(0, 1)]
         edges += [(0, 2 + j) for j in range(t)]
         edges += [(1, 2 + t + j) for j in range(s)]
-        return build_graph(2 + t + s, edges)
-    if kind == "caterpillar":
-        leaves = spec.leaves
+        return PatternSpec(f"S{t + 1},{s + 1}", build_graph(2 + t + s, edges))
+
+    @staticmethod
+    def caterpillar(leaves) -> "PatternSpec":
+        leaves = tuple(int(x) for x in leaves)
         if not leaves:
             raise InvalidParameterError("caterpillar needs at least one spine vertex")
         if any(x < 0 for x in leaves):
             raise InvalidParameterError("negative leaf count")
         ell = len(leaves)
-        if ell == 1 and leaves[0] == 0:
+        if leaves == (0,):
             raise InvalidParameterError("single-vertex caterpillar is an isolated vertex")
+        _check_order(ell + sum(leaves), "pattern")
         edges = [(i, i + 1) for i in range(ell - 1)]
         nxt = ell
         for i, cnt in enumerate(leaves):
             for _ in range(cnt):
                 edges.append((i, nxt))
                 nxt += 1
-        return build_graph(nxt, edges)
-    if kind == "explicit":
-        edges = spec.edges
+        name = "cat:ell=%d;leaves=%s" % (ell, ",".join(str(x) for x in leaves))
+        return PatternSpec(name, build_graph(nxt, edges))
+
+    @staticmethod
+    def explicit(edges) -> "PatternSpec":
+        edges = tuple(edges)
         if not edges:
             raise InvalidParameterError("explicit pattern needs at least one edge")
         n = max(max(e) for e in edges) + 1
+        _check_order(n, "pattern")
         g = build_graph(n, edges)
         if any(g.degree(v) == 0 for v in range(n)):
             raise InvalidParameterError("pattern has an isolated vertex")
-        return g
-    raise RslabError(f"unknown pattern kind {kind!r}")
+        return PatternSpec("g6:" + g.to_graph6(), g)
 
+    @staticmethod
+    def from_graph(g: Graph) -> "PatternSpec":
+        return PatternSpec.explicit(g.edges)
 
-def _order(spec: PatternSpec) -> int:
-    """The vertex count that a pattern's fields call for, read without
-    building anything; a missing field counts 0.  Each kind sets only its
-    own fields: path and subdivided star k, star k+1, broom k+m, double
-    star 2+t+s."""
-    if spec.kind == "caterpillar":
-        return len(spec.leaves or ()) + sum(spec.leaves or ())
-    if spec.kind == "explicit":
-        return 1 + max((max(e) for e in spec.edges or ()), default=-1)
-    fixed = {"star": 1, "double_star": 2}.get(spec.kind, 0)
-    return fixed + sum(x or 0 for x in (spec.k, spec.m, spec.t, spec.s))
+    def token(self) -> str:
+        """Compact one-word name, also used as the census cache key."""
+        return self.name
 
 
 # -- the compact CLI grammar --------------------------------------------------

@@ -2,7 +2,7 @@
 
 Four suites: `formulas` cross-checks the closed forms against the census
 oracle, `constructions` re-verifies every builder and bundle invariant,
-`lemma4` checks the folded-cube colouring properties at a given ell, and
+`lemma4` checks the folded-cube colouring properties at ell = 4 and 5, and
 `census` recomputes the exact small-order values.  Rows that stay Unknown
 (budget exhausted, or an inexact census record) fail unless explicitly
 allowed.
@@ -41,7 +41,7 @@ from .engine import (
     is_saturated,
 )
 from .errors import RslabError
-from .formulas import evaluate_bound
+from .formulas import evaluate_bound, is_star
 from .graphs import build_graph
 from .oracle import census as oracle_census
 from .patterns import PatternSpec, parse_pattern
@@ -72,7 +72,6 @@ class ReproRow:
 class ReproConfig:
     budget: int = DEFAULT_BUDGET
     cache_dir: object = None
-    ell: int = 4
 
     def census(self, quantity: str, n: int, spec: PatternSpec, edge_cap=None):
         return oracle_census(quantity, n, spec, budget=self.budget, edge_cap=edge_cap,
@@ -284,28 +283,24 @@ def suite_constructions(config: ReproConfig) -> list[ReproRow]:
 
 
 def suite_lemma4(config: ReproConfig) -> list[ReproRow]:
+    """The rows of ell = 4 (K4 and P4), then those of ell = 5 (F4 and P5)."""
     rows: list[ReproRow] = []
-    ell = config.ell
-    if ell == 4:
-        k4 = FoldedCube(3).graph()
-        colourings = list(enumerate_rainbow_free_colourings(k4, PatternSpec.path(4)))
-        rows.append(_row(
-            "every rainbow-P4-free proper colouring of K4 uses exactly 3 colours",
-            True,
-            bool(colourings) and all(c.colour_count == 3 for c in colourings),
-        ))
-        rows.append(_established("K4 is properly rainbow P4-saturated",
-                                 is_properly_rainbow_saturated(k4, PatternSpec.path(4),
-                                                               config.budget)))
-    elif ell == 5:
-        f4 = FoldedCube(4).graph()
-        for e in non_edge_orbit_representatives(f4):
-            rows.append(_established(f"every proper colouring of F4 + {e} has a rainbow P5",
-                                     forces_rainbow(f4.add_edge(*e), PatternSpec.path(5), 10**9)))
-        rows.append(_established("F4 is properly rainbow P5-saturated",
-                                 is_properly_rainbow_saturated(f4, PatternSpec.path(5), 10**9)))
-    else:
-        raise RslabError("lemma4 suite supports ell in {4, 5}")
+    k4 = FoldedCube(3).graph()
+    colourings = list(enumerate_rainbow_free_colourings(k4, PatternSpec.path(4)))
+    rows.append(_row(
+        "every rainbow-P4-free proper colouring of K4 uses exactly 3 colours",
+        True,
+        bool(colourings) and all(c.colour_count == 3 for c in colourings),
+    ))
+    rows.append(_established("K4 is properly rainbow P4-saturated",
+                             is_properly_rainbow_saturated(k4, PatternSpec.path(4),
+                                                           config.budget)))
+    f4 = FoldedCube(4).graph()
+    for e in non_edge_orbit_representatives(f4):
+        rows.append(_established(f"every proper colouring of F4 + {e} has a rainbow P5",
+                                 forces_rainbow(f4.add_edge(*e), PatternSpec.path(5), 10**9)))
+    rows.append(_established("F4 is properly rainbow P5-saturated",
+                             is_properly_rainbow_saturated(f4, PatternSpec.path(5), 10**9)))
     return rows
 
 
@@ -342,7 +337,7 @@ def suite_census(config: ReproConfig) -> list[ReproRow]:
     read, ok = [], True
     for c, rec in valued:
         spec = c.spec()
-        if c.quantity == "prsat" and spec.kind != "star":
+        if c.quantity == "prsat" and not is_star(spec):
             read.append(rec)
             lower = evaluate_bound("second-degree-lower", c.n, pattern=spec).lower
             ok = ok and (lower is None or lower <= rec.value)

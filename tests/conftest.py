@@ -142,12 +142,12 @@ def labelled_graphs_on_6():
 
 @pytest.fixture(scope="session")
 def suite_rows(tmp_path_factory):
-    """suite_rows(name, ell=4): the rows of one reproduce suite at the
+    """suite_rows(name): the rows of one reproduce suite at the
     default budgets, run once per session for every test that reads them."""
     cache_dir = tmp_path_factory.mktemp("census-cache")
 
     @functools.cache
-    def rows(name, ell=4):
-        return run_suite(name, ReproConfig(cache_dir=cache_dir, ell=ell))
+    def rows(name):
+        return run_suite(name, ReproConfig(cache_dir=cache_dir))
 
     return rows

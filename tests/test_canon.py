@@ -33,17 +33,17 @@ from rslab.constructions import (
     star_forest,
 )
 from rslab.graphs import build_graph, to_graph6
-from rslab.patterns import PatternSpec, realize_pattern
+from rslab.patterns import PatternSpec
 
 
 def test_relabelled_path_equal_labels():
-    p4 = realize_pattern(PatternSpec.path(4))
+    p4 = PatternSpec.path(4).graph
     assert canonical_form(p4) == canonical_form(p4.relabel([2, 0, 3, 1]))
 
 
 def test_path_vs_star_differ():
-    assert canonical_form(realize_pattern(PatternSpec.path(4))) != canonical_form(
-        realize_pattern(PatternSpec.star(3))
+    assert canonical_form(PatternSpec.path(4).graph) != canonical_form(
+        PatternSpec.star(3).graph
     )
 
 
@@ -95,7 +95,7 @@ def test_pair_orbits_p3():
 
 def test_pair_orbits_star_non_edges():
     # the three non-edges between the leaves of K1,3 form one orbit
-    k13 = realize_pattern(PatternSpec.star(3))
+    k13 = PatternSpec.star(3).graph
     assert len(k13.non_edges()) == 3
     assert non_edge_orbit_representatives(k13) == _brute_non_edge_representatives(k13) == [(1, 2)]
 
@@ -140,7 +140,7 @@ def test_generators_generate_the_whole_group():
 def test_automorphism_group_sizes():
     k4 = build_graph(4, list(itertools.combinations(range(4), 2)))
     assert _group_order(k4) == 24
-    p4 = realize_pattern(PatternSpec.path(4))
+    p4 = PatternSpec.path(4).graph
     assert _group_order(p4) == 2
     # complete bipartite K_{3,3}
     k33 = build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
@@ -148,7 +148,7 @@ def test_automorphism_group_sizes():
 
 
 def test_vertex_orbits_star():
-    k13 = realize_pattern(PatternSpec.star(3))
+    k13 = PatternSpec.star(3).graph
     assert orbit_roots(4, automorphism_generators(k13)) == [0, 1, 1, 1]
 
 

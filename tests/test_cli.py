@@ -14,7 +14,7 @@ import rslab
 from rslab import cli, constructions, patterns
 from rslab.cli import main
 from rslab.graphs import from_graph6
-from rslab.patterns import PatternSpec, realize_pattern
+from rslab.patterns import PatternSpec
 
 
 def run(capsys, *argv):
@@ -51,6 +51,13 @@ def test_construct_double_star(capsys):
                     "--s", "1", "--variant", "sat", "--format", "graph6")
     assert code == 0
     assert from_graph6(out.strip()).n == 10
+
+
+def test_construct_double_star_past_float_range_exits_2(capsys):
+    code = main(["construct", "double-star", "--n", "10", "--t", "1" + "0" * 400, "--s", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_construct_caterpillar_dot(capsys):
@@ -153,7 +160,7 @@ def test_verify_star_forest_prsat(tmp_path, capsys):
 
 def test_verify_tree_refuted_exits_1(tmp_path, capsys):
     path = tmp_path / "p7.g6"
-    path.write_text(realize_pattern(PatternSpec.path(7)).to_graph6() + "\n")
+    path.write_text(PatternSpec.path(7).graph.to_graph6() + "\n")
     code, out = run(capsys, "verify", str(path), "--pattern", "P6", "--mode", "prsat",
                     "--format", "json")
     assert code == 1
@@ -211,7 +218,7 @@ def test_bad_graph_input_exits_2(tmp_path, capsys, name, content, where):
     if content is not None:
         path.write_text(content)
     good = tmp_path / "p3.g6"
-    good.write_text(realize_pattern(PatternSpec.path(3)).to_graph6())
+    good.write_text(PatternSpec.path(3).graph.to_graph6())
     if where == "graph":
         argv = ["verify", str(path), "--pattern", "P3"]
     else:
@@ -223,7 +230,7 @@ def test_bad_graph_input_exits_2(tmp_path, capsys, name, content, where):
 
 
 def test_verify_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(realize_pattern(PatternSpec.path(3)).to_graph6()))
+    monkeypatch.setattr("sys.stdin", io.StringIO(PatternSpec.path(3).graph.to_graph6()))
     code, out = run(capsys, "verify", "-", "--pattern", "P3", "--mode", "sat",
                     "--format", "json")
     assert code == 1
@@ -288,6 +295,16 @@ def test_unusable_cache_exits_2(tmp_path, monkeypatch, capsys, where):
     assert err.startswith("error:") and str(tmp_path / bad) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("quantity", ["sat", "ssat", "prsat"])
+def test_a_pattern_larger_than_every_host_compiles_no_matcher(capsys, quantity):
+    # P2000 fits in no graph on 5 vertices, so only K5, with no non-edge,
+    # qualifies; compiling its matcher would take minutes
+    code, out = run(capsys, "oracle", "--n", "5", "--pattern", "P2000",
+                    "--quantity", quantity, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == 10
+
+
 def test_oracle_prsat_json(capsys):
     code, out = run(capsys, "oracle", "--n", "5", "--pattern", "P4",
                     "--quantity", "prsat", "--budget", "1000000", "--format", "json")
@@ -296,14 +313,17 @@ def test_oracle_prsat_json(capsys):
     assert data["value"] == 4 and data["exact"] is True
 
 
-def test_reproduce_lemma4_ell4(capsys):
-    code, out = run(capsys, "reproduce", "lemma4", "--ell", "4")
+def test_reproduce_lemma4_checks_both_ells(capsys):
+    code, out = run(capsys, "reproduce", "lemma4")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+    assert "K4 is properly rainbow P4" in out and "F4 is properly rainbow P5" in out
+    code = main(["reproduce", "lemma4", "--ell", "4"])
+    assert code == 2 and "--ell" in capsys.readouterr().err
 
 
 def test_reproduce_json_output(capsys):
-    code, out = run(capsys, "reproduce", "lemma4", "--ell", "4", "--format", "json")
+    code, out = run(capsys, "reproduce", "lemma4", "--format", "json")
     assert code == 0
     rows = json.loads(out)
     assert all(r["status"] == "PASS" for r in rows)
@@ -349,7 +369,7 @@ _COMMANDS = {
                {"--budget": _INT, "--edge-cap": _INT, "--cache-dir": _CACHE, "--force": None,
                 "--format": _FORMAT}),
     "reproduce": (st.sampled_from(["formulas", "lemma4"]), {},
-                  {"--ell": _INT, "--budget": _INT, "--cache-dir": _CACHE,
+                  {"--budget": _INT, "--cache-dir": _CACHE,
                    "--allow-unknown": None, "--format": _FORMAT}),
 }
 

@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import _augmented_levels, all_graphs_on, enumerate_graphs, partition, small_graphs
-from rslab import canon
+from rslab import canon, engine
 from rslab.canon import non_edge_orbit_representatives
 from rslab.colouring import EdgeColouring, is_proper
 from rslab.constructions import caterpillar_construction
@@ -27,7 +27,7 @@ from rslab.engine import (
 )
 from rslab.graphs import Graph, build_graph, disjoint_union, normalise_edge
 from rslab.oracle import _class_verdict
-from rslab.patterns import PatternSpec, parse_pattern, realize_pattern
+from rslab.patterns import PatternSpec, parse_pattern
 
 P4 = PatternSpec.path(4)
 P5 = PatternSpec.path(5)
@@ -51,7 +51,7 @@ MATCHER_PATTERNS = (PatternSpec.path(3), P4, K13, PatternSpec.subdivided_star(5)
 
 
 def two_stars(k):
-    s = realize_pattern(PatternSpec.star(k))
+    s = PatternSpec.star(k).graph
     return disjoint_union(s, s)
 
 
@@ -87,7 +87,7 @@ def test_degree_three_vertex_forces_rainbow_star():
 
 
 def test_injectively_coloured_path_is_its_own_rainbow_copy():
-    p5 = realize_pattern(P5)
+    p5 = P5.graph
     colouring = EdgeColouring(p5, (1, 2, 3, 4))
     emb = find_rainbow_copy(p5, colouring, P5)
     assert emb is not None
@@ -100,9 +100,9 @@ def test_rainbow_copy_none_when_pattern_larger_than_host():
 
 
 def test_contains_copy_examples():
-    assert contains_copy(realize_pattern(P5), P4) is not None
-    assert contains_copy(realize_pattern(PatternSpec.star(5)), P4) is None
-    assert contains_copy(realize_pattern(PatternSpec.broom(4, 2)), P5) is not None
+    assert contains_copy(P5.graph, P4) is not None
+    assert contains_copy(PatternSpec.star(5).graph, P4) is None
+    assert contains_copy(PatternSpec.broom(4, 2).graph, P5) is not None
 
 
 def test_contains_copy_deterministic():
@@ -121,7 +121,7 @@ def brute_force_copies(g, colours, spec):
     """Image edge sets of every copy of the pattern in g, by trying every
     injective vertex map.  With `colours` (edge -> colour) only rainbow
     copies count."""
-    h = realize_pattern(spec)
+    h = spec.graph
     edges = set(g.edges)
     out = []
     for phi in itertools.permutations(range(g.n), h.n):
@@ -151,7 +151,7 @@ def sample_colourings(g):
 
 
 def assert_valid_copy(g, spec, emb, colours):
-    h = realize_pattern(spec)
+    h = spec.graph
     assert len(set(emb.vertices)) == h.n
     want = tuple((min(emb.vertices[a], emb.vertices[b]), max(emb.vertices[a], emb.vertices[b]))
                  for a, b in h.edges)
@@ -228,7 +228,7 @@ def rainbow_copy_masks(n, colours, spec):
     of the pattern through it among the coloured edges, by trying every
     injective map of the pattern vertices, in index order, that sends
     pattern edges to coloured edges."""
-    h = realize_pattern(spec)
+    h = spec.graph
     earlier = [[a for a in h.neighbours(b) if a < b] for b in range(h.n)]
     masks = {e: set() for e in colours}
     phi = []
@@ -378,7 +378,7 @@ def test_k4_admits_matching_colouring():
 
 
 def test_p4_rainbow_free_by_repeating_end_edges():
-    g = realize_pattern(P4)
+    g = P4.graph
     verdict = search_rainbow_free_colouring(g, P4, 10**6)
     assert_certificate_sound(g, P4, verdict)
     assert verdict.certificate.colour_of(0, 1) == verdict.certificate.colour_of(2, 3)
@@ -407,7 +407,7 @@ def test_established_whenever_search_finishes_is_checked():
 
 
 def test_star_forces_rainbow_star():
-    g = realize_pattern(K13)
+    g = K13.graph
     assert forces_rainbow(g, K13, 10**6).status is Status.ESTABLISHED
 
 
@@ -418,7 +418,7 @@ def test_k4_does_not_force_rainbow_p4():
 
 
 def test_path_does_not_force_itself():
-    g = realize_pattern(P6)
+    g = P6.graph
     verdict = forces_rainbow(g, P6, 10**6)
     assert verdict.status is Status.REFUTED
     assert verdict.certificate.colour_count < 5
@@ -506,7 +506,7 @@ def brute_force_saturation(g, spec):
     """(saturated, semi-saturated), by trying every injective vertex map of
     the pattern: a map whose image misses exactly one pair e of g is a copy
     in g + e through e, and one that misses none is a copy in g."""
-    h = realize_pattern(spec)
+    h = spec.graph
     edges = set(g.edges)
     free = True
     through = set()
@@ -687,7 +687,7 @@ def test_k4_properly_rainbow_saturated_for_p4():
 
 
 def test_trees_refuted_for_p6():
-    tree = realize_pattern(PatternSpec.broom(4, 2))  # 6-vertex tree
+    tree = PatternSpec.broom(4, 2).graph  # 6-vertex tree
     verdict = is_properly_rainbow_saturated(tree, P6, 10**7)
     assert verdict.status is Status.REFUTED
     assert_extension_sound(tree, P6, verdict.certificate)
@@ -888,6 +888,29 @@ def test_count_keeps_colourings_that_differ_by_a_twin_swap():
     assert (1, 2, 3, 2, 3) in everything and (1, 2, 3, 3, 2) in everything
     sorted_twins = list(ColouringSearch(g, None).sort_twins().run())
     assert sorted_twins == [(1, 2, 3, 2, 3), (1, 2, 3, 2, 4), (1, 2, 3, 3, 4), (1, 2, 3, 4, 5)]
+
+
+def test_a_pattern_larger_than_the_host_compiles_no_matcher(monkeypatch):
+    # P2000 has no copy in any graph on 6 vertices: the walk is the walk with
+    # no pattern, a non-edge takes the first colour free at both ends, and
+    # the first non-edge refutes semi-saturation
+    def compiled(spec):
+        raise AssertionError(f"a matcher was compiled for {spec.token()}")
+
+    monkeypatch.setattr(engine, "_matcher_for", compiled)
+    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    big = PatternSpec.path(2000)
+    search = ColouringSearch(g, big)
+    walked = []
+    for colours in search.run():
+        walked.append(colours)
+        # (2, 4) meets the edges (0, 2) and (1, 4), at slots 1 and 3
+        assert search.extension(2, 4) == min({1, 2, 3, 4} - {colours[1], colours[3]})
+    assert walked == list(ColouringSearch(g, None).run()) and len(walked) == 7
+    assert contains_copy(g, big) is None
+    assert find_rainbow_copy(g, EdgeColouring(g, walked[0]), big) is None
+    assert is_semi_saturated(g, big).certificate == (0, 4)
+    assert is_saturated(g, big).certificate == (0, 4)
 
 
 # -- remembered copies and backjumps -------------------------------------------

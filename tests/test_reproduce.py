@@ -38,7 +38,10 @@ def test_formulas_suite_all_pass(suite_rows):
 
 
 def test_lemma4_suite_both_ells(suite_rows):
-    assert all(r.status == "PASS" for r in suite_rows("lemma4", 4) + suite_rows("lemma4", 5))
+    rows = suite_rows("lemma4")
+    assert all(r.status == "PASS" for r in rows)
+    assert [r.claim for r in rows if "saturated" in r.claim] == [
+        "K4 is properly rainbow P4-saturated", "F4 is properly rainbow P5-saturated"]
 
 
 def test_constructions_suite(suite_rows):
