@@ -222,7 +222,8 @@ class _Matcher:
     question gives each host edge its own colour, which makes every copy
     rainbow (see :func:`_host_tables`).  Both skip host vertices with fewer
     edges than the pattern vertex they would hold (see the module notes and
-    :func:`_compile_plans`).
+    :func:`_compile_plans`).  Both read the host through its lists of
+    (neighbour, colour) pairs alone, closing edges of a cyclic pattern too.
     """
 
     def __init__(self, pattern: Graph):
@@ -258,35 +259,31 @@ class _Matcher:
             placed_set.add(x)
         return tuple(steps)
 
-    def exists_through(self, u, v, c_uv, adj, ecol, n) -> int | None:
+    def exists_through(self, u, v, c_uv, adj) -> int | None:
         """The colours of a rainbow copy among the coloured edges that uses
         the edge (u, v) coloured c_uv, as a bitmask, or None if there is none.
 
         The mask holds c_uv >= 1, so it is true whenever a copy exists.  The
         colouring search keeps it: the copy stays rainbow when (u, v) alone
-        is recoloured with any colour outside the mask.  `adj` and `ecol`
-        hold the coloured edges, (u, v) among them: the degree guards count
-        it.
+        takes any colour outside the mask instead.  `adj[x]` lists the
+        (neighbour, colour) pairs of the coloured edges at x, (u, v) among
+        them: the degree guards count it.
         """
-        return self._through(u, v, c_uv, adj, ecol, n)
+        return self._through(u, v, c_uv, adj)
 
-    def through_added_edge(self, u, v, c, adj, ecol, n) -> int | None:
+    def through_added_edge(self, u, v, c, adj) -> int | None:
         """:meth:`exists_through` for the edge (u, v) coloured c, which
-        `adj` and `ecol` hold only for this one call."""
+        `adj` holds only for this one call."""
         adj[u].append((v, c))
         adj[v].append((u, c))
-        ecol[u][v] = ecol[v][u] = c
-        colours = self.exists_through(u, v, c, adj, ecol, n)
+        colours = self.exists_through(u, v, c, adj)
         adj[u].pop()
         adj[v].pop()
-        ecol[u][v] = ecol[v][u] = 0
         return colours
 
     def find(self, host: Graph, colouring: EdgeColouring | None) -> Embedding | None:
         """Complete search; deterministic (first hit in the fixed scan order)."""
-        n = host.n
-        adj, ecol = _host_tables(n, host.edges, colouring)
-        mapping = self._find(-1, -1, 0, adj, ecol, n)
+        mapping = self._find(-1, -1, 0, _host_tables(host.n, host.edges, colouring))
         if mapping is None:
             return None
         image = tuple(
@@ -297,19 +294,16 @@ class _Matcher:
 
 
 def _host_tables(n: int, edges, colouring: EdgeColouring | None):
-    """Per-vertex lists of (neighbour, colour) and the n x n colour matrix,
-    0 off the edges.  Without a colouring edge i has colour i + 1: a copy
-    uses distinct edges, so under these colours every copy is rainbow, and
-    the rainbow plans answer the uncoloured question in the same scan
-    order."""
-    ecol = [[0] * n for _ in range(n)]
+    """Per-vertex lists of (neighbour, colour).  Without a colouring edge i
+    has colour i + 1: a copy uses distinct edges, so under these colours
+    every copy is rainbow, and the rainbow plans answer the uncoloured
+    question in the same scan order."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edges):
         c = colouring.colours[i] if colouring is not None else i + 1
-        ecol[u][v] = ecol[v][u] = c
         adj[u].append((v, c))
         adj[v].append((u, c))
-    return adj, ecol
+    return adj
 
 
 def _arc_orbit_representatives(pattern: Graph) -> list[Edge]:
@@ -330,13 +324,18 @@ _MAX_NESTED_LOOPS = 16
 def _compile_plans(plans, deg, colour_set: bool = False):
     """Generate one function that tries each (seed, steps) plan in turn.
 
-    The function takes ``(u, v, c_uv, adj, ecol, n)``; a plan seeded with
-    the arc (a, b) maps a to u and b to v and starts from the colour c_uv,
-    an unseeded plan ignores all three.  Pattern vertex h is held in the
-    local ``x{h}``; ``u{d}`` and ``m{d}`` are the used-vertex and colour
-    bitmasks after depth d.  The first embedding reached is returned as the
-    tuple of images of the pattern vertices (with `colour_set`, as the
-    bitmask of its edge colours), and None when every plan is exhausted.
+    The function takes ``(u, v, c_uv, adj)``, `adj` the host's lists of
+    (neighbour, colour) pairs; a plan seeded with the arc (a, b) maps a to u
+    and b to v and starts from the colour c_uv, an unseeded plan ignores all
+    three and ranges over ``range(len(adj))``.  Pattern vertex h is held in
+    the local ``x{h}``; ``u{d}`` and ``m{d}`` are the used-vertex and colour
+    bitmasks after depth d.  A step reads the colour of the edge to its
+    anchor off the list it walks; an edge to a further placed neighbour q,
+    which only a cyclic pattern has, takes its colour from a scan of
+    ``adj[x]`` for the image of q, and x is skipped if there is none.  The
+    first embedding reached is returned as the tuple of images of the
+    pattern vertices (with `colour_set`, as the bitmask of its edge
+    colours), and None when every plan is exhausted.
     Every plan asks for a rainbow copy; an uncoloured question gives each
     host edge its own colour (:func:`_host_tables`), so each of its copies
     passes the colour tests.  The source is built from pattern vertex
@@ -360,7 +359,7 @@ def _compile_plans(plans, deg, colour_set: bool = False):
         for i, (hv, primary, others) in enumerate(steps):
             if i == _MAX_NESTED_LOOPS:
                 masks = [m for m in (used, colours) if m != "0"]
-                params = ", ".join([*names.values(), *masks, "adj", "ecol", "n"])
+                params = ", ".join([*names.values(), *masks, "adj"])
                 name = f"_part{len(helpers)}"
                 body = [f"def {name}({params}):"]
                 helpers.append(body)
@@ -373,7 +372,7 @@ def _compile_plans(plans, deg, colour_set: bool = False):
             x = names[hv] = f"x{hv}"
             depth += 1
             if primary is None:
-                lines.append(f"{pad}for {x} in range(n):")
+                lines.append(f"{pad}for {x} in range(len(adj)):")
             else:
                 lines.append(f"{pad}for {x}, c in adj[{names[primary]}]:")
             fails = []
@@ -390,8 +389,9 @@ def _compile_plans(plans, deg, colour_set: bool = False):
                 lines.append(f"{pad}m{depth} = {either(colours, '1 << c')}")
                 colours = f"m{depth}"
             for q in others:
-                lines += [f"{pad}c = ecol[{names[q]}][{x}]",
-                          f"{pad}if not c or {colours} >> c & 1:", f"{pad}    continue",
+                lines += [f"{pad}for y, c in adj[{x}]:", f"{pad}    if y == {names[q]}:",
+                          f"{pad}        break", f"{pad}else:", f"{pad}    continue",
+                          f"{pad}if {colours} >> c & 1:", f"{pad}    continue",
                           f"{pad}{colours} |= 1 << c"]
             if not last:
                 lines.append(f"{pad}u{depth} = {either(used, f'1 << {x}')}")
@@ -401,7 +401,7 @@ def _compile_plans(plans, deg, colour_set: bool = False):
         else:
             lines.append(f"{pad}return ({''.join(names[h] + ', ' for h in range(len(names)))})")
 
-    main = ["def match(u, v, c_uv, adj, ecol, n):"]
+    main = ["def match(u, v, c_uv, adj):"]
     if any(seed for seed, _ in plans):
         main += ["    u0 = 1 << u | 1 << v", "    m0 = 1 << c_uv"]
     for seed, steps in plans:
@@ -535,12 +535,10 @@ class ColouringSearch:
         g = self.graph
         order = self._order
         m = len(order)
-        n = g.n
         # usage[c] = bitmask of vertices already covered by colour c
         usage = [0] * (m + 2)
-        ecol = [[0] * n for _ in range(n)]
-        cadj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self._tables = (cadj, ecol, usage)
+        cadj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        self._tables = (cadj, usage)
         if m == 0:
             self.exhausted = True
             yield ()
@@ -574,7 +572,6 @@ class ColouringSearch:
                 usage[old] ^= uvmask
                 cadj[u].pop()
                 cadj[v].pop()
-                ecol[u][v] = ecol[v][u] = 0
                 assigned[i] = False
             c = col[i] + 1
             limit = maxu[i] + 1
@@ -600,7 +597,6 @@ class ColouringSearch:
                     usage[col[j]] ^= abmask
                     cadj[a].pop()
                     cadj[b].pop()
-                    ecol[a][b] = ecol[b][a] = 0
                     assigned[j] = False
                     col[j] = 0
                 if h >= 0:
@@ -614,12 +610,11 @@ class ColouringSearch:
             usage[c] |= uvmask
             cadj[u].append((v, c))
             cadj[v].append((u, c))
-            ecol[u][v] = ecol[v][u] = c
             assigned[i] = True
             if matcher is not None and i + 1 >= min_edges:
                 if known_bad[i] >> c & 1:
                     continue
-                colours = matcher.exists_through(u, v, c, cadj, ecol, n)
+                colours = matcher.exists_through(u, v, c, cadj)
                 if colours is not None:
                     known_bad[i] |= ~colours
                     seen[i] |= colours
@@ -651,14 +646,13 @@ class ColouringSearch:
         are tried after it.  With no matcher (no pattern, or one on more
         vertices than g) the first colour offered is taken.
         """
-        cadj, ecol, usage = self._tables
+        cadj, usage = self._tables
         matcher = self._matcher
         uvmask = 1 << u | 1 << v
         allowed = -1
         for c in range(1, len(usage)):
             if not usage[c] & uvmask and allowed >> c & 1:
-                colours = (None if matcher is None else
-                           matcher.through_added_edge(u, v, c, cadj, ecol, self.graph.n))
+                colours = None if matcher is None else matcher.through_added_edge(u, v, c, cadj)
                 if colours is None:
                     return c
                 allowed &= colours
@@ -730,7 +724,7 @@ def forces_rainbow(
 
 
 def _non_edge_reps(g: Graph, non_edges) -> list[Edge]:
-    return non_edge_orbit_representatives(g) if non_edges is None else non_edges
+    return non_edge_orbit_representatives(g) if non_edges is None else list(non_edges)
 
 
 def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> SearchVerdict:
@@ -743,18 +737,17 @@ def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> SearchV
     representative per automorphism orbit, each the first of its orbit,
     gives the same verdict and certificate: an automorphism carries a copy
     through e onto a copy through its image, so the first failing non-edge
-    is the first of its orbit.  The matcher's tables of g are built once,
+    is the first of its orbit.  The matcher's lists of g are built once,
     each edge with its own colour; each non-edge joins them, with a colour
-    of its own, for one call.  A pattern on more vertices than g has no
+    of its own, for one call.  The default non-edges are made one at a
+    time, never stored.  A pattern on more vertices than g has no
     copy in any g + e, so the first non-edge refutes.
     """
     matcher = _matcher_in(g, pattern)
-    adj, ecol = _host_tables(g.n, g.edges, None)
+    adj = _host_tables(g.n, g.edges, None)
     new_colour = len(g.edges) + 1
-    if non_edges is None:
-        non_edges = g.non_edges()
-    for e in non_edges:
-        if matcher is None or matcher.through_added_edge(*e, new_colour, adj, ecol, g.n) is None:
+    for e in g.non_edges() if non_edges is None else non_edges:
+        if matcher is None or matcher.through_added_edge(*e, new_colour, adj) is None:
             return SearchVerdict(Status.REFUTED, e, 0, None)
     return SearchVerdict(Status.ESTABLISHED, None, 0, None)
 

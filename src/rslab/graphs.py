@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,8 +37,9 @@ class Graph:
     a self-loop, an unnormalised or out-of-range pair, a duplicate or an
     unsorted tuple.  The graphs that :meth:`add_edge` and :meth:`relabel`
     derive from a valid graph are made by :meth:`_trusted`, which skips
-    those checks.  The adjacency lists are built on first use, and the edge
-    set is built and kept by :meth:`has_edge` and :meth:`non_edges` alone.
+    those checks.  The neighbour lists, built on first use, are the one
+    cache: :meth:`has_edge` bisects the sorted edge tuple, and the lazy
+    :meth:`non_edges` makes each non-edge as it walks that tuple.
     """
 
     n: int
@@ -78,10 +80,6 @@ class Graph:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
-    @cached_property
-    def _edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
     # -- basic queries ----------------------------------------------------
 
     def neighbours(self, v: int) -> tuple[int, ...]:
@@ -98,15 +96,20 @@ class Graph:
         return tuple(deg)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return normalise_edge(u, v) in self._edge_set
+        e = normalise_edge(u, v)
+        i = bisect_left(self.edges, e)
+        return self.edges[i:i + 1] == (e,)
 
-    def non_edges(self) -> tuple[Edge, ...]:
-        out = []
+    def non_edges(self) -> Iterator[Edge]:
+        """The pairs u < v that are not edges, lexicographically, one by one."""
+        edges = iter(self.edges)
+        nxt = next(edges, None)
         for u in range(self.n):
             for v in range(u + 1, self.n):
-                if (u, v) not in self._edge_set:
-                    out.append((u, v))
-        return tuple(out)
+                if (u, v) == nxt:
+                    nxt = next(edges, None)
+                else:
+                    yield (u, v)
 
     def adjacency_bits(self) -> list[int]:
         bits = [0] * self.n
@@ -200,8 +203,9 @@ class Graph:
             return x
 
         try:
-            return build_graph(integer(data["n"]),
-                               [tuple(map(integer, e)) for e in data["edges"]])
+            n = integer(data["n"])
+            _check_order(n, "the JSON graph")
+            return build_graph(n, [tuple(map(integer, e)) for e in data["edges"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise RslabError(
                 f"graph JSON needs an integer 'n' and an 'edges' list of pairs ({exc!r})"
@@ -245,6 +249,8 @@ def disjoint_union(*graphs: Graph) -> Graph:
 # printable byte (offset 63).
 
 _G6_MAX_N = 258047
+# byte b of graph6 text holds (b - 63) mod 256, in 0..63 for '?'..'~' alone
+_G6_VALUES = bytes((b - 63) % 256 for b in range(256))
 
 
 def _check_order(order: int, name: str) -> None:
@@ -278,8 +284,8 @@ def from_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise RslabError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
+    data = s.encode().translate(_G6_VALUES)
+    if max(data) > 63:
         raise RslabError("graph6 byte out of range")
     if data[0] == 63:  # '~' prefix: 18-bit vertex count
         if len(data) < 4:
@@ -292,15 +298,15 @@ def from_graph6(text: str) -> Graph:
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise RslabError("graph6 body length mismatch")
-    bits = []
-    for b in body:
-        for t in range(5, -1, -1):
-            bits.append((b >> t) & 1)
+    # bit t of byte p (bit 5 first) is bit k = 6p + 5 - t of the triangle, the
+    # pair (i, j) with k = j(j - 1)/2 + i; padding bits past `need` are ignored
     edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+    for p, b in enumerate(body):
+        while b:
+            t = b.bit_length() - 1
+            b ^= 1 << t
+            k = 6 * p + 5 - t
+            if k < need:
+                j = (1 + math.isqrt(8 * k + 1)) // 2
+                edges.append((k - j * (j - 1) // 2, j))
     return Graph(n, tuple(sorted(edges)))

@@ -633,7 +633,7 @@ def _rewrite(path: Path, record: CensusRecord, force: bool) -> None:
         tmp.unlink(missing_ok=True)
 
 
-# -- convenience checks used by tests and the reproduce suites ----------------------
+# -- certificate re-check, for constructions.verify_bundle and perfbench ------------
 
 
 def rainbow_free_certificate_ok(g: Graph, spec: PatternSpec, colouring) -> bool:

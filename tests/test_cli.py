@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rslab
-from rslab import cli, constructions, patterns
+from rslab import cli, constructions, graphs, patterns
 from rslab.cli import main
 from rslab.graphs import from_graph6
 from rslab.patterns import PatternSpec
@@ -110,6 +110,21 @@ def test_pattern_graph6_cannot_write_exits_2_before_building(monkeypatch, capsys
 
     monkeypatch.setattr(patterns, "build_graph", built)
     code = main(["oracle", "--n", "5", "--pattern", "P99999999999999999999", "--quantity", "sat"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "258047" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["sat", "ssat"])
+def test_json_graph_past_the_graph6_bound_exits_2_before_building(
+        tmp_path, monkeypatch, capsys, mode):
+    def built(*args):
+        raise AssertionError("a graph was built past the graph6 bound")
+
+    monkeypatch.setattr(graphs, "build_graph", built)
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 100000000000, "edges": []}')
+    code = main(["verify", str(path), "--pattern", "T5star", "--mode", mode])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "258047" in err and "Traceback" not in err

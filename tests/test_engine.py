@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -43,11 +44,15 @@ C6_CHORD = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4
 SPLIT = build_graph(7, [(0, 3), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6), (3, 6)])
 
 # small patterns for the brute-force cross-check: trees, a disconnected
-# explicit pattern (unanchored plan steps) and a cyclic one (closing-edge checks)
+# explicit pattern (unanchored plan steps) and cyclic ones, whose closing edges
+# take their colours from a scan of the adjacency lists (K4 closes two edges
+# at one vertex)
 TWO_K2 = PatternSpec.explicit([(0, 1), (2, 3)])
 TRIANGLE = PatternSpec.explicit([(0, 1), (1, 2), (0, 2)])
+C4 = PatternSpec.explicit([(0, 1), (1, 2), (2, 3), (0, 3)])
+K4_PATTERN = PatternSpec.from_graph(K4)
 MATCHER_PATTERNS = (PatternSpec.path(3), P4, K13, PatternSpec.subdivided_star(5),
-                    TWO_K2, TRIANGLE)
+                    TWO_K2, TRIANGLE, C4, K4_PATTERN)
 
 
 def two_stars(k):
@@ -177,10 +182,8 @@ def test_matcher_agrees_with_brute_force_on_all_small_graphs():
                     assert (emb is not None) == bool(rainbow)
                     if emb is not None:
                         assert_valid_copy(g, spec, emb, colours)
-                    ecol = [[0] * n for _ in range(n)]
                     adj = [[] for _ in range(n)]
                     for (u, v), c in colours.items():
-                        ecol[u][v] = ecol[v][u] = c
                         adj[u].append((v, c))
                         adj[v].append((u, c))
                     masks = {e: set() for e in g.edges}  # colour sets of copies through e
@@ -192,7 +195,7 @@ def test_matcher_agrees_with_brute_force_on_all_small_graphs():
                         want = bool(masks[(u, v)])
                         c = colours[(u, v)]
                         for a, b in ((u, v), (v, u)):
-                            got = matcher.exists_through(a, b, c, adj, ecol, n)
+                            got = matcher.exists_through(a, b, c, adj)
                             assert (got is not None) == want
                             assert got is None or got in masks[(u, v)]
 
@@ -257,10 +260,8 @@ def rainbow_copy_masks(n, colours, spec):
 def test_matcher_agrees_with_brute_force_on_walk_prefixes(case):
     g, colours = case
     n = g.n
-    ecol = [[0] * n for _ in range(n)]
     adj = [[] for _ in range(n)]
     for (u, v), c in colours.items():
-        ecol[u][v] = ecol[v][u] = c
         adj[u].append((v, c))
         adj[v].append((u, c))
     for spec in WALK_PATTERNS:
@@ -268,7 +269,7 @@ def test_matcher_agrees_with_brute_force_on_walk_prefixes(case):
         masks = rainbow_copy_masks(n, colours, spec)
         for (u, v), c in colours.items():
             for a, b in ((u, v), (v, u)):
-                got = matcher.exists_through(a, b, c, adj, ecol, n)
+                got = matcher.exists_through(a, b, c, adj)
                 assert (got is not None) == bool(masks[(u, v)]), (g, colours, spec, a, b)
                 assert got is None or got in masks[(u, v)], (g, colours, spec, a, b)
 
@@ -332,6 +333,31 @@ def test_deep_pattern_plans_split_across_functions():
     gapped = build_graph(20, [(i, i + 1) for i in range(19) if i != 9])
     assert is_semi_saturated(gapped, p20).status is Status.REFUTED
     assert is_semi_saturated(gapped, p20, non_edges=gapped.non_edges()).certificate != (9, 10)
+    # the edge that closes a cycle of 20 is placed in a helper function
+    c20 = PatternSpec.explicit([(i, (i + 1) % 20) for i in range(20)])
+    cycle = build_graph(20, [(i, (i + 1) % 20) for i in range(20)])
+    path20 = build_graph(20, [(i, i + 1) for i in range(19)])
+    assert contains_copy(cycle, c20) is not None
+    assert contains_copy(path20, c20) is None
+    assert find_rainbow_copy(cycle, EdgeColouring(cycle, tuple(range(1, 21))), c20) is not None
+    assert find_rainbow_copy(cycle, EdgeColouring(cycle, (1,) * 20), c20) is None
+    assert is_semi_saturated(path20, c20, non_edges=[(0, 19)]).status is Status.ESTABLISHED
+    assert is_semi_saturated(path20, c20, non_edges=[(0, 18)]).certificate == (0, 18)
+
+
+@pytest.mark.parametrize("decide", [is_saturated, is_semi_saturated])
+def test_sat_verdicts_on_an_empty_host_keep_no_quadratic_table(decide):
+    # no n x n table and no stored list of non-edges: 600 vertices, 179,700 non-edges
+    p3 = PatternSpec.path(3)
+    _matcher_for(p3)
+    tracemalloc.start()
+    try:
+        verdict = decide(Graph(600, ()), p3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status is Status.REFUTED and verdict.certificate == (0, 1)
+    assert peak < 2**20
 
 
 def reference_bfs_edge_order(g):
@@ -866,7 +892,7 @@ def test_twin_sorted_search_matches_enumeration_on_pendant_twins(g, token, pick)
         else:
             assert verdict.status is Status.ESTABLISHED
             assert verdict.certificate.colours == first
-    non_edges = g.non_edges()
+    non_edges = list(g.non_edges())
     if non_edges:
         h = g.add_edge(*non_edges[pick % len(non_edges)])
         decided, first = unsorted_first_colouring(h, spec, PENDANT_TWIN_BUDGET)
@@ -928,7 +954,6 @@ class _AskEveryNode(ColouringSearch):
         g = self.graph
         order = self._order
         m = len(order)
-        n = g.n
         if m == 0:
             self.exhausted = True
             yield ()
@@ -943,8 +968,7 @@ class _AskEveryNode(ColouringSearch):
         maxu = [0] * (m + 1)
         assigned = [False] * m
         usage = [0] * (m + 2)
-        ecol = [[0] * n for _ in range(n)]
-        cadj = [[] for _ in range(n)]
+        cadj = [[] for _ in range(g.n)]
         ends = [(u, v, (1 << u) | (1 << v)) for u, v in order]
 
         i = 0
@@ -955,7 +979,6 @@ class _AskEveryNode(ColouringSearch):
                 usage[old] ^= uvmask
                 cadj[u].pop()
                 cadj[v].pop()
-                ecol[u][v] = ecol[v][u] = 0
                 assigned[i] = False
             c = col[i] + 1
             limit = maxu[i] + 1
@@ -972,12 +995,11 @@ class _AskEveryNode(ColouringSearch):
             usage[c] |= uvmask
             cadj[u].append((v, c))
             cadj[v].append((u, c))
-            ecol[u][v] = ecol[v][u] = c
             assigned[i] = True
             if (
                 matcher is not None
                 and i + 1 >= min_edges
-                and matcher.exists_through(u, v, c, cadj, ecol, n) is not None
+                and matcher.exists_through(u, v, c, cadj) is not None
             ):
                 continue
             if i + 1 == m:

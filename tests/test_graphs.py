@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -78,7 +79,7 @@ def test_derived_graphs_validate_their_arguments():
 def _assert_same_graph(g, ref):
     assert g == ref and hash(g) == hash(ref)
     assert [g.neighbours(v) for v in range(g.n)] == [ref.neighbours(v) for v in range(ref.n)]
-    assert g.non_edges() == ref.non_edges()
+    assert list(g.non_edges()) == list(ref.non_edges())
     assert g.degrees() == ref.degrees()
 
 
@@ -86,7 +87,7 @@ def _assert_same_graph(g, ref):
 def test_derived_graphs_equal_validated_ones(g, data):
     perm = data.draw(st.permutations(range(g.n)))
     _assert_same_graph(g.relabel(perm), build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
-    non_edges = g.non_edges()
+    non_edges = list(g.non_edges())
     assume(non_edges)
     u, v = data.draw(st.sampled_from(non_edges))
     _assert_same_graph(g.add_edge(v, u), build_graph(g.n, g.edges + ((u, v),)))
@@ -96,7 +97,6 @@ def test_derived_graphs_equal_validated_ones(g, data):
 @settings(max_examples=300, deadline=None)
 @given(small_graphs(max_n=12), st.data())
 def test_add_edge_and_graph6_match_references(g, data):
-    # neither builds the edge set
     u, v = (data.draw(st.integers(-1, g.n)) for _ in range(2))
     try:
         want = build_graph(g.n, g.edges + ((u, v),))
@@ -109,7 +109,9 @@ def test_add_edge_and_graph6_match_references(g, data):
     x.add_nodes_from(range(g.n))
     x.add_edges_from(g.edges)
     assert to_graph6(g) == nx.to_graph6_bytes(x, header=False).decode().rstrip("\n")
-    assert "_edge_set" not in vars(g)
+    assert list(g.non_edges()) == sorted((min(e), max(e)) for e in nx.non_edges(x))
+    assert all(g.has_edge(a, b) == x.has_edge(a, b) for a in range(g.n) for b in range(g.n))
+    assert set(vars(g)) <= {"n", "edges", "_adj"}  # the neighbour lists are the one cache
 
 
 def test_adjacency_consistent():
@@ -130,7 +132,21 @@ def test_distance_and_components():
 
 def test_non_edges():
     g = build_graph(3, [(0, 1)])
-    assert g.non_edges() == ((0, 2), (1, 2))
+    assert list(g.non_edges()) == [(0, 2), (1, 2)]
+
+
+def test_graph6_decoding_of_a_sparse_graph_is_linear_in_the_input():
+    # 53,267 body bytes for 400 edges: no table of the n(n-1)/2 bits is made
+    g = build_graph(800, [(i, i + 1) for i in range(0, 800, 2)])
+    text = to_graph6(g)
+    tracemalloc.start()
+    try:
+        decoded = from_graph6(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoded == g
+    assert peak < 2**20
 
 
 def test_disjoint_union_offsets():
@@ -148,6 +164,12 @@ def test_graph6_known_vectors():
     assert to_graph6(p4) == "Ch"
     assert from_graph6("C~") == k4
     assert from_graph6("Ch") == p4
+
+
+@pytest.mark.parametrize("text", ["C~ ~", "C~\u00e9", "C\x7f", "C>"])
+def test_graph6_refuses_bytes_outside_the_printable_range(text):
+    with pytest.raises(RslabError, match="byte out of range"):
+        from_graph6(text)
 
 
 def test_graph6_header_tolerated():

@@ -258,7 +258,7 @@ def test_top_invariant_edges_commute_with_relabelling(data):
     # must be an isomorphism invariant: on any relabelling of the child it
     # is the image of the top set, or None on both.
     g = data.draw(st.sampled_from(_classes_up_to_7()))
-    e = data.draw(st.sampled_from(g.non_edges()))
+    e = data.draw(st.sampled_from(list(g.non_edges())))
     perm = data.draw(st.permutations(range(g.n)))
     top = _top_edges_of_child(g, e)
     image = g.relabel(perm)
