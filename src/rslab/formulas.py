@@ -211,9 +211,12 @@ def _row_second_degree_lower(n: int, pattern: PatternSpec) -> BoundRow:
 
 
 def _row_star_exact(name: str, quantity: str, n: int, k: int) -> BoundRow:
-    """The closed form that prsat(n, K1,k) and sat(n, K1,k) share."""
+    """The closed form that prsat(n, K1,k) and sat(n, K1,k) share: for
+    n >= k + floor(k/2), the ceiling of (k - 1)n/2 - floor(k^2/4)/2
+    (Kászonyi & Tuza, J. Graph Theory 1986), which itself is a half-integer
+    at, say, (n, k) = (7, 4)."""
     if n >= k + k // 2:
-        value = Fraction(k - 1, 2) * n - Fraction(k * k // 4, 2)
+        value = Fraction(-(-((k - 1) * n - k * k // 4) // 2))
     else:
         value = Fraction(math.comb(k, 2) + math.comb(n - k, 2))
     return BoundRow(

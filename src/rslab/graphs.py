@@ -249,8 +249,10 @@ def disjoint_union(*graphs: Graph) -> Graph:
 # printable byte (offset 63).
 
 _G6_MAX_N = 258047
-# byte b of graph6 text holds (b - 63) mod 256, in 0..63 for '?'..'~' alone
+# byte b of graph6 text holds (b - 63) mod 256, in 0..63 for '?'..'~' alone;
+# value b is written as the byte b + 63
 _G6_VALUES = bytes((b - 63) % 256 for b in range(256))
+_G6_BYTES = bytes((b + 63) % 256 for b in range(256))
 
 
 def _check_order(order: int, name: str) -> None:
@@ -270,12 +272,16 @@ def _g6_size_bytes(n: int) -> str:
 
 
 def to_graph6(g: Graph) -> str:
+    """The graph6 text of g, set bit by bit from the edges into its body:
+    time and memory linear in the edges and the output."""
     head = _g6_size_bytes(g.n)
-    adjb = g.adjacency_bits()
-    # column j of the upper triangle is row j's bits below j, bit 0 first
-    bits = "".join(format(adjb[j] & (1 << j) - 1, f"0{j}b")[::-1] for j in range(1, g.n))
-    bits += "0" * (-len(bits) % 6)
-    return head + "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
+    # the pair (i, j), i < j, is bit k = j(j - 1)/2 + i of the triangle,
+    # bit 5 - k % 6 of byte k // 6 of the body (as `from_graph6` reads it)
+    body = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        k = j * (j - 1) // 2 + i
+        body[k // 6] |= 32 >> k % 6
+    return head + body.translate(_G6_BYTES).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:

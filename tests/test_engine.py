@@ -450,6 +450,84 @@ def test_path_does_not_force_itself():
     assert verdict.certificate.colour_count < 5
 
 
+# -- forcing on twin-trimmed subgraphs ---------------------------------------------
+
+FORCING_PATTERNS = tuple(parse_pattern(t) for t in ("P4", "P5", "K1,3", "T5star"))
+
+
+def plus_one_edge(n):
+    """g + e for every class g on n vertices and every non-edge e of g."""
+    for g in enumerate_graphs(n):
+        for e in g.non_edges():
+            yield g.add_edge(*e)
+
+
+def assert_forcing_matches_brute_force(orders):
+    # up to isomorphism, the graphs g + e are the classes with an edge
+    for n in orders:
+        for h in (h for h in enumerate_graphs(n) if h.edges):
+            for spec in FORCING_PATTERNS:
+                want = Status.REFUTED if brute_force_rainbow_free(h, spec) else Status.ESTABLISHED
+                assert forces_rainbow(h, spec, None).status is want, (h, spec)
+
+
+def test_forcing_matches_brute_force():
+    assert_forcing_matches_brute_force(range(1, 6))
+
+
+@pytest.mark.slow
+def test_forcing_matches_brute_force_at_6():
+    assert_forcing_matches_brute_force([6])
+
+
+def test_forcing_keeps_the_verdict_and_certificate_of_the_untrimmed_walk():
+    for n in range(1, 7):
+        for h in plus_one_edge(n):
+            for spec in FORCING_PATTERNS:
+                got = forces_rainbow(h, spec, None)
+                walk = search_rainbow_free_colouring(h, spec, None)
+                if walk.status is Status.ESTABLISHED:
+                    assert got.status is Status.REFUTED, (h, spec)
+                    assert got.certificate == walk.certificate, (h, spec)
+                    assert got.nodes_explored >= walk.nodes_explored
+                else:
+                    assert (got.status, got.certificate) == (Status.ESTABLISHED, None), (h, spec)
+
+
+def test_twin_trims_keep_a_doubling_number_of_each_twin_class():
+    # leaves 1-5 of centre 0 are open twins, the triangle 8, 9, 10 closed
+    # twins; 6 and 7 have no twin
+    g = build_graph(11, [(0, v) for v in range(1, 7)] + [(6, 7), (8, 9), (8, 10), (9, 10)])
+    trims = list(engine._twin_trims(g))
+    assert [(t.n, len(t.edges)) for t in trims] == [(5, 3), (7, 5), (10, 9), (11, 10)]
+    assert trims[0].edges == ((0, 1), (0, 2), (2, 3))  # 0, 1, 6, 7, 8 renumbered
+    assert trims[-1] is g
+    assert list(engine._twin_trims(P4.graph)) == [P4.graph]
+
+
+def test_unknown_forcing_sums_the_nodes_of_every_walk():
+    host = caterpillar_construction(28, 6, 4)
+    spec = parse_pattern("cat:ell=4;leaves=1,0,0,1")
+    h = host.add_edge(0, 5)
+    verdict = forces_rainbow(h, spec, 10)
+    assert (verdict.status, verdict.certificate) == (Status.UNKNOWN, None)
+    walks = [search_rainbow_free_colouring(t, spec, 10) for t in engine._twin_trims(h)]
+    assert verdict.nodes_explored == sum(w.nodes_explored for w in walks) > 10
+
+
+def test_trimmed_forcing_decides_the_caterpillar_hosts_28_to_60():
+    # Walking each step on the whole host leaves n = 34 Unknown after
+    # 2,246,488 nodes.  That walk still closes the step on (4, 8) at
+    # n = 28, by its backjumps.
+    spec = parse_pattern("cat:ell=4;leaves=1,0,0,1")
+    for n in range(28, 61):
+        verdict = is_properly_rainbow_saturated(caterpillar_construction(n, 6, 4), spec, 10**6)
+        assert verdict.status is Status.ESTABLISHED, n
+        assert verdict.nodes_explored <= 12_000, n
+    step = caterpillar_construction(28, 6, 4).add_edge(4, 8)
+    assert search_rainbow_free_colouring(step, spec, 2_000).status is Status.REFUTED
+
+
 # -- saturation checks --------------------------------------------------------------
 
 

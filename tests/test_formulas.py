@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rslab import formulas, reproduce
+from rslab import formulas, oracle, reproduce
 from rslab.errors import InvalidParameterError, RegularGraphError
 from rslab.formulas import bare_path_parameter, evaluate_bound, tree_second_degree
 from rslab.patterns import PatternSpec
@@ -22,6 +22,20 @@ def test_star_exact_small_n_branch():
     row = evaluate_bound("star-exact", 5, k=4)
     assert row.exact == Fraction(6 + 0)  # C(4,2) + C(1,2)
     assert not row.out_of_range
+
+
+def test_star_rows_are_integers_and_the_census_values_at_k4():
+    # The closed form (k - 1)n/2 - floor(k^2/4)/2 is 17/2 at (7, 4); the
+    # census values are that form rounded up.
+    for k in range(1, 9):
+        for n in range(k + 1, 30):
+            for name in ("star-exact", "star-exact-sat"):
+                assert evaluate_bound(name, n, k=k).exact.denominator == 1, (name, n, k)
+    star = PatternSpec.star(4)
+    for n, value in ((7, 9), (8, 10)):
+        for name, quantity in (("star-exact", "prsat"), ("star-exact-sat", "sat")):
+            assert evaluate_bound(name, n, k=4).exact == value
+            assert oracle.census(quantity, n, star).value == value
 
 
 def test_subdivided_star_rows():

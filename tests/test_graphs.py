@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 
 import networkx as nx
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import small_graphs
+from conftest import all_graphs_on, enumerate_graphs, small_graphs
 from rslab.errors import (
     DuplicateEdgeError,
     IndexOutOfRangeError,
@@ -147,6 +148,42 @@ def test_graph6_decoding_of_a_sparse_graph_is_linear_in_the_input():
         tracemalloc.stop()
     assert decoded == g
     assert peak < 2**20
+
+
+def string_to_graph6(g):
+    """graph6 by way of a string of the n(n-1)/2 triangle bits, column by
+    column, packed six to a byte."""
+    head = chr(g.n + 63) if g.n <= 62 else "~" + "".join(
+        chr((g.n >> s & 63) + 63) for s in (12, 6, 0))
+    adjb = g.adjacency_bits()
+    bits = "".join(format(adjb[j] & (1 << j) - 1, f"0{j}b")[::-1] for j in range(1, g.n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
+
+
+def test_graph6_encoding_matches_the_bit_string_reference():
+    graphs = [g for n in range(7) for g in all_graphs_on(n)] + list(enumerate_graphs(7))
+    rng = random.Random(6)
+    for n in (8, 13, 62, 63, 64, 100, 199, 200):
+        for density in (0.0, 0.03, 0.5, 1.0):
+            graphs.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                          if rng.random() < density]))
+    for g in graphs:
+        assert to_graph6(g) == string_to_graph6(g), g
+
+
+def test_graph6_encoding_of_a_sparse_graph_is_linear_in_the_output():
+    # 333,171 bytes of text for 1,000 edges: no string of the 1,999,000
+    # triangle bits is made
+    g = build_graph(2000, [(i, i + 1) for i in range(0, 2000, 2)])
+    tracemalloc.start()
+    try:
+        text = to_graph6(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert from_graph6(text) == g
+    assert peak < 4 * len(text)
 
 
 def test_disjoint_union_offsets():
