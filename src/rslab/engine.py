@@ -253,26 +253,23 @@ class _Matcher:
         self._find = _compile_plans(full, deg)
 
     def _plan(self, seed: tuple[int, ...]):
-        placed = list(seed)
-        placed_set = set(seed)
+        """The steps placing the vertices after `seed`: each time the least
+        vertex with the most placed neighbours, anchored to the first of
+        them, or the least unplaced vertex when none has one."""
+        nbrs = [self.pattern.neighbours(x) for x in range(self.k)]
+        count = [0] * self.k  # placed neighbours of each vertex; -1 once placed
         steps = []
-        while len(placed) < self.k:
-            cands = []
-            for x in range(self.k):
-                if x in placed_set:
-                    continue
-                anchors = [y for y in self.pattern.neighbours(x) if y in placed_set]
-                if anchors:
-                    cands.append((len(anchors), x, anchors))
-            if cands:
-                cands.sort(key=lambda it: (-it[0], it[1]))
-                _, x, anchors = cands[0]
-                steps.append((x, anchors[0], tuple(anchors[1:])))
+        for i in range(self.k):
+            if i < len(seed):
+                x = seed[i]
             else:
-                x = min(v for v in range(self.k) if v not in placed_set)
-                steps.append((x, None, ()))
-            placed.append(x)
-            placed_set.add(x)
+                x = max(range(self.k), key=count.__getitem__)  # max keeps the first
+                anchors = [y for y in nbrs[x] if count[y] < 0]
+                steps.append((x, anchors[0], tuple(anchors[1:])) if anchors else (x, None, ()))
+            count[x] = -1
+            for y in nbrs[x]:
+                if count[y] >= 0:
+                    count[y] += 1
         return tuple(steps)
 
     def exists_through(self, u, v, c_uv, adj) -> int | None:

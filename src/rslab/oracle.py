@@ -47,7 +47,9 @@ over the rainbow-free colourings of the graph
 (:func:`rslab.engine.prsat_in_one_walk`), and may stay Unknown.  Each
 class is asked once, under the census budget; a class Unknown at or below
 the value poisons exactness and is reported on the record rather than
-guessed.
+guessed.  For a connected pattern on k vertices a class is first refuted,
+with no walk and no matcher call, when the components of the ends of some
+carried non-edge hold fewer than k vertices (:func:`_too_small`).
 """
 
 from __future__ import annotations
@@ -352,7 +354,8 @@ class CensusRecord:
     is False when some class at or below the value (or the cap) stayed
     Unknown; those classes are listed in `unresolved`.  `budget` bounds the
     one colouring walk of each prsat class, and `nodes_explored` sums the
-    nodes of those walks (not their extension calls).
+    nodes of those walks (not their extension calls); a class refuted by
+    component sizes takes no walk, so it adds none and is never unresolved.
     `total_graphs_examined` counts the classes asked, each asked once.
     """
 
@@ -428,6 +431,33 @@ def _class_verdict(
     return {"sat": is_saturated, "ssat": is_semi_saturated}[quantity](g, spec, non_edges)
 
 
+def _too_small(adjb, non_edges, k: int) -> bool:
+    """Whether the ends of some non-edge (u, v) lie in components, given by
+    the adjacency bitmasks `adjb`, with fewer than k vertices in all.  No
+    copy of a connected pattern on k vertices then passes through (u, v),
+    so the class is Refuted in all three modes: for prsat, a rainbow-free
+    colouring of the class, if any, extends to (u, v) by a new colour."""
+    comp = [0] * len(adjb)  # each vertex's component, once flooded
+    for u, v in non_edges:
+        for x in (u, v):
+            if not comp[x]:
+                seen = todo = 1 << x
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    new = adjb[low.bit_length() - 1] & ~seen
+                    seen |= new
+                    todo |= new
+                todo = seen
+                while todo:
+                    low = todo & -todo
+                    comp[low.bit_length() - 1] = seen
+                    todo ^= low
+        if (comp[u] | comp[v]).bit_count() < k:
+            return True
+    return False
+
+
 def _census(
     n: int,
     spec: PatternSpec,
@@ -441,12 +471,16 @@ def _census(
     witnesses: list[Graph] = []
     unresolved: list[Graph] = []
 
+    # A disconnected pattern may have a copy that no component holds whole.
+    k = spec.graph.n if spec.graph.is_connected() else 0
     # Levels 0..value, or 0..edge_cap if no class qualifies: the loop stops
     # on the last level it examines, so no later level is made.
     for m, level in enumerate(_class_levels(n, _LEVEL_MEMO)):
-        for g, non_edges, *_ in level:
-            verdict = _class_verdict(g, non_edges, spec, quantity, budget)
+        for g, non_edges, adjb, _ in level:
             examined += 1
+            if k and _too_small(adjb, non_edges, k):
+                continue
+            verdict = _class_verdict(g, non_edges, spec, quantity, budget)
             nodes_total += verdict.nodes_explored
             if verdict.status is Status.ESTABLISHED:
                 value = m

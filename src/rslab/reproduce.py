@@ -150,6 +150,8 @@ CLAIMS = (
     Claim("sat", 9, "T5star", 7, "subdivided-star-sat", {"k": 5}),
     Claim("prsat", 6, "K1,3", 5, "star-exact", {"k": 3}),
     Claim("sat", 6, "K1,3", 5, "star-exact-sat", {"k": 3}),
+    Claim("prsat", 7, "K1,4", 9, "star-exact", {"k": 4}),
+    Claim("sat", 7, "K1,4", 9, "star-exact-sat", {"k": 4}),
     Claim("prsat", 5, "P5", None, edge_cap=3),
     Claim("prsat", 6, "P5", None, edge_cap=4),
 )
@@ -166,6 +168,8 @@ BOUND_CHECKS = (
     ("double-star-sat", {"t": 3, "s": 2}, range(27, 40)),
     ("star-exact", {"k": 3}, range(4, 20)),
     ("star-exact-sat", {"k": 3}, range(4, 20)),
+    ("star-exact", {"k": 4}, range(5, 20)),
+    ("star-exact-sat", {"k": 4}, range(5, 20)),
 )
 
 

@@ -1,12 +1,20 @@
 import itertools
 import tracemalloc
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import _augmented_levels, all_graphs_on, enumerate_graphs, partition, small_graphs
+from conftest import (
+    _augmented_levels,
+    all_graphs_on,
+    enumerate_graphs,
+    enumerate_trees,
+    partition,
+    small_graphs,
+)
 from rslab import canon, engine
 from rslab.canon import non_edge_orbit_representatives
 from rslab.colouring import EdgeColouring, is_proper
@@ -312,6 +320,49 @@ def test_find_rainbow_copy_scan_order_is_pinned():
     for g, spec, vertices in pins:
         colouring = EdgeColouring(g, tuple(i % 3 + 1 for i in range(len(g.edges))))
         assert find_rainbow_copy(g, colouring, spec).vertices == vertices
+
+
+def _reference_plan(pattern, seed):
+    """The placement plan as the matcher first made it: every step scans
+    every unplaced vertex and its neighbours."""
+    placed = list(seed)
+    placed_set = set(seed)
+    steps = []
+    while len(placed) < pattern.n:
+        cands = []
+        for x in range(pattern.n):
+            if x in placed_set:
+                continue
+            anchors = [y for y in pattern.neighbours(x) if y in placed_set]
+            if anchors:
+                cands.append((len(anchors), x, anchors))
+        if cands:
+            cands.sort(key=lambda it: (-it[0], it[1]))
+            _, x, anchors = cands[0]
+            steps.append((x, anchors[0], tuple(anchors[1:])))
+        else:
+            x = min(v for v in range(pattern.n) if v not in placed_set)
+            steps.append((x, None, ()))
+        placed.append(x)
+        placed_set.add(x)
+    return tuple(steps)
+
+
+def test_plans_match_the_reference_planner():
+    # the planner counts placed neighbours as it goes; its plans are those
+    # of the planner that rescanned every vertex at each step
+    patterns = [*enumerate_trees(8), *(PatternSpec.path(k).graph for k in range(2, 12)),
+                *(parse_pattern(t).graph for t in ("K1,4", "B4,2", "S3,2", "T5star",
+                                                    "cat:ell=4;leaves=1,0,0,1", "g6:DeK")),
+                *(spec.graph for spec in MATCHER_PATTERNS)]
+    plans = 0
+    for pattern in patterns:
+        host = SimpleNamespace(pattern=pattern, k=pattern.n)
+        for seed in ((), *((a, b) for e in pattern.edges for a, b in (e, e[::-1]))):
+            assert engine._Matcher._plan(host, seed) == _reference_plan(pattern, seed), (
+                pattern.edges, seed)
+            plans += 1
+    assert plans == 587
 
 
 def test_deep_pattern_plans_split_across_functions():

@@ -222,15 +222,26 @@ def test_levels_are_the_same_when_a_lower_order_streams_partway(monkeypatch):
 
 
 def test_carried_non_edges_are_the_census_non_edges(monkeypatch):
-    # every class a census decides, with the non-edges it came with
+    # every class a census decides, with the non-edges it came with: the
+    # component-size rule reads them first, and the verdict of each class
+    # that rule leaves
     visited = []
     real = oracle._class_verdict
+    real_too_small = oracle._too_small
 
     def spy(g, non_edges, *rest):
         visited.append((g, non_edges))
         return real(g, non_edges, *rest)
 
+    def too_small_spy(adjb, non_edges, k):
+        n = len(adjb)
+        g = Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)
+                           if adjb[u] >> v & 1))
+        visited.append((g, non_edges))
+        return real_too_small(adjb, non_edges, k)
+
     monkeypatch.setattr(oracle, "_class_verdict", spy)
+    monkeypatch.setattr(oracle, "_too_small", too_small_spy)
     for n in range(2, 8):
         prsat_number(n, P5, budget=10**6)
         sat_number(n, P4)
@@ -357,6 +368,43 @@ def test_census_digest_pins_the_census_contract(census_point_records):
     assert digest.hexdigest() == (
         "bc060f46c69e5507000acd985d4073a4ac2af228ff882b35086665aa6de4e199"
     )
+
+
+def test_component_size_rule_refutes_only_refuted_classes():
+    # Every class with n <= 7 (n <= 6 for prsat) that the rule settles
+    # without a verdict is Refuted by its verdict, in each mode.
+    classes = [c for n in range(1, 8) for level in oracle._class_levels(n, None) for c in level]
+    for token in ("P3", "P4", "P5", "P6", "K1,3", "T5star", "S3,2"):
+        spec = parse_pattern(token)
+        fired = 0
+        for g, non_edges, adjb, _ in classes:
+            if not oracle._too_small(adjb, non_edges, spec.graph.n):
+                continue
+            fired += 1
+            for quantity in ("sat", "ssat", "prsat") if g.n <= 6 else ("sat", "ssat"):
+                verdict = oracle._class_verdict(g, non_edges, spec, quantity, 10**6)
+                assert verdict.status is engine.Status.REFUTED, (token, quantity, to_graph6(g))
+        assert fired, token
+
+
+def test_component_size_rule_is_off_for_a_disconnected_pattern(monkeypatch):
+    # A copy of 2K2 through a non-edge may use an edge of a third
+    # component: K3 plus two isolated vertices is saturated.
+    two_k2 = parse_pattern("g6:C`")
+    got = {q: census(q, 5, two_k2) for q in ("sat", "ssat", "prsat")}
+    assert {q: (r.value, r.witnesses) for q, r in got.items()} == {
+        "sat": (3, ("D@K",)), "ssat": (3, ("D@K",)), "prsat": (4, ("D?{",))}
+    monkeypatch.setattr(Graph, "is_connected", lambda self: True)  # the rule forced on
+    assert [census(q, 5, two_k2).value for q in ("sat", "ssat")] == [4, 4]
+
+
+def test_component_size_rule_settles_most_classes_unwalked(monkeypatch):
+    asked = []
+    real = oracle._class_verdict
+    monkeypatch.setattr(oracle, "_class_verdict", lambda *a: asked.append(a[0]) or real(*a))
+    rec = prsat_number(8, P4)
+    assert (rec.value, rec.total_graphs_examined) == (6, 100)
+    assert len(asked) <= 27
 
 
 def test_sat_census_p4_order6():
