@@ -271,18 +271,14 @@ def _twins(adjb: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
             twins.setdefault(a, []).append(v)
         for cls in twins.values():
             if len(cls) > 1:
-                seeds += [_transposition(n, a, b) for a, b in zip(cls, cls[1:])]
+                for a, b in zip(cls, cls[1:]):
+                    sigma = list(range(n))
+                    sigma[a], sigma[b] = b, a
+                    seeds.append(tuple(sigma))
                 mask = sum(1 << v for v in cls)
                 for v in cls:
                     twin_of[v] = mask
     return seeds, twin_of
-
-
-@lru_cache(maxsize=4096)
-def _transposition(n: int, a: int, b: int) -> tuple[int, ...]:
-    sigma = list(range(n))
-    sigma[a], sigma[b] = b, a
-    return tuple(sigma)
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MissingEdgeColourError, RslabError
-from .graphs import Edge, Graph, normalise_edge
+from .graphs import Edge, Graph
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,6 @@ class EdgeColouring:
             )
         if any(c < 1 for c in self.colours):
             raise RslabError("colours must be positive integers")
-        object.__setattr__(
-            self, "_by_edge", dict(zip(self.graph.edges, self.colours))
-        )
 
     @staticmethod
     def from_map(graph: Graph, mapping: dict[Edge, int]) -> "EdgeColouring":
@@ -36,13 +33,6 @@ class EdgeColouring:
         if len(mapping) != len(graph.edges):
             raise MissingEdgeColourError("colouring mentions edges not in the graph")
         return EdgeColouring(graph, tuple(colours))
-
-    def colour_of(self, u: int, v: int) -> int:
-        e = normalise_edge(u, v)
-        try:
-            return self._by_edge[e]
-        except KeyError:
-            raise MissingEdgeColourError(f"edge {e} not in graph") from None
 
     @property
     def colour_count(self) -> int:
@@ -64,14 +54,14 @@ class EdgeColouring:
 
 
 def is_proper(g: Graph, colouring: EdgeColouring) -> bool:
-    """True iff every colour class is a matching (adjacent edges differ)."""
+    """True iff every colour class is a matching: no vertex meets two edges
+    of one colour."""
     if colouring.graph != g:
         raise MissingEdgeColourError("colouring belongs to a different graph")
-    for v in range(g.n):
-        seen: set[int] = set()
-        for w in g.neighbours(v):
-            c = colouring.colour_of(v, w)
-            if c in seen:
-                return False
-            seen.add(c)
+    seen: set[tuple[int, int]] = set()  # (vertex, colour) of the edges so far
+    for (u, v), c in zip(g.edges, colouring.colours):
+        if (u, c) in seen or (v, c) in seen:
+            return False
+        seen.add((u, c))
+        seen.add((v, c))
     return True

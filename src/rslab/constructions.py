@@ -18,6 +18,7 @@ from .errors import (
     NotRepresentableError,
     OracleBudgetExceededError,
 )
+from .formulas import double_star_multiplier
 from .graphs import _G6_MAX_N, Graph, _check_order, build_graph, disjoint_union, from_graph6
 from .patterns import PatternSpec
 
@@ -295,16 +296,10 @@ def _clique_star(cliques: int, s: int) -> Graph:
     return build_graph(nxt, sorted(edges))
 
 
-def double_star_multiplier(t: int, s: int) -> int:
-    """Minimum cliques per centre so that every edge addition creates the
-    double star with centre degrees t+1 and s+1."""
-    return -(-(t + 1) // s) + 1
-
-
 def double_star_construction(n: int, t: int, s: int, variant: str = "sat") -> Graph:
     """Disjoint clique-stars saturating the double star S_{t+1,s+1}.
 
-    With m cliques per small component (m from :func:`double_star_multiplier`,
+    With m cliques per small component (m from :func:`formulas.double_star_multiplier`,
     applied to (t, s) for the `sat` variant and to (t+s, s) for `prsat`),
     the graph is a disjoint union of a components with m cliques and b with
     m+1 cliques, b minimal such that the orders sum to n.

@@ -492,24 +492,23 @@ def bfs_edge_order(g: Graph) -> tuple[Edge, ...]:
 
 def _twin_positions(g: Graph, order) -> list[bool]:
     """For each position i of `order`: are edges i-1 and i the edges (v, x),
-    (v, y) to twins x, y, that is, both of degree 1, or both of degree 2 and
-    adjacent?"""
-    deg = g.degrees()
+    (v, y) to twins x, y, that is, is v the one neighbour of x and of y
+    apart from each other?"""
+    adjb = g.adjacency_bits()
     twin = [False] * len(order)
     for i in range(1, len(order)):
         (a, b), (c, d) = order[i - 1], order[i]
         if a == c:
-            x, y = b, d
+            v, x, y = a, b, d
         elif b == d:
-            x, y = a, c
+            v, x, y = b, a, c
         elif a == d:
-            x, y = b, c
+            v, x, y = a, b, c
         elif b == c:
-            x, y = a, d
+            v, x, y = b, a, d
         else:
             continue
-        k = deg[x]
-        twin[i] = k == deg[y] and (k == 1 or k == 2 and g.has_edge(x, y))
+        twin[i] = adjb[x] & ~(1 << y) == adjb[y] & ~(1 << x) == 1 << v
     return twin
 
 
@@ -767,10 +766,6 @@ def _twin_trims(g: Graph):
     yield g
 
 
-def _non_edge_reps(g: Graph, non_edges) -> list[Edge]:
-    return non_edge_orbit_representatives(g) if non_edges is None else list(non_edges)
-
-
 def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> SearchVerdict:
     """Every single-edge addition creates a copy of the pattern through the
     new edge (Füredi & Kim, 2013); copies elsewhere in g do not count.
@@ -807,20 +802,18 @@ def is_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> SearchVerdic
 
 
 def is_properly_rainbow_saturated(
-    g: Graph,
-    pattern: PatternSpec,
-    budget: int | None = DEFAULT_BUDGET,
-    non_edges=None,
+    g: Graph, pattern: PatternSpec, budget: int | None = DEFAULT_BUDGET
 ) -> SearchVerdict:
     """Decide both defining conditions by exhaustive pruned search.
 
     Established: g has a rainbow-free proper colouring (the certificate) and
-    for every non-edge e in `non_edges` (by default one representative per
-    automorphism orbit), every proper colouring of g+e contains a rainbow
-    copy.  Refuted carries either nothing (g itself has no rainbow-free
-    colouring) or the offending non-edge with its rainbow-free colouring of
-    g+e.  Unknown propagates from any sub-search; each sub-search gets the
-    full node budget, and `nodes_explored` aggregates.
+    for one non-edge e of each automorphism orbit, which stands for its
+    whole orbit, every proper colouring of g+e contains a rainbow copy
+    (:func:`forces_rainbow`).  Refuted carries either nothing (g itself has
+    no rainbow-free colouring) or the offending non-edge with its
+    rainbow-free colouring of g+e.  Unknown propagates from any sub-search;
+    each sub-search gets the full node budget, and `nodes_explored`
+    aggregates.
 
     When the pattern has more vertices than g, no edge addition can create a
     copy, so only complete graphs qualify; such verdicts are flagged with a
@@ -832,7 +825,7 @@ def is_properly_rainbow_saturated(
     if base.status is not Status.ESTABLISHED:
         return SearchVerdict(base.status, None, total, budget, note)
     saw_unknown = False
-    for e in _non_edge_reps(g, non_edges):
+    for e in non_edge_orbit_representatives(g):
         sub = forces_rainbow(g.add_edge(*e), pattern, budget)
         total += sub.nodes_explored
         if sub.status is Status.REFUTED:
@@ -872,7 +865,7 @@ def prsat_in_one_walk(
     before backjumping).
     """
     note = "degenerate regime" if g.n < pattern.graph.n else None
-    non_edges = _non_edge_reps(g, non_edges)
+    non_edges = non_edge_orbit_representatives(g) if non_edges is None else list(non_edges)
     search = ColouringSearch(g, pattern, budget)
     first = None
     for colours in search.run():

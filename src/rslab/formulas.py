@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+from .engine import contains_copy
 from .errors import InvalidParameterError, RegularGraphError
 from .graphs import Graph
 from .patterns import PatternSpec
@@ -93,8 +94,6 @@ def _row_long_path_lower(n: int, pattern: PatternSpec | None = None) -> BoundRow
     out_of_range = False
     params: tuple = ()
     if pattern is not None:
-        from .engine import contains_copy
-
         g = pattern.graph
         out_of_range = not (
             g.is_connected() and contains_copy(g, PatternSpec.path(6)) is not None
@@ -128,9 +127,10 @@ def _row_caterpillar_upper(n: int, k: int, ell: int) -> BoundRow:
 
 def _row_bare_path_lower(n: int, pattern: PatternSpec) -> BoundRow:
     g = pattern.graph
+    # a tree has diameter at least 4 exactly when it holds a copy of P5
     out = not (
         g.is_tree()
-        and g.diameter() >= 4
+        and contains_copy(g, PatternSpec.path(5)) is not None
         and not _has_degree2_leaf_neighbour(g)
     )
     r = bare_path_parameter(pattern) if g.is_tree() else 2
@@ -172,8 +172,14 @@ def _row_double_star_sat(n: int, t: int, s: int) -> BoundRow:
     )
 
 
+def double_star_multiplier(t: int, s: int) -> int:
+    """Minimum cliques per centre so that every edge addition creates the
+    double star with centre degrees t+1 and s+1."""
+    return -(-(t + 1) // s) + 1
+
+
 def _row_double_star_sat_upper(n: int, t: int, s: int) -> BoundRow:
-    m = -(-(t + 1) // s) + 1
+    m = double_star_multiplier(t, s)
     coeff = Fraction(m * s, m * s + 1) * Fraction(s + 1, 2)
     return BoundRow(
         "double-star-sat-upper", "sat", n, (("t", t), ("s", s), ("m", m)),
@@ -183,7 +189,7 @@ def _row_double_star_sat_upper(n: int, t: int, s: int) -> BoundRow:
 
 
 def _row_double_star_prsat(n: int, t: int, s: int) -> BoundRow:
-    m = -(-(t + s + 1) // s) + 1
+    m = double_star_multiplier(t + s, s)
     coeff = Fraction(m * s, m * s + 1) * Fraction(s + 1, 2)
     return BoundRow(
         "double-star-prsat", "prsat", n, (("t", t), ("s", s), ("m", m)),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,8 +37,8 @@ class Graph:
     unsorted tuple.  The graphs that :meth:`add_edge` and :meth:`relabel`
     derive from a valid graph are made by :meth:`_trusted`, which skips
     those checks.  The neighbour lists, built on first use, are the one
-    cache: :meth:`has_edge` bisects the sorted edge tuple, and the lazy
-    :meth:`non_edges` makes each non-edge as it walks that tuple.
+    cache; the lazy :meth:`non_edges` makes each non-edge as it walks the
+    sorted edge tuple.
     """
 
     n: int
@@ -89,16 +88,7 @@ class Graph:
         return len(self._adj[v])
 
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        e = normalise_edge(u, v)
-        i = bisect_left(self.edges, e)
-        return self.edges[i:i + 1] == (e,)
+        return tuple(map(len, self._adj))
 
     def non_edges(self) -> Iterator[Edge]:
         """The pairs u < v that are not edges, lexicographically, one by one."""
@@ -140,39 +130,21 @@ class Graph:
 
     # -- walks and structure ----------------------------------------------
 
-    def distance(self, u: int, v: int) -> float:
-        """BFS distance; math.inf when u and v lie in different components."""
-        if u == v:
-            return 0
-        seen = {u}
-        queue = deque([(u, 0)])
-        while queue:
-            x, d = queue.popleft()
-            for w in self._adj[x]:
-                if w == v:
-                    return d + 1
-                if w not in seen:
-                    seen.add(w)
-                    queue.append((w, d + 1))
-        return math.inf
-
     def components(self) -> list[list[int]]:
-        seen = [False] * self.n
+        """The vertex sets of the components, each sorted, in the order of
+        their least vertices."""
+        adjb = self.adjacency_bits()
         comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            queue = deque([s])
-            while queue:
-                x = queue.popleft()
-                for w in self._adj[x]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
+        left = (1 << self.n) - 1
+        while left:
+            comp = component_of(adjb, (left & -left).bit_length() - 1)
+            left ^= comp
+            members = []
+            while comp:
+                low = comp & -comp
+                members.append(low.bit_length() - 1)
+                comp ^= low
+            comps.append(members)
         return comps
 
     def is_connected(self) -> bool:
@@ -180,13 +152,6 @@ class Graph:
 
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == self.n - 1
-
-    def diameter(self) -> float:
-        best = 0.0
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                best = max(best, self.distance(u, v))
-        return best
 
     # -- serialization ----------------------------------------------------
 
@@ -229,6 +194,19 @@ def build_graph(n: int, edges) -> Graph:
     order and sorts the edge list; :class:`Graph` then rejects self-loops,
     out-of-range ends and duplicates."""
     return Graph(n, tuple(sorted(normalise_edge(int(u), int(v)) for u, v in edges)))
+
+
+def component_of(adjb, x: int) -> int:
+    """The vertices of the component of x, as a bitmask, flooded from the
+    adjacency bitmasks `adjb`."""
+    seen = todo = 1 << x
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = adjb[low.bit_length() - 1] & ~seen
+        seen |= new
+        todo |= new
+    return seen
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

@@ -80,7 +80,7 @@ from .engine import (
     prsat_in_one_walk,
 )
 from .errors import CacheAccessError, CacheMismatchError, InvalidParameterError
-from .graphs import Edge, Graph, from_graph6, normalise_edge, to_graph6
+from .graphs import Edge, Graph, component_of, from_graph6, normalise_edge, to_graph6
 from .patterns import PatternSpec, parse_pattern
 
 CACHE_ENV_VAR = "RSLAB_CACHE"
@@ -441,14 +441,7 @@ def _too_small(adjb, non_edges, k: int) -> bool:
     for u, v in non_edges:
         for x in (u, v):
             if not comp[x]:
-                seen = todo = 1 << x
-                while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    new = adjb[low.bit_length() - 1] & ~seen
-                    seen |= new
-                    todo |= new
-                todo = seen
+                seen = todo = component_of(adjb, x)
                 while todo:
                     low = todo & -todo
                     comp[low.bit_length() - 1] = seen

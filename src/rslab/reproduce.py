@@ -46,8 +46,6 @@ from .graphs import build_graph
 from .oracle import census as oracle_census
 from .patterns import PatternSpec, parse_pattern
 
-SUITES = ("formulas", "constructions", "lemma4", "census")
-
 # Node budget of each caterpillar spot check; each must be Established.
 SPOT_BUDGET = 1_000_000
 
@@ -93,16 +91,11 @@ def _established(claim: str, verdict) -> ReproRow:
 
 
 def run_suite(name: str, config: ReproConfig | None = None) -> list[ReproRow]:
-    config = config or ReproConfig()
-    if name == "formulas":
-        return suite_formulas(config)
-    if name == "constructions":
-        return suite_constructions(config)
-    if name == "lemma4":
-        return suite_lemma4(config)
-    if name == "census":
-        return suite_census(config)
-    raise RslabError(f"unknown suite {name!r}; choose one of {SUITES}")
+    try:
+        suite = SUITES[name]
+    except KeyError:
+        raise RslabError(f"unknown suite {name!r}; choose one of {tuple(SUITES)}") from None
+    return suite(config or ReproConfig())
 
 
 # -- the census claims ---------------------------------------------------------
@@ -348,6 +341,14 @@ def suite_census(config: ReproConfig) -> list[ReproRow]:
     rows.append(_row("delta2 lower-bound rows do not exceed census prsat values",
                      True, ok, unknown=not all(r.exact for r in read)))
     return rows
+
+
+SUITES = {
+    "formulas": suite_formulas,
+    "constructions": suite_constructions,
+    "lemma4": suite_lemma4,
+    "census": suite_census,
+}
 
 
 def all_pass(rows: list[ReproRow], allow_unknown: bool = False) -> bool:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rslab import canon, oracle
-from rslab.graphs import Graph, build_graph
+from rslab.graphs import Graph, build_graph, normalise_edge
 from rslab.reproduce import ReproConfig, run_suite
 
 
@@ -22,6 +22,17 @@ def small_graphs(draw, min_n=0, max_n=6, connected=False):
         extra = [(comps[i][0], comps[i + 1][0]) for i in range(len(comps) - 1)]
         g = build_graph(n, list(g.edges) + extra)
     return g
+
+
+def has_edge(g, u, v):
+    """Whether {u, v} is an edge of g."""
+    return normalise_edge(u, v) in g.edges
+
+
+def colour_of(colouring, u, v):
+    """The colour of the edge {u, v}, read from the colours stored parallel
+    to the graph's edges."""
+    return colouring.colours[colouring.graph.edges.index(normalise_edge(u, v))]
 
 
 def all_graphs_on(n):

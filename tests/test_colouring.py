@@ -1,7 +1,10 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import all_graphs_on, partition, small_graphs
+from conftest import all_graphs_on, colour_of, partition, small_graphs
 from rslab.colouring import EdgeColouring, is_proper
 from rslab.engine import ColouringSearch
 from rslab.errors import MissingEdgeColourError
@@ -28,9 +31,23 @@ def test_missing_colour_errors():
         is_proper(TRIANGLE, EdgeColouring(other, (1,)))
 
 
+def test_is_proper_matches_a_per_vertex_check():
+    rng = random.Random(3)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randrange(1, 9)
+        g = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        colours = tuple(rng.randint(1, 5) for _ in g.edges)
+        at = [[c for e, c in zip(g.edges, colours) if v in e] for v in range(n)]
+        want = all(len(cs) == len(set(cs)) for cs in at)
+        assert is_proper(g, EdgeColouring(g, colours)) == want, (g, colours)
+        verdicts.add(want)
+    assert verdicts == {False, True}
+
+
 def test_colour_lookup_and_classes():
     c = EdgeColouring(TRIANGLE, (1, 2, 1))
-    assert c.colour_of(2, 1) == 1
+    assert colour_of(c, 2, 1) == 1
     assert c.colour_count == 2
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import partition
+from conftest import colour_of, partition
 from rslab.canon import canonical_form
 from rslab.colouring import is_proper
 from rslab.constructions import (
@@ -113,9 +113,9 @@ def test_broom_gadget_pendant_colour_matches_opposite_edge():
     bundle = broom_gadget(1)
     col = bundle.colouring
     # first pendant at corner 0 repeats the colour of triangle edge (1,2)
-    assert col.colour_of(0, 3) == col.colour_of(1, 2)
-    assert col.colour_of(1, 5) == col.colour_of(0, 2)
-    assert col.colour_of(2, 7) == col.colour_of(0, 1)
+    assert colour_of(col, 0, 3) == colour_of(col, 1, 2)
+    assert colour_of(col, 1, 5) == colour_of(col, 0, 2)
+    assert colour_of(col, 2, 7) == colour_of(col, 0, 1)
 
 
 def test_every_corner_sees_every_colour():
@@ -123,7 +123,7 @@ def test_every_corner_sees_every_colour():
         bundle = broom_gadget(m)
         col = bundle.colouring
         for corner in range(3):
-            seen = {col.colour_of(corner, w) for w in bundle.graph.neighbours(corner)}
+            seen = {colour_of(col, corner, w) for w in bundle.graph.neighbours(corner)}
             assert seen == set(range(1, m + 4))
 
 
@@ -206,7 +206,7 @@ def test_caterpillar_bundle_extension_is_rainbow_free():
     # the cube keeps its difference colours
     fc = folded_cube(4)
     for e in fc.graph.edges:
-        assert bundle.colouring.colour_of(*e) == fc.colouring.colour_of(*e)
+        assert colour_of(bundle.colouring, *e) == colour_of(fc.colouring, *e)
 
 
 # -- star forests ----------------------------------------------------------------------

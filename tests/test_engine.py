@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from collections import deque
 from types import SimpleNamespace
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from conftest import (
     _augmented_levels,
     all_graphs_on,
+    colour_of,
     enumerate_graphs,
     enumerate_trees,
+    has_edge,
     partition,
     small_graphs,
 )
@@ -127,7 +130,7 @@ def test_embedding_edge_image_is_in_host():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     emb = contains_copy(g, P4)
     for e in emb.edge_image:
-        assert g.has_edge(*e)
+        assert has_edge(g, *e)
 
 
 def brute_force_copies(g, colours, spec):
@@ -169,7 +172,7 @@ def assert_valid_copy(g, spec, emb, colours):
     want = tuple((min(emb.vertices[a], emb.vertices[b]), max(emb.vertices[a], emb.vertices[b]))
                  for a, b in h.edges)
     assert emb.edge_image == want
-    assert all(g.has_edge(*e) for e in want)
+    assert all(has_edge(g, *e) for e in want)
     if colours is not None:
         assert len({colours[e] for e in want}) == len(want)
 
@@ -458,7 +461,7 @@ def test_p4_rainbow_free_by_repeating_end_edges():
     g = P4.graph
     verdict = search_rainbow_free_colouring(g, P4, 10**6)
     assert_certificate_sound(g, P4, verdict)
-    assert verdict.certificate.colour_of(0, 1) == verdict.certificate.colour_of(2, 3)
+    assert colour_of(verdict.certificate, 0, 1) == colour_of(verdict.certificate, 2, 3)
 
 
 def test_vacuous_when_host_smaller_than_pattern():
@@ -763,7 +766,7 @@ def assert_one_walk_matches_the_step_walks(orders):
         for level in _augmented_levels(n):
             for g, non_edges in level:
                 for spec in ONE_WALK_PATTERNS:
-                    want = is_properly_rainbow_saturated(g, spec, 10**7, non_edges)
+                    want = is_properly_rainbow_saturated(g, spec, 10**7)
                     got = prsat_in_one_walk(g, spec, 10**7, non_edges)
                     assert (got.status, got.note) == (want.status, want.note), (g, spec)
                     if got.status is Status.ESTABLISHED:
@@ -812,7 +815,7 @@ def test_one_walk_in_the_degenerate_regime():
     verdict = prsat_in_one_walk(p3, P4, 10**6)
     assert (verdict.status, verdict.note) == (Status.REFUTED, "degenerate regime")
     # (0, 2) sees both colours of P3, so only a new colour extends it
-    assert verdict.certificate.colouring.colour_of(0, 2) == 3
+    assert colour_of(verdict.certificate.colouring, 0, 2) == 3
     assert_extension_sound(p3, P4, verdict.certificate)
 
 
@@ -871,8 +874,7 @@ def test_orbit_reduction_is_conservative():
         for g in all_graphs_on(n):
             for spec in specs:
                 with_orbits = is_properly_rainbow_saturated(g, spec, 10**6)
-                without = is_properly_rainbow_saturated(g, spec, 10**6,
-                                                        non_edges=g.non_edges())
+                without = prsat_in_one_walk(g, spec, 10**6, non_edges=g.non_edges())
                 assert with_orbits.status == without.status
                 assert is_saturated(g, spec).status is is_saturated(
                     g, spec, non_edges=g.non_edges()).status
@@ -1043,6 +1045,47 @@ def test_count_keeps_colourings_that_differ_by_a_twin_swap():
     assert (1, 2, 3, 2, 3) in everything and (1, 2, 3, 3, 2) in everything
     sorted_twins = list(ColouringSearch(g, None).sort_twins().run())
     assert sorted_twins == [(1, 2, 3, 2, 3), (1, 2, 3, 2, 4), (1, 2, 3, 3, 4), (1, 2, 3, 4, 5)]
+
+
+def _twin_positions_by_degrees(g, order):
+    """`engine._twin_positions` as it read degrees and asked for the edge
+    (x, y), kept as a reference: both ends of degree 1, or both of degree 2
+    and adjacent."""
+    deg = g.degrees()
+    twin = [False] * len(order)
+    for i in range(1, len(order)):
+        (a, b), (c, d) = order[i - 1], order[i]
+        if a == c:
+            x, y = b, d
+        elif b == d:
+            x, y = a, c
+        elif a == d:
+            x, y = b, c
+        elif b == c:
+            x, y = a, d
+        else:
+            continue
+        k = deg[x]
+        twin[i] = k == deg[y] and (k == 1 or k == 2 and has_edge(g, x, y))
+    return twin
+
+
+def test_twin_positions_match_the_degree_rule():
+    rng = random.Random(28)
+    graphs = [caterpillar_construction(28, 6, 4)]
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                graphs.append(g.relabel(perm))
+    with_twins = 0
+    for g in graphs:
+        for order in (bfs_edge_order(g), g.edges):
+            got = engine._twin_positions(g, order)
+            assert got == _twin_positions_by_degrees(g, order), (g, order)
+            with_twins += any(got)
+    assert with_twins > len(graphs) // 10
 
 
 def test_a_pattern_larger_than_the_host_compiles_no_matcher(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import enumerate_trees
 from rslab import formulas, oracle, reproduce
 from rslab.errors import InvalidParameterError, RegularGraphError
 from rslab.formulas import bare_path_parameter, evaluate_bound, tree_second_degree
@@ -78,6 +79,36 @@ def test_bare_path_lower_row():
     assert row.asymptotic
     # mid-leg vertices have leaf neighbours, so the stated hypothesis fails
     assert row.out_of_range
+
+
+def _diameter(g):
+    """The largest distance in the connected graph g, by breadth-first
+    search from every vertex."""
+    best = 0
+    for s in range(g.n):
+        dist = {s: 0}
+        queue = [s]
+        for x in queue:
+            for w in g.neighbours(x):
+                if w not in dist:
+                    dist[w] = dist[x] + 1
+                    queue.append(w)
+        best = max(best, *dist.values())
+    return best
+
+
+def test_bare_path_lower_range_follows_the_diameter():
+    # In range: diameter at least 4 and no degree-2 vertex next to a leaf.
+    cases = set()
+    for n in range(2, 10):
+        for tree in enumerate_trees(n):
+            long = _diameter(tree) >= 4
+            leafy = any(tree.degree(v) == 2 and min(map(tree.degree, tree.neighbours(v))) == 1
+                        for v in range(n))
+            row = evaluate_bound("bare-path-lower", 50, pattern=PatternSpec.from_graph(tree))
+            assert row.out_of_range == (not long or leafy), tree
+            cases.add((long, leafy))
+    assert cases == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_bare_path_parameter_long_path():

@@ -1,5 +1,5 @@
+import itertools
 import json
-import math
 import random
 import tracemalloc
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs_on, enumerate_graphs, small_graphs
+from conftest import all_graphs_on, enumerate_graphs, has_edge, small_graphs
 from rslab.errors import (
     DuplicateEdgeError,
     IndexOutOfRangeError,
@@ -111,7 +111,7 @@ def test_add_edge_and_graph6_match_references(g, data):
     x.add_edges_from(g.edges)
     assert to_graph6(g) == nx.to_graph6_bytes(x, header=False).decode().rstrip("\n")
     assert list(g.non_edges()) == sorted((min(e), max(e)) for e in nx.non_edges(x))
-    assert all(g.has_edge(a, b) == x.has_edge(a, b) for a in range(g.n) for b in range(g.n))
+    assert all(has_edge(g, a, b) == x.has_edge(a, b) for a in range(g.n) for b in range(g.n))
     assert set(vars(g)) <= {"n", "edges", "_adj"}  # the neighbour lists are the one cache
 
 
@@ -119,16 +119,30 @@ def test_adjacency_consistent():
     g = build_graph(4, [(2, 0), (3, 1), (1, 2)])
     assert g.edges == ((0, 2), (1, 2), (1, 3))
     assert g.neighbours(2) == (0, 1)
-    assert g.has_edge(3, 1) and not g.has_edge(0, 1)
+    assert has_edge(g, 3, 1) and not has_edge(g, 0, 1)
 
 
-def test_distance_and_components():
+def test_components_and_trees():
     g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
-    assert g.distance(0, 2) == 2
-    assert g.distance(0, 3) == math.inf
     assert g.components() == [[0, 1, 2], [3, 4]]
     assert not g.is_connected()
     assert build_graph(3, [(0, 1), (1, 2)]).is_tree()
+
+
+def test_components_match_networkx():
+    rng = random.Random(5)
+    isolated = 0
+    for _ in range(200):
+        n = rng.randrange(0, 40)
+        p = rng.choice((0.02, 0.05, 0.1, 0.3))
+        g = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        x = nx.Graph()
+        x.add_nodes_from(range(n))
+        x.add_edges_from(g.edges)
+        assert g.components() == sorted(sorted(c) for c in nx.connected_components(x))
+        assert g.is_connected() == (n == 0 or nx.is_connected(x))
+        isolated += nx.number_of_isolates(x)
+    assert isolated > 0
 
 
 def test_non_edges():
