@@ -38,7 +38,6 @@ from .errors import (
     MissingEdgeColourError,
     NotRepresentableError,
     OracleBudgetExceededError,
-    RegularGraphError,
     RslabError,
     SelfLoopError,
 )

@@ -34,7 +34,7 @@ from .engine import (
 )
 from .errors import RslabError
 from .graphs import _G6_MAX_N
-from .oracle import census
+from .oracle import QUANTITIES, census
 from .patterns import load_graph_file, parse_pattern
 
 EXIT_OK = 0
@@ -182,13 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("graph", help="graph6 or JSON graph file, or - for stdin")
     v.add_argument("--pattern", required=True,
                    help="P5, K1,4, B4,2, T5star, S3,2, cat:ell=4;leaves=1,0,0,1, g6:..., @file")
-    v.add_argument("--mode", choices=["sat", "ssat", "prsat"], default="prsat")
+    v.add_argument("--mode", choices=list(QUANTITIES), default="prsat")
 
     o = _subcommand(sub, "oracle", cmd_oracle, "brute-force census of a saturation number",
                     options=("--cache-dir", "--force", "--budget"))
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--pattern", required=True)
-    o.add_argument("--quantity", choices=["sat", "ssat", "prsat"], required=True)
+    o.add_argument("--quantity", choices=list(QUANTITIES), required=True)
     o.add_argument("--edge-cap", type=_at_least(0, "edge cap"), default=None)
 
     r = _subcommand(sub, "reproduce", cmd_reproduce, "pass/fail table for a claim suite",

@@ -43,14 +43,8 @@ class EdgeColouring:
         d["colours"] = list(self.colours)
         return d
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
-        for v in range(self.graph.n):
-            lines.append(f"  {v};")
-        for (u, v), c in zip(self.graph.edges, self.colours):
-            lines.append(f'  {u} -- {v} [label="{c}"];')
-        lines.append("}")
-        return "\n".join(lines)
+    def to_dot(self) -> str:
+        return self.graph.to_dot(self.colours)
 
 
 def is_proper(g: Graph, colouring: EdgeColouring) -> bool:

@@ -165,6 +165,11 @@ def broom_saturated(n: int, m: int, cache_dir=None) -> Graph:
     if n < block:
         raise InvalidParameterError(f"broom_saturated needs n >= {block}")
     q, r = divmod(n, block)
+    largest = oracle.QUANTITIES["prsat"][0]
+    if r > largest:
+        raise InvalidParameterError(
+            f"broom_saturated(n={n}, m={m}) leaves a remainder of r={r} vertices; its "
+            f"prsat census supports r <= {largest}")
     parts = [broom_gadget(m).graph for _ in range(q)]
     if r == 1:
         parts.append(Graph(1, ()))

@@ -37,10 +37,6 @@ class OracleBudgetExceededError(RslabError):
     """A census left classes Unknown under its budget."""
 
 
-class RegularGraphError(RslabError):
-    """The second-smallest degree is undefined for regular graphs."""
-
-
 class CacheMismatchError(RslabError):
     """A cached census record disagrees with a freshly computed one."""
 

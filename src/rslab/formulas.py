@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import partial
 
 from .engine import contains_copy
-from .errors import InvalidParameterError, RegularGraphError
-from .graphs import Graph
+from .errors import InvalidParameterError
+from .graphs import Graph, build_graph
 from .patterns import PatternSpec
 
 
@@ -36,40 +36,25 @@ class BoundRow:
 # -- tree statistics ---------------------------------------------------------
 
 
-def tree_second_degree(spec: PatternSpec) -> int:
-    """Second smallest degree value of the realization (delta_2)."""
+def tree_second_degree(spec: PatternSpec) -> int | None:
+    """Second smallest degree value of the realization (delta_2), or None
+    when all its vertices have one degree."""
     degs = sorted(set(spec.graph.degrees()))
-    if len(degs) < 2:
-        raise RegularGraphError("second smallest degree undefined for regular graphs")
-    return degs[1]
+    return degs[1] if len(degs) > 1 else None
 
 
 def bare_path_parameter(spec: PatternSpec) -> int:
     """max(t, 2), where t is the longest path whose internal vertices all
-    have degree 2 in the tree."""
+    have degree 2 in the tree.  A maximal run of r degree-2 vertices, a
+    component of the edges that join two of them, and its two other
+    neighbours make such a path of r + 1 edges, and every such path of two
+    or more edges lies in one."""
     g = spec.graph
     if not g.is_tree():
         raise InvalidParameterError("bare path parameter needs a tree")
-    best = 1 if g.edges else 0
-    for u in range(g.n):
-        # BFS from u recording parents, then check each path's interior
-        parent = {u: None}
-        queue = [u]
-        while queue:
-            x = queue.pop(0)
-            for w in g.neighbours(x):
-                if w not in parent:
-                    parent[w] = x
-                    queue.append(w)
-        for v in range(g.n):
-            if v == u:
-                continue
-            path = [v]
-            while path[-1] != u:
-                path.append(parent[path[-1]])
-            if all(g.degree(x) == 2 for x in path[1:-1]):
-                best = max(best, len(path) - 1)
-    return max(best, 2)
+    deg = g.degrees()
+    runs = build_graph(g.n, [(u, v) for u, v in g.edges if deg[u] == deg[v] == 2]).components()
+    return max([2] + [len(run) + 1 for run in runs if deg[run[0]] == 2])
 
 
 def is_star(spec: PatternSpec) -> bool:
@@ -200,10 +185,7 @@ def _row_double_star_prsat(n: int, t: int, s: int) -> BoundRow:
 
 def _row_second_degree_lower(n: int, pattern: PatternSpec) -> BoundRow:
     g = pattern.graph
-    try:
-        d2 = tree_second_degree(pattern)
-    except RegularGraphError:
-        d2 = None
+    d2 = tree_second_degree(pattern)
     out = not (
         g.is_tree() and not is_star(pattern) and g.n >= 5
         and d2 is not None and n >= (d2 - 1) ** 3

@@ -132,19 +132,21 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """The vertex sets of the components, each sorted, in the order of
-        their least vertices."""
-        adjb = self.adjacency_bits()
+        their least vertices.  Each is walked once along the neighbour
+        lists, so the time is linear in n and the edges."""
+        seen = [False] * self.n
         comps = []
-        left = (1 << self.n) - 1
-        while left:
-            comp = component_of(adjb, (left & -left).bit_length() - 1)
-            left ^= comp
-            members = []
-            while comp:
-                low = comp & -comp
-                members.append(low.bit_length() - 1)
-                comp ^= low
-            comps.append(members)
+        for s in range(self.n):
+            if seen[s]:
+                continue
+            seen[s] = True
+            comp = [s]
+            for x in comp:
+                for w in self._adj[x]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            comps.append(sorted(comp))
         return comps
 
     def is_connected(self) -> bool:
@@ -179,12 +181,13 @@ class Graph:
     def to_graph6(self) -> str:
         return to_graph6(self)
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
-        for v in range(self.n):
-            lines.append(f"  {v};")
-        for u, v in self.edges:
-            lines.append(f"  {u} -- {v};")
+    def to_dot(self, colours: tuple[int, ...] | None = None) -> str:
+        """DOT text: every vertex, then every edge, labelled with its colour
+        when `colours`, stored parallel to the edges, is given."""
+        lines = ["graph G {", *(f"  {v};" for v in range(self.n))]
+        for i, (u, v) in enumerate(self.edges):
+            label = "" if colours is None else f' [label="{colours[i]}"]'
+            lines.append(f"  {u} -- {v}{label};")
         lines.append("}")
         return "\n".join(lines)
 
@@ -194,19 +197,6 @@ def build_graph(n: int, edges) -> Graph:
     order and sorts the edge list; :class:`Graph` then rejects self-loops,
     out-of-range ends and duplicates."""
     return Graph(n, tuple(sorted(normalise_edge(int(u), int(v)) for u, v in edges)))
-
-
-def component_of(adjb, x: int) -> int:
-    """The vertices of the component of x, as a bitmask, flooded from the
-    adjacency bitmasks `adjb`."""
-    seen = todo = 1 << x
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        new = adjb[low.bit_length() - 1] & ~seen
-        seen |= new
-        todo |= new
-    return seen
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

@@ -8,15 +8,16 @@ group, taken from the generators its labelling found.  Only the classes with
 no isolated vertex are grown so: a graph of order n with an isolated vertex
 is a graph of order n-1 plus one, so the other classes of each level are
 those of the same level of order n-1, padded, which labels nothing.  A
-census walks the classes in ascending edge count and reports the least edge
-count at which the requested property holds, together with every minimum
-witness.  It stops on the level of that value (or of the edge cap) and
-makes no later level, at its order or below.  The levels a census makes, at
-its order and at the orders below that they are padded from, go into one
-level memo, shared by every census in the process whatever its order and
-bounded by `LEVEL_MEMO_CLASSES` classes over all orders; levels past the
-bound stream, two at a time, as :func:`enumerate_graphs_by_edges` always
-does.
+level keeps the order in which it is made: the padded classes, then the
+children in the order of their parents.  A census walks the classes in
+ascending edge count and reports the least edge count at which the
+requested property holds, together with every minimum witness.  It stops
+on the level of that value (or of the edge cap) and makes no later level,
+at its order or below.  The levels a census makes, at its order and at the
+orders below that they are padded from, go into one level memo, shared by
+every census in the process whatever its order and bounded by
+`LEVEL_MEMO_CLASSES` classes over all orders; levels past the bound stream,
+two at a time, as :func:`enumerate_graphs_by_edges` always does.
 
 Padding is exact.  A padded class of g takes a new vertex 0 and moves every
 vertex v of g to v+1.  In a canonical graph the k isolated vertices sit at
@@ -80,7 +81,7 @@ from .engine import (
     prsat_in_one_walk,
 )
 from .errors import CacheAccessError, CacheMismatchError, InvalidParameterError
-from .graphs import Edge, Graph, component_of, from_graph6, normalise_edge, to_graph6
+from .graphs import Edge, Graph, from_graph6, normalise_edge, to_graph6
 from .patterns import PatternSpec, parse_pattern
 
 CACHE_ENV_VAR = "RSLAB_CACHE"
@@ -105,12 +106,11 @@ def enumerate_graphs_by_edges(n: int):
     """Yield, per edge count 0,1,2,..., the canonical class representatives.
 
     Each level holds exactly one graph per isomorphism class, as its
-    canonical graph, sorted by graph6.  Level m+1 is generated from level m
-    by canonical augmentation (McKay, 1998): every child accepts or rejects
-    itself, with no comparison against other children (see
-    :func:`_canonical_children`); the classes with an isolated vertex are
-    those of order n-1 padded (see :func:`_class_levels`).  Levels stream:
-    none is kept.
+    canonical graph, in the order :func:`_class_levels` makes them.  Level
+    m+1 is generated from level m by canonical augmentation (McKay, 1998):
+    every child accepts or rejects itself, with no comparison against other
+    children (see :func:`_canonical_children`); the classes with an isolated
+    vertex are those of order n-1 padded.  Levels stream: none is kept.
     """
     for level in _class_levels(n, None):
         yield [g for g, _, _, _ in level]
@@ -121,8 +121,11 @@ def _class_levels(n: int, memo: dict[int, list] | None):
     orbit representatives, adjacency bitmasks, vertex-orbit roots).
 
     Level m holds the classes of level m of order n-1, padded
-    (:func:`_padded`), and the children of level m-1 of order n that have
-    no isolated vertex (:func:`_canonical_children`), sorted by graph6.
+    (:func:`_padded`), in their order, then the children of level m-1 of
+    order n that have no isolated vertex (:func:`_canonical_children`), in
+    the order of their parents.  That order is the same whether a level is
+    made or served from `memo`, and no census record depends on it: a
+    census sorts its witnesses and unresolved classes, and sums the rest.
     The roots are carried only by a class with no isolated vertex, the one
     kind whose padding needs them; a padded class has None.
 
@@ -147,7 +150,6 @@ def _class_levels(n: int, memo: dict[int, list] | None):
             children = [child for g, reps, adjb, _ in level
                         for child in _canonical_children(g, reps, adjb)]
             level = [_padded(*c) for c in lower] + children
-            level.sort(key=lambda c: _graph6_key(c[0]))
             fits = memo is not None and _memo_classes(memo) + len(level) <= LEVEL_MEMO_CLASSES
             if fits and len(held) == m:
                 held.append(level)
@@ -193,13 +195,6 @@ def _padded(g: Graph, reps, adjb, roots):
                      for u, v in (reps[1:] if k > 1 else reps)]
     edges = tuple([pairs[index[u * m + v + m + 1]] for u, v in g.edges])
     return Graph._trusted(m, edges), new_reps, (0, *[a << 1 for a in adjb]), None
-
-
-def _graph6_key(g: Graph) -> int:
-    """An integer ordering graphs of one order as their graph6 strings do:
-    pair u < v at bit v(v-1)/2 + u counted from the most significant end."""
-    top = g.n * (g.n - 1) // 2 - 1
-    return sum(1 << (top - v * (v - 1) // 2 - u) for u, v in g.edges)
 
 
 def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...]):
@@ -441,7 +436,7 @@ def _too_small(adjb, non_edges, k: int) -> bool:
     for u, v in non_edges:
         for x in (u, v):
             if not comp[x]:
-                seen = todo = component_of(adjb, x)
+                seen = todo = _component_of(adjb, x)
                 while todo:
                     low = todo & -todo
                     comp[low.bit_length() - 1] = seen
@@ -449,6 +444,19 @@ def _too_small(adjb, non_edges, k: int) -> bool:
         if (comp[u] | comp[v]).bit_count() < k:
             return True
     return False
+
+
+def _component_of(adjb, x: int) -> int:
+    """The vertices of the component of x, as a bitmask, flooded from the
+    adjacency bitmasks `adjb`."""
+    seen = todo = 1 << x
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = adjb[low.bit_length() - 1] & ~seen
+        seen |= new
+        todo |= new
+    return seen
 
 
 def _census(

@@ -116,10 +116,6 @@ class PatternSpec:
             raise InvalidParameterError("pattern has an isolated vertex")
         return PatternSpec("g6:" + g.to_graph6(), g)
 
-    @staticmethod
-    def from_graph(g: Graph) -> "PatternSpec":
-        return PatternSpec.explicit(g.edges)
-
     def token(self) -> str:
         """Compact one-word name, also used as the census cache key."""
         return self.name
@@ -155,11 +151,11 @@ def parse_pattern(token: str, allow_files: bool = True) -> PatternSpec:
     if token.startswith("cat:"):
         return _parse_caterpillar(token)
     if token.startswith("g6:"):
-        return PatternSpec.from_graph(from_graph6(token[3:]))
+        return PatternSpec.explicit(from_graph6(token[3:]).edges)
     if token.startswith("@"):
         if not allow_files:
             raise InvalidParameterError("file patterns not allowed here")
-        return PatternSpec.from_graph(load_graph_file(token[1:]))
+        return PatternSpec.explicit(load_graph_file(token[1:]).edges)
     raise InvalidParameterError(f"cannot parse pattern token {token!r}")
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_form, non_edge_orbit_representatives
-from .colouring import is_proper
 from .constructions import (
     FoldedCube,
     broom_gadget,
@@ -35,7 +34,6 @@ from .engine import (
     DEFAULT_BUDGET,
     Status,
     enumerate_rainbow_free_colourings,
-    find_rainbow_copy,
     forces_rainbow,
     is_properly_rainbow_saturated,
     is_saturated,
@@ -45,10 +43,6 @@ from .formulas import evaluate_bound, is_star
 from .graphs import build_graph
 from .oracle import census as oracle_census
 from .patterns import PatternSpec, parse_pattern
-
-# Node budget of each caterpillar spot check; each must be Established.
-SPOT_BUDGET = 1_000_000
-
 
 @dataclass
 class ReproRow:
@@ -266,13 +260,11 @@ def suite_constructions(config: ReproConfig) -> list[ReproRow]:
     cb = caterpillar_bundle(28, 6, 4)
     cat = PatternSpec.caterpillar((1, 0, 0, 1))
     rows.append(_row("caterpillar host (n=28,k=6,ell=4): 30 edges, rainbow-free extension",
-                     (30, True, True),
-                     (len(cb.graph.edges), is_proper(cb.graph, cb.colouring),
-                      find_rainbow_copy(cb.graph, cb.colouring, cat) is None)))
+                     (30, True), (len(cb.graph.edges), verify_bundle(cb, cat))))
     for e in non_edge_orbit_representatives(cb.graph)[:5]:
         rows.append(_established(
             f"caterpillar host + non-edge {e} forces a rainbow caterpillar (spot check)",
-            forces_rainbow(cb.graph.add_edge(*e), cat, SPOT_BUDGET)))
+            forces_rainbow(cb.graph.add_edge(*e), cat, config.budget)))
     return rows
 
 
@@ -295,9 +287,11 @@ def suite_lemma4(config: ReproConfig) -> list[ReproRow]:
     f4 = FoldedCube(4).graph()
     for e in non_edge_orbit_representatives(f4):
         rows.append(_established(f"every proper colouring of F4 + {e} has a rainbow P5",
-                                 forces_rainbow(f4.add_edge(*e), PatternSpec.path(5), 10**9)))
+                                 forces_rainbow(f4.add_edge(*e), PatternSpec.path(5),
+                                                config.budget)))
     rows.append(_established("F4 is properly rainbow P5-saturated",
-                             is_properly_rainbow_saturated(f4, PatternSpec.path(5), 10**9)))
+                             is_properly_rainbow_saturated(f4, PatternSpec.path(5),
+                                                           config.budget)))
     return rows
 
 

@@ -156,13 +156,13 @@ def test_vertex_orbits_star():
 def test_labelling_digest_pins_positions_and_generators():
     # The level digest pins canonical graphs only; this one pins the whole
     # output of `labelling`, the position map and the generators in the
-    # order found, on every class up to n = 6 (as made and reversed) and on
-    # larger hosts with many symmetries.
+    # order found, on every class up to n = 6 (as made and reversed, each
+    # level read in graph6 order) and on larger hosts with many symmetries.
     digest = hashlib.sha256()
     graphs = []
     for n in range(1, 7):
         for level in _augmented_levels(n):
-            for g, _ in level:
+            for g, _ in sorted(level, key=lambda c: to_graph6(c[0])):
                 graphs += [g, g.relabel(list(range(n))[::-1])]
     assert len(graphs) == 416
     graphs += [caterpillar_construction(28, 6, 4), star_forest(30, 4),

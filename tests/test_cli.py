@@ -87,6 +87,18 @@ def test_construct_missing_parameter_exits_2(capsys, argv, flag):
     assert flag in err and "Traceback" not in err
 
 
+def test_broom_saturated_refuses_a_remainder_past_the_census_before_any_census(
+        monkeypatch, capsys):
+    # n = 21, m = 2 leaves r = 21 mod 12 = 9 vertices, more than a prsat
+    # census takes; the refusal names the n the user asked for.
+    asked = []
+    monkeypatch.setattr(constructions.oracle, "prsat_number", lambda *a, **k: asked.append(a))
+    code = main(["construct", "broom-saturated", "--n", "21", "--m", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and asked == []
+    assert all(part in err for part in ("n=21", "m=2", "r=9")) and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["star-forest", "--n", "100000000000", "--k", "4"],
     ["folded-cube", "--ell", "40"],

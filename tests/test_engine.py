@@ -61,7 +61,7 @@ SPLIT = build_graph(7, [(0, 3), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6), 
 TWO_K2 = PatternSpec.explicit([(0, 1), (2, 3)])
 TRIANGLE = PatternSpec.explicit([(0, 1), (1, 2), (0, 2)])
 C4 = PatternSpec.explicit([(0, 1), (1, 2), (2, 3), (0, 3)])
-K4_PATTERN = PatternSpec.from_graph(K4)
+K4_PATTERN = PatternSpec.explicit(K4.edges)
 MATCHER_PATTERNS = (PatternSpec.path(3), P4, K13, PatternSpec.subdivided_star(5),
                     TWO_K2, TRIANGLE, C4, K4_PATTERN)
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import enumerate_trees
 from rslab import formulas, oracle, reproduce
-from rslab.errors import InvalidParameterError, RegularGraphError
+from rslab.errors import InvalidParameterError
 from rslab.formulas import bare_path_parameter, evaluate_bound, tree_second_degree
 from rslab.patterns import PatternSpec
 
@@ -105,7 +105,7 @@ def test_bare_path_lower_range_follows_the_diameter():
             long = _diameter(tree) >= 4
             leafy = any(tree.degree(v) == 2 and min(map(tree.degree, tree.neighbours(v))) == 1
                         for v in range(n))
-            row = evaluate_bound("bare-path-lower", 50, pattern=PatternSpec.from_graph(tree))
+            row = evaluate_bound("bare-path-lower", 50, pattern=PatternSpec.explicit(tree.edges))
             assert row.out_of_range == (not long or leafy), tree
             cases.add((long, leafy))
     assert cases == {(False, False), (False, True), (True, False), (True, True)}
@@ -115,13 +115,45 @@ def test_bare_path_parameter_long_path():
     assert bare_path_parameter(PatternSpec.path(7)) == 6
 
 
+def _bfs_bare_path_parameter(spec):
+    """`bare_path_parameter` as a BFS from every vertex, kept as a
+    reference: the longest path between two vertices of the tree whose
+    interior has degree 2 throughout."""
+    g = spec.graph
+    best = 1 if g.edges else 0
+    for u in range(g.n):
+        parent = {u: None}
+        queue = [u]
+        for x in queue:
+            for w in g.neighbours(x):
+                if w not in parent:
+                    parent[w] = x
+                    queue.append(w)
+        for v in range(g.n):
+            path = [v]
+            while path[-1] != u:
+                path.append(parent[path[-1]])
+            if v != u and all(g.degree(x) == 2 for x in path[1:-1]):
+                best = max(best, len(path) - 1)
+    return max(best, 2)
+
+
+def test_bare_path_parameter_matches_the_per_vertex_bfs():
+    specs = [PatternSpec.explicit(t.edges) for n in range(2, 10) for t in enumerate_trees(n)]
+    specs += [PatternSpec.path(k) for k in range(2, 13)]
+    got = [bare_path_parameter(s) for s in specs]
+    assert got == [_bfs_bare_path_parameter(s) for s in specs]
+    assert set(got) == set(range(2, 12))  # every value from 2 to P12's 11
+
+
 def test_tree_second_degree():
     assert tree_second_degree(PatternSpec.double_star(2, 1)) == 2
     assert tree_second_degree(PatternSpec.double_star(3, 2)) == 3
     assert tree_second_degree(PatternSpec.path(5)) == 2
     assert tree_second_degree(PatternSpec.star(4)) == 4
-    with pytest.raises(RegularGraphError):
-        tree_second_degree(PatternSpec.path(2))
+    assert tree_second_degree(PatternSpec.path(2)) is None  # one degree value
+    row = evaluate_bound("second-degree-lower", 10, pattern=PatternSpec.path(2))
+    assert (row.lower, row.out_of_range, dict(row.params)["delta2"]) == (None, True, None)
 
 
 def test_double_star_rows():

@@ -9,6 +9,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs_on, enumerate_graphs, has_edge, small_graphs
+from rslab.colouring import EdgeColouring
 from rslab.errors import (
     DuplicateEdgeError,
     IndexOutOfRangeError,
@@ -16,6 +17,7 @@ from rslab.errors import (
     SelfLoopError,
 )
 from rslab.graphs import Graph, build_graph, disjoint_union, from_graph6, to_graph6
+from rslab.patterns import PatternSpec
 
 
 def test_build_triangle():
@@ -145,6 +147,19 @@ def test_components_match_networkx():
     assert isolated > 0
 
 
+def test_components_walk_the_neighbour_lists_not_the_bitmasks(monkeypatch):
+    # A flood over adjacency bitmasks takes time quadratic in n on a long
+    # sparse graph; the neighbour lists take linear time.
+    calls = []
+    real = Graph.adjacency_bits
+    monkeypatch.setattr(Graph, "adjacency_bits", lambda self: calls.append(self) or real(self))
+    g = build_graph(6, [(0, 4), (2, 4), (1, 5)])
+    assert g.components() == [[0, 2, 4], [1, 5], [3]]
+    assert PatternSpec.path(5000).graph.is_connected()
+    assert not Graph(5000, ()).is_connected()
+    assert calls == []
+
+
 def test_non_edges():
     g = build_graph(3, [(0, 1)])
     assert list(g.non_edges()) == [(0, 2), (1, 2)]
@@ -254,3 +269,10 @@ def test_dot_export():
     g = build_graph(3, [(0, 1)])
     dot = g.to_dot()
     assert "0 -- 1;" in dot and "2;" in dot
+
+
+def test_dot_text_of_a_graph_and_a_colouring_is_pinned():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    assert g.to_dot() == "graph G {\n  0;\n  1;\n  2;\n  0 -- 1;\n  1 -- 2;\n}"
+    assert EdgeColouring(g, (2, 1)).to_dot() == (
+        'graph G {\n  0;\n  1;\n  2;\n  0 -- 1 [label="2"];\n  1 -- 2 [label="1"];\n}')

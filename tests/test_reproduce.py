@@ -48,6 +48,20 @@ def test_constructions_suite(suite_rows):
     assert all_pass(suite_rows("constructions"))
 
 
+def test_lemma4_and_constructions_searches_take_the_configured_budget(monkeypatch):
+    # The budget of the configuration bounds every forcing and prsat search
+    # of these suites, the caterpillar spot checks and the F4 rows included.
+    budgets = []
+    for name in ("forces_rainbow", "is_properly_rainbow_saturated"):
+        real = getattr(reproduce, name)
+        monkeypatch.setattr(reproduce, name, lambda *args, real=real:
+                            budgets.append(args[2]) or real(*args))
+    config = ReproConfig(budget=54_321)
+    rows = reproduce.suite_lemma4(config) + reproduce.suite_constructions(config)
+    assert all_pass(rows)
+    assert budgets == [54_321] * 8  # 3 in lemma4; 2 prsat and 3 spot checks
+
+
 def test_inexact_records_read_unknown(monkeypatch, tmp_path):
     real = reproduce.oracle_census
 
