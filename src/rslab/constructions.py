@@ -166,14 +166,15 @@ def broom_saturated(n: int, m: int, cache_dir=None) -> Graph:
         raise InvalidParameterError(f"broom_saturated needs n >= {block}")
     q, r = divmod(n, block)
     largest = oracle.QUANTITIES["prsat"][0]
-    if r > largest:
+    if r >= 4 + m and r > largest:
         raise InvalidParameterError(
             f"broom_saturated(n={n}, m={m}) leaves a remainder of r={r} vertices; its "
             f"prsat census supports r <= {largest}")
     parts = [broom_gadget(m).graph for _ in range(q)]
-    if r == 1:
-        parts.append(Graph(1, ()))
-    elif r > 1:
+    if 0 < r < 4 + m:
+        # no copy fits in r vertices, so only K_r has no non-edge to refute it
+        parts.append(Graph(r, tuple((u, v) for u in range(r) for v in range(u + 1, r))))
+    elif r:
         spec = PatternSpec.broom(4, m)
         record = oracle.prsat_number(r, spec, cache_dir=cache_dir)
         if not record.exact:

@@ -450,8 +450,9 @@ def _matcher_in(g: Graph, spec: PatternSpec | None) -> _Matcher | None:
 # -- the colouring search ------------------------------------------------------
 
 
-def bfs_edge_order(g: Graph) -> tuple[Edge, ...]:
-    """Edges ordered breadth-first from a maximum-degree vertex.
+def bfs_edge_order(g: Graph) -> list[int]:
+    """Edges ordered breadth-first from a maximum-degree vertex, each given
+    by its position in `g.edges`.
 
     Vertices are visited in BFS order (restarting per component at the
     unvisited vertex of largest degree); an edge is ranked by the BFS
@@ -487,7 +488,7 @@ def bfs_edge_order(g: Graph) -> tuple[Edge, ...]:
     # edge (a, b) ranks by (later position, earlier position), packed in one int
     key = [pos[a] * n + pos[b] if pos[a] > pos[b] else pos[b] * n + pos[a]
            for a, b in edges]
-    return tuple(edges[j] for j in sorted(range(len(key)), key=key.__getitem__))
+    return sorted(range(len(key)), key=key.__getitem__)
 
 
 def _twin_positions(g: Graph, order) -> list[bool]:
@@ -531,9 +532,8 @@ class ColouringSearch:
         self.budget = budget
         self.nodes_explored = 0
         self.exhausted = False
-        self._order = bfs_edge_order(graph)
-        pos = {e: i for i, e in enumerate(graph.edges)}
-        self._out_slot = [pos[e] for e in self._order]
+        self._out_slot = bfs_edge_order(graph)
+        self._order = [graph.edges[j] for j in self._out_slot]
         self._matcher = _matcher_in(graph, pattern)
         self._twin = [False] * len(self._order)
 

@@ -50,7 +50,11 @@ class is asked once, under the census budget; a class Unknown at or below
 the value poisons exactness and is reported on the record rather than
 guessed.  For a connected pattern on k vertices a class is first refuted,
 with no walk and no matcher call, when the components of the ends of some
-carried non-edge hold fewer than k vertices (:func:`_too_small`).
+carried non-edge hold fewer than k vertices (:func:`_too_small`).  Before
+that, a class is refuted with no check at all when its canonical parent,
+which it carries as a position in the level below, failed at the base: a
+prsat class with no rainbow-free colouring, or a sat class with a copy of
+the pattern.  Both failures pass to supergraphs (ssat has no base test).
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ from .canon import (
 from .colouring import is_proper
 from .engine import (
     DEFAULT_BUDGET,
+    Embedding,
     SearchVerdict,
     Status,
     find_rainbow_copy,
@@ -113,12 +118,12 @@ def enumerate_graphs_by_edges(n: int):
     vertex are those of order n-1 padded.  Levels stream: none is kept.
     """
     for level in _class_levels(n, None):
-        yield [g for g, _, _, _ in level]
+        yield [g for g, *_ in level]
 
 
 def _class_levels(n: int, memo: dict[int, list] | None):
     """The levels of order n, each class as (canonical graph, non-edge
-    orbit representatives, adjacency bitmasks, vertex-orbit roots).
+    orbit representatives, adjacency bitmasks, vertex-orbit roots, parent).
 
     Level m holds the classes of level m of order n-1, padded
     (:func:`_padded`), in their order, then the children of level m-1 of
@@ -127,7 +132,11 @@ def _class_levels(n: int, memo: dict[int, list] | None):
     made or served from `memo`, and no census record depends on it: a
     census sorts its witnesses and unresolved classes, and sums the rest.
     The roots are carried only by a class with no isolated vertex, the one
-    kind whose padding needs them; a padded class has None.
+    kind whose padding needs them; a padded class has None.  The parent is
+    the position in level m-1 of order n of a class C - f, f an edge of C
+    (None at level 0): a child's is the class it grew from, and a padded
+    class's is the one its class of order n-1 carries, since level m-1
+    opens with the same classes padded, in the same order.
 
     With `memo`, the levels of every order that it holds are served from
     it, and a level made is appended to it while the memo has room for it
@@ -147,8 +156,8 @@ def _class_levels(n: int, memo: dict[int, list] | None):
         else:
             lower = next(islice(below, m - asked, None), [])
             asked = m + 1
-            children = [child for g, reps, adjb, _ in level
-                        for child in _canonical_children(g, reps, adjb)]
+            children = [child for i, (g, reps, adjb, *_) in enumerate(level)
+                        for child in _canonical_children(g, reps, adjb, i)]
             level = [_padded(*c) for c in lower] + children
             fits = memo is not None and _memo_classes(memo) + len(level) <= LEVEL_MEMO_CLASSES
             if fits and len(held) == m:
@@ -157,7 +166,7 @@ def _class_levels(n: int, memo: dict[int, list] | None):
 
 
 # Order 0's one level, whose padding is order 1's level 0.
-_ORDER_0 = ([(Graph(0, ()), [], (), ())],)
+_ORDER_0 = ([(Graph(0, ()), [], (), (), None)],)
 
 
 def _memo_classes(memo: dict[int, list]) -> int:
@@ -172,7 +181,7 @@ def _isolated(g: Graph) -> int:
     return g.edges[0][0] if g.edges else g.n
 
 
-def _padded(g: Graph, reps, adjb, roots):
+def _padded(g: Graph, reps, adjb, roots, parent):
     """The class of g plus an isolated vertex, as :func:`_class_levels`
     carries it: the new vertex is 0 and every vertex v of g moves to v+1.
     This graph is canonical, and its non-edge orbit representatives follow
@@ -194,13 +203,14 @@ def _padded(g: Graph, reps, adjb, roots):
         new_reps += [pairs[index[v + 1] if u == 0 else index[u * m + v + m + 1]]
                      for u, v in (reps[1:] if k > 1 else reps)]
     edges = tuple([pairs[index[u * m + v + m + 1]] for u, v in g.edges])
-    return Graph._trusted(m, edges), new_reps, (0, *[a << 1 for a in adjb]), None
+    return Graph._trusted(m, edges), new_reps, (0, *[a << 1 for a in adjb]), None, parent
 
 
-def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...]):
+def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], index: int):
     """The children P + e of a canonical graph P that have no isolated
     vertex, one per isomorphism class whose canonical parent is P, as
-    :func:`_class_levels` carries a class.
+    :func:`_class_levels` carries a class: P's position in its level is
+    `index`, each child's parent.
 
     `non_edges` holds one non-edge e per orbit of Aut(P), and `adjb` the
     adjacency bitmasks of P.  Only the e that leave no vertex isolated are
@@ -257,7 +267,7 @@ def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...]):
         gens = [[pos[s[x]] for x in at] for s in child_gens]
         roots = orbit_roots(n, gens) if gens else range(n)
         yield (canonical, non_edge_representatives(canonical_adjb, gens), canonical_adjb,
-               tuple([v for v in range(n) if roots[v] == v]))
+               tuple([v for v in range(n) if roots[v] == v]), index)
 
 
 def _in_pair_orbit(n: int, gens, e: Edge, f: Edge) -> bool:
@@ -350,7 +360,8 @@ class CensusRecord:
     Unknown; those classes are listed in `unresolved`.  `budget` bounds the
     one colouring walk of each prsat class, and `nodes_explored` sums the
     nodes of those walks (not their extension calls); a class refuted by
-    component sizes takes no walk, so it adds none and is never unresolved.
+    component sizes, or by its parent, takes no walk, so it adds none and is
+    never unresolved.
     `total_graphs_examined` counts the classes asked, each asked once.
     """
 
@@ -431,12 +442,15 @@ def _too_small(adjb, non_edges, k: int) -> bool:
     the adjacency bitmasks `adjb`, with fewer than k vertices in all.  No
     copy of a connected pattern on k vertices then passes through (u, v),
     so the class is Refuted in all three modes: for prsat, a rainbow-free
-    colouring of the class, if any, extends to (u, v) by a new colour."""
+    colouring of the class, if any, extends to (u, v) by a new colour.  A
+    flood that covers every vertex ends the check: the class is connected."""
     comp = [0] * len(adjb)  # each vertex's component, once flooded
     for u, v in non_edges:
         for x in (u, v):
             if not comp[x]:
                 seen = todo = _component_of(adjb, x)
+                if seen.bit_count() == len(adjb):
+                    return len(adjb) < k
                 while todo:
                     low = todo & -todo
                     comp[low.bit_length() - 1] = seen
@@ -474,11 +488,19 @@ def _census(
 
     # A disconnected pattern may have a copy that no component holds whole.
     k = spec.graph.n if spec.graph.is_connected() else 0
+    # The positions in the last level of the classes that fail at the base,
+    # with no rainbow-free colouring (prsat) or a copy of the pattern (sat):
+    # either passes to supergraphs, so to every class whose parent failed.
+    failed: set[int] = set()
     # Levels 0..value, or 0..edge_cap if no class qualifies: the loop stops
     # on the last level it examines, so no later level is made.
     for m, level in enumerate(_class_levels(n, _LEVEL_MEMO)):
-        for g, non_edges, adjb, _ in level:
+        below, failed = failed, set()
+        for i, (g, non_edges, adjb, _, parent) in enumerate(level):
             examined += 1
+            if parent in below:
+                failed.add(i)
+                continue
             if k and _too_small(adjb, non_edges, k):
                 continue
             verdict = _class_verdict(g, non_edges, spec, quantity, budget)
@@ -488,6 +510,8 @@ def _census(
                 witnesses.append(g)
             elif verdict.status is Status.UNKNOWN:
                 unresolved.append(g)
+            elif verdict.certificate is None or isinstance(verdict.certificate, Embedding):
+                failed.add(i)
         if value is not None or m == edge_cap:
             break
     return CensusRecord(

@@ -105,11 +105,12 @@ class PatternSpec:
         return PatternSpec(name, build_graph(nxt, edges))
 
     @staticmethod
-    def explicit(edges) -> "PatternSpec":
+    def explicit(edges, n: int | None = None) -> "PatternSpec":
+        """These edges on n vertices, by default 0 up to the largest end."""
         edges = tuple(edges)
         if not edges:
             raise InvalidParameterError("explicit pattern needs at least one edge")
-        n = max(max(e) for e in edges) + 1
+        n = max(max(e) for e in edges) + 1 if n is None else n
         _check_order(n, "pattern")
         g = build_graph(n, edges)
         if any(g.degree(v) == 0 for v in range(n)):
@@ -151,11 +152,13 @@ def parse_pattern(token: str, allow_files: bool = True) -> PatternSpec:
     if token.startswith("cat:"):
         return _parse_caterpillar(token)
     if token.startswith("g6:"):
-        return PatternSpec.explicit(from_graph6(token[3:]).edges)
+        g = from_graph6(token[3:])
+        return PatternSpec.explicit(g.edges, g.n)
     if token.startswith("@"):
         if not allow_files:
             raise InvalidParameterError("file patterns not allowed here")
-        return PatternSpec.explicit(load_graph_file(token[1:]).edges)
+        g = load_graph_file(token[1:])
+        return PatternSpec.explicit(g.edges, g.n)
     raise InvalidParameterError(f"cannot parse pattern token {token!r}")
 
 

@@ -154,6 +154,31 @@ def test_caterpillar_token_with_a_non_integer_field_exits_2(capsys, token, field
     assert err.startswith("error:") and repr(field) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["Cg", "CH"])
+def test_a_graph6_pattern_with_an_isolated_vertex_exits_2(tmp_path, capsys, text):
+    # P3 plus an isolated vertex, last (Cg) or first (CH): as a token and
+    # as a file, the pattern is refused, not read on fewer vertices
+    path = tmp_path / "pattern.g6"
+    path.write_text(text + "\n")
+    for token in (f"g6:{text}", f"@{path}"):
+        code = main(["oracle", "--n", "5", "--quantity", "sat", "--pattern", token])
+        err = capsys.readouterr().err
+        assert code == 2, token
+        assert "pattern has an isolated vertex" in err and "Traceback" not in err
+
+
+def test_broom_saturated_builds_a_small_remainder_with_no_census(monkeypatch, capsys):
+    # n = 29, m = 5 leaves r = 29 mod 21 = 8 vertices, fewer than the
+    # broom's 9: no copy fits, so the remainder is K8
+    asked = []
+    monkeypatch.setattr(constructions.oracle, "census", lambda *a, **k: asked.append(a))
+    code, out = run(capsys, "construct", "broom-saturated", "--n", "29", "--m", "5",
+                    "--format", "graph6")
+    g = from_graph6(out.strip())
+    assert code == 0 and asked == []
+    assert g.n == 29 and len(g.edges) == len(constructions.broom_gadget(5).graph.edges) + 28
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--n", "5", "--pattern", "P4", "--quantity", "prsat"],
     ["verify", "-", "--pattern", "P4"],

@@ -223,7 +223,7 @@ def walk_prefixes(draw):
     prefix of its search order, each colour an old one free at both ends
     or the next new one, as the colouring search assigns them."""
     g = draw(small_graphs(max_n=8))
-    order = bfs_edge_order(g)
+    order = [g.edges[j] for j in bfs_edge_order(g)]
     colours = {}
     at = [set() for _ in range(g.n)]
     top = 0
@@ -445,7 +445,7 @@ def test_bfs_edge_order_keeps_its_order():
     graphs += [host] + [host.add_edge(*e) for e in non_edge_orbit_representatives(host)]
     assert len(graphs) == 1 + 2 + 4 + 11 + 34 + 156 + 1044 + 4
     for g in graphs:
-        assert bfs_edge_order(g) == reference_bfs_edge_order(g), g
+        assert tuple(g.edges[j] for j in bfs_edge_order(g)) == reference_bfs_edge_order(g), g
 
 
 # -- search_rainbow_free_colouring ----------------------------------------------
@@ -1081,7 +1081,7 @@ def test_twin_positions_match_the_degree_rule():
                 graphs.append(g.relabel(perm))
     with_twins = 0
     for g in graphs:
-        for order in (bfs_edge_order(g), g.edges):
+        for order in ([g.edges[j] for j in bfs_edge_order(g)], g.edges):
             got = engine._twin_positions(g, order)
             assert got == _twin_positions_by_degrees(g, order), (g, order)
             with_twins += any(got)

@@ -166,7 +166,7 @@ def test_carried_non_edges_are_the_orbit_representatives():
 def test_classes_carry_their_bitmasks_and_vertex_orbit_roots():
     for n in range(1, 8):
         for level in oracle._class_levels(n, None):
-            for g, _, adjb, roots in level:
+            for g, _, adjb, roots, _ in level:
                 assert list(adjb) == g.adjacency_bits(), to_graph6(g)
                 if roots is not None:
                     auts = brute_force_automorphisms(g)
@@ -183,7 +183,7 @@ def test_padding_a_class_gives_a_canonical_class():
     for n in range(1, 8):
         for level in oracle._class_levels(n, None):
             for cls in level:
-                g, reps, adjb, roots = oracle._padded(*cls)
+                g, reps, adjb, roots, _ = oracle._padded(*cls)
                 assert canonical_graph(g) == g, to_graph6(cls[0])
                 assert reps == non_edge_orbit_representatives(g), to_graph6(cls[0])
                 assert list(adjb) == g.adjacency_bits() and roots is None
@@ -355,7 +355,7 @@ def test_component_size_rule_refutes_only_refuted_classes():
     for token in ("P3", "P4", "P5", "P6", "K1,3", "T5star", "S3,2"):
         spec = parse_pattern(token)
         fired = 0
-        for g, non_edges, adjb, _ in classes:
+        for g, non_edges, adjb, *_ in classes:
             if not oracle._too_small(adjb, non_edges, spec.graph.n):
                 continue
             fired += 1
@@ -363,6 +363,76 @@ def test_component_size_rule_refutes_only_refuted_classes():
                 verdict = oracle._class_verdict(g, non_edges, spec, quantity, 10**6)
                 assert verdict.status is engine.Status.REFUTED, (token, quantity, to_graph6(g))
         assert fired, token
+
+
+def test_each_class_carries_a_parent_one_edge_below_it():
+    # the parent a class carries, at its position in the level below, is
+    # C - f for some edge f of C, whether C grew from it or was padded
+    classes = 0
+    for n in range(1, 8):
+        below = None
+        for level in oracle._class_levels(n, None):
+            for g, *_, parent in level:
+                if below is None:
+                    assert parent is None
+                    continue
+                want = below[parent][0]
+                assert any(canonical_graph(Graph(n, tuple(e for e in g.edges if e != f))) == want
+                           for f in g.edges), to_graph6(g)
+                classes += 1
+            below = level
+    assert classes == 1245
+
+
+@pytest.mark.parametrize("quantity, top", [("prsat", 6), ("sat", 7)])
+def test_a_class_fails_at_the_base_when_its_parent_does(monkeypatch, quantity, top):
+    # No rainbow-free colouring (prsat) and a copy of the pattern (sat) pass
+    # to supergraphs, so a class whose parent fails at the base fails too,
+    # on every class; and each class a census settles with no component
+    # check and no verdict has a parent that fails at the base.
+    asked = set()  # the classes that reached a check, by their bitmasks
+    real_verdict, real_too_small = oracle._class_verdict, oracle._too_small
+
+    def verdict_spy(g, *rest):
+        asked.add(tuple(g.adjacency_bits()))
+        return real_verdict(g, *rest)
+
+    def too_small_spy(adjb, *rest):
+        asked.add(tuple(adjb))
+        return real_too_small(adjb, *rest)
+
+    monkeypatch.setattr(oracle, "_class_verdict", verdict_spy)
+    monkeypatch.setattr(oracle, "_too_small", too_small_spy)
+    inherited = 0
+    for token in ("P4", "P5", "K1,3", "T5star"):
+        spec = parse_pattern(token)
+        if quantity == "prsat":
+            def fails(g):
+                return engine.search_rainbow_free_colouring(g, spec, 10**6).status \
+                    is engine.Status.REFUTED
+        else:
+            def fails(g):
+                return engine.contains_copy(g, spec) is not None
+        for n in range(2, top + 1):
+            asked.clear()
+            rec = census(quantity, n, spec, budget=10**6)
+            levels = list(oracle._class_levels(n, None))
+            failing = [[fails(g) for g, *_ in level] for level in levels]
+            last = len(levels) - 1 if rec.value is None else rec.value
+            for m in range(1, len(levels)):
+                for i, (g, _, adjb, _, parent) in enumerate(levels[m]):
+                    if failing[m - 1][parent]:
+                        assert failing[m][i], (token, to_graph6(g))
+                    if m <= last and tuple(adjb) not in asked:
+                        assert failing[m - 1][parent], (token, to_graph6(g))
+                        inherited += 1
+    assert inherited
+
+
+def test_classes_refuted_by_their_parent_take_no_walk(census_point_records):
+    # prsat(8, P5) took 18,137 nodes when each class took its own walk
+    rec = census_point_records[CENSUS_POINTS.index(("prsat", 8, "P5", None))]
+    assert rec.nodes_explored <= 15_531
 
 
 def test_component_size_rule_is_off_for_a_disconnected_pattern(monkeypatch):
@@ -590,7 +660,7 @@ def test_censuses_find_the_non_edges_of_each_class_once(monkeypatch):
     for point in MEMO_POINTS:
         _memo_census(point)
     made = [tuple(adjb) for levels in oracle._LEVEL_MEMO.values()
-            for level in levels for _, _, adjb, _ in level]
+            for level in levels for _, _, adjb, *_ in level]
     assert len(made) > 100
     assert sorted(found) == sorted(made)
 
