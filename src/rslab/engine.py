@@ -111,8 +111,15 @@ A sat or ssat step is one matcher call, so those verdicts ask every
 non-edge in lexicographic order and never label g; a prsat step is a full
 colouring search, so prsat asks one non-edge per automorphism orbit.  The
 census decides the last with one walk over g instead
-(:func:`prsat_in_one_walk`): at each rainbow-free colouring the walk
-yields, it asks whether some colour extends it to g + e.
+(:func:`prsat_outcome`): at each rainbow-free colouring the walk yields,
+it asks whether some colour extends it to g + e.
+
+When every two edges of the pattern share a vertex (a star K1,k, or K3),
+prsat is sat, and both prsat verdicts take the sat verdict with no walk: a
+proper colouring gives the edges of every copy distinct colours, so a
+proper colouring is rainbow-free exactly when the graph has no copy.  They
+keep the certificates of the walks, built from the first restricted-growth
+colouring, which a graph with no copy reaches without backtracking.
 
 The prsat step, :func:`forces_rainbow`, first asks small induced
 subgraphs.  Forcing passes to supergraphs: if F is a subgraph of g and
@@ -139,6 +146,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .canon import _twins, automorphism_generators, non_edge_orbit_representatives, orbit_roots
 from .colouring import EdgeColouring
@@ -294,9 +302,11 @@ class _Matcher:
         adj[v].pop()
         return colours
 
-    def find(self, host: Graph, colouring: EdgeColouring | None) -> Embedding | None:
-        """Complete search; deterministic (first hit in the fixed scan order)."""
-        mapping = self._find(-1, -1, 0, _host_tables(host.n, host.edges, colouring))
+    def find(self, adj) -> Embedding | None:
+        """Complete search of the host whose (neighbour, colour) lists are
+        `adj` (see :func:`_host_tables`); deterministic (first hit in the
+        fixed scan order)."""
+        mapping = self._find(-1, -1, 0, adj)
         if mapping is None:
             return None
         image = tuple(
@@ -686,7 +696,7 @@ def enumerate_rainbow_free_colourings(g: Graph, pattern: PatternSpec):
 def contains_copy(g: Graph, pattern: PatternSpec) -> Embedding | None:
     """Complete subgraph-isomorphism search for the pattern in g."""
     matcher = _matcher_in(g, pattern)
-    return None if matcher is None else matcher.find(g, None)
+    return None if matcher is None else matcher.find(_host_tables(g.n, g.edges, None))
 
 
 def find_rainbow_copy(
@@ -695,7 +705,7 @@ def find_rainbow_copy(
     """Complete search for a copy of the pattern whose edge colours are
     pairwise distinct.  The colouring need not be proper."""
     matcher = _matcher_in(g, pattern)
-    return None if matcher is None else matcher.find(g, colouring)
+    return None if matcher is None else matcher.find(_host_tables(g.n, g.edges, colouring))
 
 
 def search_rainbow_free_colouring(
@@ -776,14 +786,30 @@ def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> SearchV
     representative per automorphism orbit, each the first of its orbit,
     gives the same verdict and certificate: an automorphism carries a copy
     through e onto a copy through its image, so the first failing non-edge
-    is the first of its orbit.  The matcher's lists of g are built once,
-    each edge with its own colour; each non-edge joins them, with a colour
-    of its own, for one call.  The default non-edges are made one at a
-    time, never stored.  A pattern on more vertices than g has no
+    is the first of its orbit.  A pattern on more vertices than g has no
     copy in any g + e, so the first non-edge refutes.
     """
+    return _steps(g, _matcher_in(g, pattern), _host_tables(g.n, g.edges, None), non_edges)
+
+
+def is_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> SearchVerdict:
+    """Pattern-free and semi-saturated over `non_edges` (by default every
+    non-edge).  The certificate of a Refuted verdict is a copy of the
+    pattern in g, or a non-edge whose addition creates none.  The copy
+    search and every step read the same lists of g."""
     matcher = _matcher_in(g, pattern)
     adj = _host_tables(g.n, g.edges, None)
+    emb = None if matcher is None else matcher.find(adj)
+    if emb is not None:
+        return SearchVerdict(Status.REFUTED, emb, 0, None)
+    return _steps(g, matcher, adj, non_edges)
+
+
+def _steps(g: Graph, matcher: _Matcher | None, adj, non_edges) -> SearchVerdict:
+    """The step of :func:`is_semi_saturated` on each non-edge in turn, over
+    the matcher's lists `adj` of g, each edge with its own colour; each
+    non-edge joins them, with a colour of its own, for one call.  The
+    default non-edges are made one at a time, never stored."""
     new_colour = len(g.edges) + 1
     for e in g.non_edges() if non_edges is None else non_edges:
         if matcher is None or matcher.through_added_edge(*e, new_colour, adj) is None:
@@ -791,14 +817,18 @@ def is_semi_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> SearchV
     return SearchVerdict(Status.ESTABLISHED, None, 0, None)
 
 
-def is_saturated(g: Graph, pattern: PatternSpec, non_edges=None) -> SearchVerdict:
-    """Pattern-free and semi-saturated over `non_edges` (by default every
-    non-edge).  The certificate of a Refuted verdict is a copy of the
-    pattern in g, or a non-edge whose addition creates none."""
-    emb = contains_copy(g, pattern)
-    if emb is not None:
-        return SearchVerdict(Status.REFUTED, emb, 0, None)
-    return is_semi_saturated(g, pattern, non_edges)
+@lru_cache(maxsize=1024)
+def _edges_pairwise_meet(spec: PatternSpec) -> bool:
+    """Whether every two edges of the pattern share a vertex (a star K1,k,
+    or K3), so that prsat is sat (see the module notes)."""
+    edges = spec.graph.edges
+    return all(set(e) & set(f) for i, e in enumerate(edges) for f in edges[:i])
+
+
+def _first_colouring(g: Graph) -> EdgeColouring:
+    """The first restricted-growth colouring of g: each edge of the search
+    order takes the least colour free at both ends."""
+    return EdgeColouring(g, next(ColouringSearch(g, None).run()))
 
 
 def is_properly_rainbow_saturated(
@@ -815,11 +845,25 @@ def is_properly_rainbow_saturated(
     each sub-search gets the full node budget, and `nodes_explored`
     aggregates.
 
+    When every two pattern edges share a vertex, :func:`is_saturated` over
+    every non-edge decides, with no walk and no labelling of g, and the
+    certificates are the first restricted-growth colourings of g and of
+    g + e, the ones the walks find (see the module notes).
+
     When the pattern has more vertices than g, no edge addition can create a
     copy, so only complete graphs qualify; such verdicts are flagged with a
     "degenerate regime" note.
     """
     note = "degenerate regime" if g.n < pattern.graph.n else None
+    if _edges_pairwise_meet(pattern):
+        sat = is_saturated(g, pattern)
+        cert = None
+        if sat.status is Status.ESTABLISHED:
+            cert = _first_colouring(g)
+        elif not isinstance(sat.certificate, Embedding):
+            e = sat.certificate
+            cert = NonEdgeWitness(e, _first_colouring(g.add_edge(*e)))
+        return SearchVerdict(sat.status, cert, 0, budget, note)
     base = search_rainbow_free_colouring(g, pattern, budget)
     total = base.nodes_explored
     if base.status is not Status.ESTABLISHED:
@@ -838,25 +882,42 @@ def is_properly_rainbow_saturated(
     return SearchVerdict(Status.ESTABLISHED, base.certificate, total, budget, note)
 
 
-def prsat_in_one_walk(
+class PrsatOutcome(NamedTuple):
+    """What :func:`prsat_outcome` found, before any certificate is built."""
+
+    status: Status
+    nodes: int
+    # Refuted because g has no rainbow-free colouring
+    base_failed: bool = False
+    # Refuted at a step: the first non-edge that extends a colouring of g
+    non_edge: Edge | None = None
+    # from the walk: the colouring of g it ended on (the first one when
+    # Established) and the colour that extends it to `non_edge`
+    colours: tuple[int, ...] | None = None
+    colour: int | None = None
+
+
+def prsat_outcome(
     g: Graph,
     pattern: PatternSpec,
     budget: int | None = DEFAULT_BUDGET,
     non_edges=None,
-) -> SearchVerdict:
+) -> PrsatOutcome:
     """The verdict of :func:`is_properly_rainbow_saturated` from one walk
-    over the rainbow-free colourings of g; the census decides its classes
-    with it.
+    over the rainbow-free colourings of g, with no certificate built; the
+    census decides its classes with it.
 
     g + e has a rainbow-free proper colouring exactly when some rainbow-free
     proper colouring of g extends to it, so at each colouring the walk
     yields, every non-edge in `non_edges` (by default one per automorphism
-    orbit) is offered to :meth:`ColouringSearch.extension`.  Refuted carries
-    nothing (no colouring of g) or the first non-edge that extends, with its
-    colouring of g + e; Established carries the first colouring of g, once
-    the walk ends with no extension.  The budget bounds the one walk, and
-    `nodes_explored` counts its nodes, not the extension calls.  The walk
-    sorts no twins: twins of g need not be twins of g + e.
+    orbit) is offered to :meth:`ColouringSearch.extension`.  Refuted at the
+    base when g has no colouring, or at the first non-edge that extends;
+    Established once the walk ends with no extension.  The budget bounds
+    the one walk, and `nodes` counts its nodes, not the extension calls.
+    The walk sorts no twins: twins of g need not be twins of g + e.  When
+    every two pattern edges share a vertex, :func:`is_saturated` decides
+    instead (by default over every non-edge, with no labelling of g) in 0
+    nodes, and the outcome carries no colouring.
 
     Hosts keep the per-step walks: on the caterpillar host (n = 28) this
     walk is still Unknown after 10^6 nodes (52 s), while the three forcing
@@ -864,24 +925,58 @@ def prsat_in_one_walk(
     (4,508, 4,337 and 958 walking the whole host; 7,870, 4,349 and 571,624
     before backjumping).
     """
-    note = "degenerate regime" if g.n < pattern.graph.n else None
+    if _edges_pairwise_meet(pattern):
+        sat = is_saturated(g, pattern, non_edges)
+        if isinstance(sat.certificate, Embedding):
+            return PrsatOutcome(Status.REFUTED, 0, base_failed=True)
+        return PrsatOutcome(sat.status, 0, non_edge=sat.certificate)
     non_edges = non_edge_orbit_representatives(g) if non_edges is None else list(non_edges)
     search = ColouringSearch(g, pattern, budget)
     first = None
     for colours in search.run():
         if first is None:
-            first = EdgeColouring(g, colours)
+            first = colours
         for e in non_edges:
             c = search.extension(*e)
             if c is not None:
-                extended = dict(zip(g.edges, colours))
-                extended[e] = c
-                cert = NonEdgeWitness(e, EdgeColouring.from_map(g.add_edge(*e), extended))
-                return SearchVerdict(Status.REFUTED, cert, search.nodes_explored, budget, note)
+                return PrsatOutcome(Status.REFUTED, search.nodes_explored, non_edge=e,
+                                     colours=colours, colour=c)
         if not non_edges:
             break
     nodes = search.nodes_explored
     if first is not None and (search.exhausted or not non_edges):
-        return SearchVerdict(Status.ESTABLISHED, first, nodes, budget, note)
-    status = Status.REFUTED if search.exhausted else Status.UNKNOWN
-    return SearchVerdict(status, None, nodes, budget, note)
+        return PrsatOutcome(Status.ESTABLISHED, nodes, colours=first)
+    if search.exhausted:
+        return PrsatOutcome(Status.REFUTED, nodes, base_failed=True)
+    return PrsatOutcome(Status.UNKNOWN, nodes)
+
+
+def prsat_in_one_walk(
+    g: Graph,
+    pattern: PatternSpec,
+    budget: int | None = DEFAULT_BUDGET,
+    non_edges=None,
+) -> SearchVerdict:
+    """:func:`prsat_outcome` with its certificate.  Refuted carries nothing
+    (no colouring of g) or the first non-edge that extends, with its
+    colouring of g + e; Established carries the first colouring of g.  When
+    the matcher alone decided, that colouring is the first restricted-growth
+    colouring of g, the walk's first, and the non-edge takes the least
+    colour free at both ends, as the walk's extension does."""
+    note = "degenerate regime" if g.n < pattern.graph.n else None
+    out = prsat_outcome(g, pattern, budget, non_edges)
+    if out.status is Status.UNKNOWN or out.base_failed:
+        return SearchVerdict(out.status, None, out.nodes, budget, note)
+    e, colours, c = out.non_edge, out.colours, out.colour
+    if colours is None:  # decided by the matcher alone
+        search = ColouringSearch(g, None)
+        walk = search.run()
+        colours = next(walk)
+        c = None if e is None else search.extension(*e)
+    if e is None:
+        return SearchVerdict(Status.ESTABLISHED, EdgeColouring(g, colours), out.nodes, budget,
+                             note)
+    extended = dict(zip(g.edges, colours))
+    extended[e] = c
+    cert = NonEdgeWitness(e, EdgeColouring.from_map(g.add_edge(*e), extended))
+    return SearchVerdict(Status.REFUTED, cert, out.nodes, budget, note)

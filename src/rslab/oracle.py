@@ -45,16 +45,19 @@ a new labelling search.  `sat` and `ssat` take a base test on the graph and
 a step test on each representative (see :mod:`rslab.engine`); their verdicts
 are exact.  `prsat` decides the base and every step in one budgeted walk
 over the rainbow-free colourings of the graph
-(:func:`rslab.engine.prsat_in_one_walk`), and may stay Unknown.  Each
-class is asked once, under the census budget; a class Unknown at or below
-the value poisons exactness and is reported on the record rather than
-guessed.  For a connected pattern on k vertices a class is first refuted,
-with no walk and no matcher call, when the components of the ends of some
-carried non-edge hold fewer than k vertices (:func:`_too_small`).  Before
-that, a class is refuted with no check at all when its canonical parent,
-which it carries as a position in the level below, failed at the base: a
-prsat class with no rainbow-free colouring, or a sat class with a copy of
-the pattern.  Both failures pass to supergraphs (ssat has no base test).
+(:func:`rslab.engine.prsat_outcome`), and may stay Unknown; when every two
+pattern edges share a vertex, the sat verdict decides it with no walk.  The
+census reads the status, the nodes and whether the class failed at the
+base, and builds no certificate.  Each class is asked once, under the
+census budget; a class Unknown at or below the value poisons exactness and
+is reported on the record rather than guessed.  For a connected pattern on
+k vertices a class is first refuted, with no walk and no matcher call, when
+the components of the ends of some carried non-edge hold fewer than k
+vertices (:func:`_too_small`).  Before that, a class is refuted with no
+check at all when its canonical parent, which it carries as a position in
+the level below, failed at the base: a prsat class with no rainbow-free
+colouring, or a sat class with a copy of the pattern.  Both failures pass
+to supergraphs (ssat has no base test).
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 from .canon import (
     _encoded_graph,
@@ -78,12 +82,11 @@ from .colouring import is_proper
 from .engine import (
     DEFAULT_BUDGET,
     Embedding,
-    SearchVerdict,
     Status,
     find_rainbow_copy,
     is_saturated,
     is_semi_saturated,
-    prsat_in_one_walk,
+    prsat_outcome,
 )
 from .errors import CacheAccessError, CacheMismatchError, InvalidParameterError
 from .graphs import Edge, Graph, from_graph6, normalise_edge, to_graph6
@@ -361,7 +364,9 @@ class CensusRecord:
     one colouring walk of each prsat class, and `nodes_explored` sums the
     nodes of those walks (not their extension calls); a class refuted by
     component sizes, or by its parent, takes no walk, so it adds none and is
-    never unresolved.
+    never unresolved.  Nor does a class that the matcher alone decides, as
+    it does every class of a pattern whose edges pairwise share a vertex (a
+    star, or K3): such a prsat record reads 0 nodes and is always exact.
     `total_graphs_examined` counts the classes asked, each asked once.
     """
 
@@ -424,17 +429,30 @@ class CensusRecord:
         return True
 
 
+class _ClassVerdict(NamedTuple):
+    """What a census reads of the verdict of one class."""
+
+    status: Status
+    nodes: int
+    # Refuted at the base: no rainbow-free colouring (prsat) or a copy of
+    # the pattern (sat); either passes to supergraphs
+    base_failed: bool
+
+
 def _class_verdict(
     g: Graph, non_edges, spec: PatternSpec, quantity: str, budget: int | None
-) -> SearchVerdict:
+) -> _ClassVerdict:
     """The verdict of one graph, checking the non-edges `non_edges`: in a
     census one per automorphism orbit, carried by the level; None leaves
     them to the engine's defaults (every non-edge for sat and ssat, one per
-    orbit for prsat).  A prsat class takes one colouring walk, which
-    `budget` bounds; its nodes are that walk's, not its extension calls."""
+    orbit for prsat).  A prsat class takes at most one colouring walk, which
+    `budget` bounds; its nodes are that walk's, not its extension calls.
+    No colouring certificate is built."""
     if quantity == "prsat":
-        return prsat_in_one_walk(g, spec, budget, non_edges)
-    return {"sat": is_saturated, "ssat": is_semi_saturated}[quantity](g, spec, non_edges)
+        out = prsat_outcome(g, spec, budget, non_edges)
+        return _ClassVerdict(out.status, out.nodes, out.base_failed)
+    verdict = {"sat": is_saturated, "ssat": is_semi_saturated}[quantity](g, spec, non_edges)
+    return _ClassVerdict(verdict.status, 0, isinstance(verdict.certificate, Embedding))
 
 
 def _too_small(adjb, non_edges, k: int) -> bool:
@@ -503,14 +521,14 @@ def _census(
                 continue
             if k and _too_small(adjb, non_edges, k):
                 continue
-            verdict = _class_verdict(g, non_edges, spec, quantity, budget)
-            nodes_total += verdict.nodes_explored
-            if verdict.status is Status.ESTABLISHED:
+            status, nodes, base_failed = _class_verdict(g, non_edges, spec, quantity, budget)
+            nodes_total += nodes
+            if status is Status.ESTABLISHED:
                 value = m
                 witnesses.append(g)
-            elif verdict.status is Status.UNKNOWN:
+            elif status is Status.UNKNOWN:
                 unresolved.append(g)
-            elif verdict.certificate is None or isinstance(verdict.certificate, Embedding):
+            elif base_failed:
                 failed.add(i)
         if value is not None or m == edge_cap:
             break

@@ -139,6 +139,10 @@ CLAIMS = (
     Claim("sat", 6, "K1,3", 5, "star-exact-sat", {"k": 3}),
     Claim("prsat", 7, "K1,4", 9, "star-exact", {"k": 4}),
     Claim("sat", 7, "K1,4", 9, "star-exact-sat", {"k": 4}),
+    Claim("prsat", 8, "K1,4", 10, "star-exact", {"k": 4}),
+    Claim("sat", 8, "K1,4", 10, "star-exact-sat", {"k": 4}),
+    Claim("prsat", 7, "K1,5", 11, "star-exact", {"k": 5}),
+    Claim("sat", 7, "K1,5", 11, "star-exact-sat", {"k": 5}),
     Claim("prsat", 5, "P5", None, edge_cap=3),
     Claim("prsat", 6, "P5", None, edge_cap=4),
 )

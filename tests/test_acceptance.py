@@ -34,7 +34,7 @@ SUITES = ("census", "formulas", "constructions", "lemma4")
 CRITERIA = {
     1: [("census", r"prsat\(\d+,P4\)"), ("formulas", r"prsat\(\d+,P4\)")],
     2: [("census", r"sat\(\d+,T5star\)"), ("formulas", r"sat\(\d+,T5star\)")],
-    3: [("census", r"(pr)?sat\(\d+,K1,[34]\)"), ("formulas", r"(pr)?sat\(\d+,K1,[34]\)")],
+    3: [("census", r"(pr)?sat\(\d+,K1,[345]\)"), ("formulas", r"(pr)?sat\(\d+,K1,[345]\)")],
     4: [("constructions", r"folded|direction")],
     5: [("lemma4", "")],
     8: [("census", r"no properly rainbow P5-saturated")],

@@ -18,12 +18,13 @@ from conftest import (
     partition,
     small_graphs,
 )
-from rslab import canon, engine
+from rslab import canon, engine, oracle
 from rslab.canon import non_edge_orbit_representatives
 from rslab.colouring import EdgeColouring, is_proper
 from rslab.constructions import caterpillar_construction
 from rslab.engine import (
     ColouringSearch,
+    NonEdgeWitness,
     Status,
     _matcher_for,
     bfs_edge_order,
@@ -729,7 +730,8 @@ def brute_force_prsat(g, spec):
         brute_force_rainbow_free(g.add_edge(*e), spec) for e in g.non_edges())
 
 
-PRSAT_BRUTE_PATTERNS = (PatternSpec.path(3), P4, P5, K13, PatternSpec.subdivided_star(5))
+PRSAT_BRUTE_PATTERNS = (PatternSpec.path(3), P4, P5, K13, PatternSpec.star(4),
+                        PatternSpec.subdivided_star(5), parse_pattern("g6:Bw"))
 
 
 def assert_class_verdicts_match_brute_force(n):
@@ -758,7 +760,9 @@ def test_prsat_verdicts_match_brute_force_at_6():
 
 # -- the census verdict: one walk decides the base and every step ---------------------
 
-ONE_WALK_PATTERNS = (P4, P5, P6, K13, PatternSpec.subdivided_star(5))
+# No star: the matcher alone decides those, in both verdicts (see
+# test_star_rule_keeps_the_verdicts_and_certificates_of_the_walks).
+ONE_WALK_PATTERNS = (P4, P5, P6, PatternSpec.subdivided_star(5))
 
 
 def assert_one_walk_matches_the_step_walks(orders):
@@ -888,13 +892,46 @@ def test_prsat_established_implies_semi_saturated():
                 assert is_semi_saturated(g, P4).status is Status.ESTABLISHED
 
 
-def test_star_pattern_collapse_to_classical_saturation():
-    # for star patterns the rainbow conditions add nothing
-    for n in range(2, 6):
-        for g in all_graphs_on(n):
-            verdict = is_properly_rainbow_saturated(g, K13, 10**6)
-            assert (verdict.status is Status.ESTABLISHED) == (
-                is_saturated(g, K13).status is Status.ESTABLISHED)
+def walked_prsat(g, spec):
+    """(status, certificate of `is_properly_rainbow_saturated`, certificate
+    of `prsat_in_one_walk`) from the walks that no verdict rule touches: the
+    base walk, then `forces_rainbow` on every non-edge in order.  The one
+    walk refutes on g's first colouring, the non-edge taking the least
+    colour free at both ends."""
+    base = search_rainbow_free_colouring(g, spec, None)
+    if base.status is Status.REFUTED:
+        return Status.REFUTED, None, None
+    colours = dict(zip(g.edges, base.certificate.colours))
+    for e in g.non_edges():
+        step = forces_rainbow(g.add_edge(*e), spec, None)
+        if step.status is Status.REFUTED:
+            near = {c for f, c in colours.items() if set(e) & set(f)}
+            free = min(c for c in range(1, len(g.edges) + 2) if c not in near)
+            extended = EdgeColouring.from_map(g.add_edge(*e), {**colours, e: free})
+            return (Status.REFUTED, NonEdgeWitness(e, step.certificate),
+                    NonEdgeWitness(e, extended))
+    return Status.ESTABLISHED, base.certificate, base.certificate
+
+
+def test_star_rule_keeps_the_verdicts_and_certificates_of_the_walks():
+    # Every two edges of these patterns share a vertex, so both verdicts
+    # take the sat verdict with no walk; they must still give the status
+    # and certificate of the walks, on every class up to order 7.
+    specs = [parse_pattern(t) for t in ("K1,3", "K1,4", "K1,5", "g6:Bw")]
+    classes = 0
+    for n in range(1, 8):
+        for level in _augmented_levels(n, oracle._LEVEL_MEMO):
+            for g, non_edges in level:
+                classes += 1
+                for spec in specs:
+                    status, step_cert, walk_cert = walked_prsat(g, spec)
+                    got = is_properly_rainbow_saturated(g, spec, 10**7)
+                    assert (got.status, got.certificate, got.nodes_explored) == (
+                        status, step_cert, 0), (g, spec)
+                    got = prsat_in_one_walk(g, spec, 10**7, non_edges)
+                    assert (got.status, got.certificate, got.nodes_explored) == (
+                        status, walk_cert, 0), (g, spec)
+    assert classes == 1252
 
 
 def test_verdict_serializes():

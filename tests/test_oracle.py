@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -543,6 +544,17 @@ def test_a_starved_census_walks_no_class_past_its_budget():
     assert rec.nodes_explored <= 5 * rec.total_graphs_examined
 
 
+def test_a_star_census_spends_no_budget():
+    # the matcher alone decides every class of a star pattern, so a budget
+    # of one node walks nothing and leaves the record exact
+    k13 = PatternSpec.star(3)
+    rec = prsat_number(3, k13, budget=1)
+    assert (rec.value, rec.exact, rec.nodes_explored) == (3, True, 0)
+    full = prsat_number(8, k13)
+    assert full.nodes_explored == 0
+    assert dataclasses.replace(prsat_number(8, k13, budget=1), budget=full.budget) == full
+
+
 def _spy_levels_asked(monkeypatch) -> list[tuple[int, int]]:
     """Record the order and edge count of every level taken from
     `_class_levels`: those a census examines, and those of the orders below
@@ -858,12 +870,3 @@ def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("RSLAB_CACHE", str(tmp_path))
     sat_number(4, P4)
     assert (tmp_path / "census-sat.jsonl").exists()
-
-
-def test_star_pattern_censuses_collapse():
-    # rainbow conditions add nothing for star patterns
-    k13 = PatternSpec.star(3)
-    for n in range(4, 8):
-        pr = prsat_number(n, k13, budget=10**7)
-        st = sat_number(n, k13)
-        assert pr.exact and pr.value == st.value
