@@ -761,7 +761,7 @@ def test_prsat_verdicts_match_brute_force_at_6():
 # -- the census verdict: one walk decides the base and every step ---------------------
 
 # No star: the matcher alone decides those, in both verdicts (see
-# test_star_rule_keeps_the_verdicts_and_certificates_of_the_walks).
+# test_star_pattern_collapse_to_classical_saturation).
 ONE_WALK_PATTERNS = (P4, P5, P6, PatternSpec.subdivided_star(5))
 
 
@@ -913,10 +913,11 @@ def walked_prsat(g, spec):
     return Status.ESTABLISHED, base.certificate, base.certificate
 
 
-def test_star_rule_keeps_the_verdicts_and_certificates_of_the_walks():
-    # Every two edges of these patterns share a vertex, so both verdicts
-    # take the sat verdict with no walk; they must still give the status
-    # and certificate of the walks, on every class up to order 7.
+def test_star_pattern_collapse_to_classical_saturation():
+    # Every two edges of these patterns share a vertex, so the rainbow
+    # conditions add nothing: the walks agree with classical saturation.
+    # Both verdicts take the sat verdict with no walk; they must still give
+    # the status and certificate of the walks, on every class up to order 7.
     specs = [parse_pattern(t) for t in ("K1,3", "K1,4", "K1,5", "g6:Bw")]
     classes = 0
     for n in range(1, 8):
@@ -925,6 +926,8 @@ def test_star_rule_keeps_the_verdicts_and_certificates_of_the_walks():
                 classes += 1
                 for spec in specs:
                     status, step_cert, walk_cert = walked_prsat(g, spec)
+                    assert (status is Status.ESTABLISHED) == (
+                        is_saturated(g, spec).status is Status.ESTABLISHED), (g, spec)
                     got = is_properly_rainbow_saturated(g, spec, 10**7)
                     assert (got.status, got.certificate, got.nodes_explored) == (
                         status, step_cert, 0), (g, spec)

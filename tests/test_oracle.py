@@ -870,3 +870,12 @@ def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("RSLAB_CACHE", str(tmp_path))
     sat_number(4, P4)
     assert (tmp_path / "census-sat.jsonl").exists()
+
+
+def test_star_pattern_censuses_collapse():
+    # rainbow conditions add nothing for star patterns
+    k13 = PatternSpec.star(3)
+    for n in range(4, 8):
+        pr = prsat_number(n, k13, budget=10**7)
+        st = sat_number(n, k13)
+        assert pr.exact and pr.value == st.value
