@@ -130,24 +130,17 @@ def broom_gadget(m: int) -> GadgetBundle:
     if m < 1:
         raise InvalidParameterError("broom gadget needs m >= 1")
     _check_order(3 * m + 6, "broom gadget")
-    edges = [(0, 1), (0, 2), (1, 2)]
-    colour_map = {}
     # opposite corner of each triangle edge: (1,2)->0, (0,2)->1, (0,1)->2
-    colour_map[(1, 2)] = 1
-    colour_map[(0, 2)] = 2
-    colour_map[(0, 1)] = 3
+    colour_map = {(1, 2): 1, (0, 2): 2, (0, 1): 3}
     nxt = 3
     for corner in range(3):
         for j in range(m + 1):
-            e = (corner, nxt)
-            edges.append(e)
-            colour_map[(min(e), max(e))] = corner + 1 if j == 0 else j + 3
+            colour_map[(corner, nxt)] = corner + 1 if j == 0 else j + 3
             nxt += 1
-    g = build_graph(nxt, edges)
-    colours = tuple(colour_map[e] for e in g.edges)
+    g = build_graph(nxt, colour_map)
     return GadgetBundle(
         g,
-        EdgeColouring(g, colours),
+        EdgeColouring.from_map(g, colour_map),
         f"broom-gadget m={m}: triangle plus {m + 1} pendants per corner",
     )
 

@@ -117,9 +117,10 @@ it asks whether some colour extends it to g + e.
 When every two edges of the pattern share a vertex (a star K1,k, or K3),
 prsat is sat, and both prsat verdicts take the sat verdict with no walk: a
 proper colouring gives the edges of every copy distinct colours, so a
-proper colouring is rainbow-free exactly when the graph has no copy.  They
-keep the certificates of the walks, built from the first restricted-growth
-colouring, which a graph with no copy reaches without backtracking.
+proper colouring is rainbow-free exactly when the graph has no copy.  The
+census's verdict builds no certificate; the per-step verdict keeps those
+of the walks, built from the first restricted-growth colouring, which a
+graph with no copy reaches without backtracking.
 
 The prsat step, :func:`forces_rainbow`, first asks small induced
 subgraphs.  Forcing passes to supergraphs: if F is a subgraph of g and
@@ -882,19 +883,14 @@ def is_properly_rainbow_saturated(
     return SearchVerdict(Status.ESTABLISHED, base.certificate, total, budget, note)
 
 
-class PrsatOutcome(NamedTuple):
-    """What :func:`prsat_outcome` found, before any certificate is built."""
+class Outcome(NamedTuple):
+    """A verdict as the census reads it: no certificate."""
 
     status: Status
     nodes: int
-    # Refuted because g has no rainbow-free colouring
+    # Refuted at the base: no rainbow-free colouring (prsat) or a copy of
+    # the pattern (sat); either passes to supergraphs
     base_failed: bool = False
-    # Refuted at a step: the first non-edge that extends a colouring of g
-    non_edge: Edge | None = None
-    # from the walk: the colouring of g it ended on (the first one when
-    # Established) and the colour that extends it to `non_edge`
-    colours: tuple[int, ...] | None = None
-    colour: int | None = None
 
 
 def prsat_outcome(
@@ -902,10 +898,10 @@ def prsat_outcome(
     pattern: PatternSpec,
     budget: int | None = DEFAULT_BUDGET,
     non_edges=None,
-) -> PrsatOutcome:
+) -> Outcome:
     """The verdict of :func:`is_properly_rainbow_saturated` from one walk
-    over the rainbow-free colourings of g, with no certificate built; the
-    census decides its classes with it.
+    over the rainbow-free colourings of g, with no certificate; the census
+    decides its classes with it.
 
     g + e has a rainbow-free proper colouring exactly when some rainbow-free
     proper colouring of g extends to it, so at each colouring the walk
@@ -917,7 +913,7 @@ def prsat_outcome(
     The walk sorts no twins: twins of g need not be twins of g + e.  When
     every two pattern edges share a vertex, :func:`is_saturated` decides
     instead (by default over every non-edge, with no labelling of g) in 0
-    nodes, and the outcome carries no colouring.
+    nodes, Refuted at the base when g has a copy.
 
     Hosts keep the per-step walks: on the caterpillar host (n = 28) this
     walk is still Unknown after 10^6 nodes (52 s), while the three forcing
@@ -927,56 +923,20 @@ def prsat_outcome(
     """
     if _edges_pairwise_meet(pattern):
         sat = is_saturated(g, pattern, non_edges)
-        if isinstance(sat.certificate, Embedding):
-            return PrsatOutcome(Status.REFUTED, 0, base_failed=True)
-        return PrsatOutcome(sat.status, 0, non_edge=sat.certificate)
+        return Outcome(sat.status, 0, isinstance(sat.certificate, Embedding))
     non_edges = non_edge_orbit_representatives(g) if non_edges is None else list(non_edges)
     search = ColouringSearch(g, pattern, budget)
-    first = None
-    for colours in search.run():
-        if first is None:
-            first = colours
+    yielded = False
+    for _ in search.run():
+        yielded = True
         for e in non_edges:
-            c = search.extension(*e)
-            if c is not None:
-                return PrsatOutcome(Status.REFUTED, search.nodes_explored, non_edge=e,
-                                     colours=colours, colour=c)
+            if search.extension(*e) is not None:
+                return Outcome(Status.REFUTED, search.nodes_explored)
         if not non_edges:
             break
     nodes = search.nodes_explored
-    if first is not None and (search.exhausted or not non_edges):
-        return PrsatOutcome(Status.ESTABLISHED, nodes, colours=first)
+    if yielded and (search.exhausted or not non_edges):
+        return Outcome(Status.ESTABLISHED, nodes)
     if search.exhausted:
-        return PrsatOutcome(Status.REFUTED, nodes, base_failed=True)
-    return PrsatOutcome(Status.UNKNOWN, nodes)
-
-
-def prsat_in_one_walk(
-    g: Graph,
-    pattern: PatternSpec,
-    budget: int | None = DEFAULT_BUDGET,
-    non_edges=None,
-) -> SearchVerdict:
-    """:func:`prsat_outcome` with its certificate.  Refuted carries nothing
-    (no colouring of g) or the first non-edge that extends, with its
-    colouring of g + e; Established carries the first colouring of g.  When
-    the matcher alone decided, that colouring is the first restricted-growth
-    colouring of g, the walk's first, and the non-edge takes the least
-    colour free at both ends, as the walk's extension does."""
-    note = "degenerate regime" if g.n < pattern.graph.n else None
-    out = prsat_outcome(g, pattern, budget, non_edges)
-    if out.status is Status.UNKNOWN or out.base_failed:
-        return SearchVerdict(out.status, None, out.nodes, budget, note)
-    e, colours, c = out.non_edge, out.colours, out.colour
-    if colours is None:  # decided by the matcher alone
-        search = ColouringSearch(g, None)
-        walk = search.run()
-        colours = next(walk)
-        c = None if e is None else search.extension(*e)
-    if e is None:
-        return SearchVerdict(Status.ESTABLISHED, EdgeColouring(g, colours), out.nodes, budget,
-                             note)
-    extended = dict(zip(g.edges, colours))
-    extended[e] = c
-    cert = NonEdgeWitness(e, EdgeColouring.from_map(g.add_edge(*e), extended))
-    return SearchVerdict(Status.REFUTED, cert, out.nodes, budget, note)
+        return Outcome(Status.REFUTED, nodes, True)
+    return Outcome(Status.UNKNOWN, nodes)

@@ -47,17 +47,18 @@ are exact.  `prsat` decides the base and every step in one budgeted walk
 over the rainbow-free colourings of the graph
 (:func:`rslab.engine.prsat_outcome`), and may stay Unknown; when every two
 pattern edges share a vertex, the sat verdict decides it with no walk.  The
-census reads the status, the nodes and whether the class failed at the
-base, and builds no certificate.  Each class is asked once, under the
-census budget; a class Unknown at or below the value poisons exactness and
-is reported on the record rather than guessed.  For a connected pattern on
-k vertices a class is first refuted, with no walk and no matcher call, when
-the components of the ends of some carried non-edge hold fewer than k
-vertices (:func:`_too_small`).  Before that, a class is refuted with no
-check at all when its canonical parent, which it carries as a position in
-the level below, failed at the base: a prsat class with no rainbow-free
-colouring, or a sat class with a copy of the pattern.  Both failures pass
-to supergraphs (ssat has no base test).
+census reads of each class an :class:`rslab.engine.Outcome`: the status,
+the nodes and whether the class failed at the base; it builds no
+certificate.  Each class is asked once, under the census budget; a class
+Unknown at or below the value poisons exactness and is reported on the
+record rather than guessed.  For a connected pattern on k vertices a class
+is first refuted, with no walk and no matcher call, when the components of
+the ends of some carried non-edge hold fewer than k vertices
+(:func:`_too_small`).  Before that, a class is refuted with no check at all
+when its canonical parent, which it carries as a position in the level
+below, failed at the base: a prsat class with no rainbow-free colouring, or
+a sat class with a copy of the pattern.  Both failures pass to supergraphs
+(ssat has no base test).
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
-from typing import NamedTuple
 
 from .canon import (
     _encoded_graph,
@@ -82,6 +82,7 @@ from .colouring import is_proper
 from .engine import (
     DEFAULT_BUDGET,
     Embedding,
+    Outcome,
     Status,
     find_rainbow_copy,
     is_saturated,
@@ -356,7 +357,7 @@ def _neighbour_degrees(a: int, b: int, deg: list[int], adjb: list[int]) -> int:
 
 @dataclass(frozen=True)
 class CensusRecord:
-    """Outcome of one brute-force minimum computation.
+    """The result of one brute-force minimum computation.
 
     `value` is None when no graph within the edge cap qualified.  `exact`
     is False when some class at or below the value (or the cap) stayed
@@ -368,6 +369,8 @@ class CensusRecord:
     it does every class of a pattern whose edges pairwise share a vertex (a
     star, or K3): such a prsat record reads 0 nodes and is always exact.
     `total_graphs_examined` counts the classes asked, each asked once.
+    Each class's verdict is read as an :class:`rslab.engine.Outcome`, so
+    no certificate is built; :meth:`verify` reads it on each witness.
     """
 
     n: int
@@ -429,30 +432,20 @@ class CensusRecord:
         return True
 
 
-class _ClassVerdict(NamedTuple):
-    """What a census reads of the verdict of one class."""
-
-    status: Status
-    nodes: int
-    # Refuted at the base: no rainbow-free colouring (prsat) or a copy of
-    # the pattern (sat); either passes to supergraphs
-    base_failed: bool
-
-
 def _class_verdict(
     g: Graph, non_edges, spec: PatternSpec, quantity: str, budget: int | None
-) -> _ClassVerdict:
+) -> Outcome:
     """The verdict of one graph, checking the non-edges `non_edges`: in a
     census one per automorphism orbit, carried by the level; None leaves
     them to the engine's defaults (every non-edge for sat and ssat, one per
-    orbit for prsat).  A prsat class takes at most one colouring walk, which
-    `budget` bounds; its nodes are that walk's, not its extension calls.
-    No colouring certificate is built."""
+    orbit for prsat).  A prsat class takes at most one colouring walk
+    (:func:`rslab.engine.prsat_outcome`), which `budget` bounds; its nodes
+    are that walk's, not its extension calls.  sat and ssat read 0 nodes,
+    and a sat class fails at the base when g has a copy of the pattern."""
     if quantity == "prsat":
-        out = prsat_outcome(g, spec, budget, non_edges)
-        return _ClassVerdict(out.status, out.nodes, out.base_failed)
+        return prsat_outcome(g, spec, budget, non_edges)
     verdict = {"sat": is_saturated, "ssat": is_semi_saturated}[quantity](g, spec, non_edges)
-    return _ClassVerdict(verdict.status, 0, isinstance(verdict.certificate, Embedding))
+    return Outcome(verdict.status, 0, isinstance(verdict.certificate, Embedding))
 
 
 def _too_small(adjb, non_edges, k: int) -> bool:

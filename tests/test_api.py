@@ -33,6 +33,12 @@ def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 37
 
 
+def _modules():
+    """The path and syntax tree of each module of the package."""
+    for path in sorted(pathlib.Path(rslab.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 # (module, module it reads from, name) for each name that a module of the
 # package imports, or reads as a module attribute, from another module in
 # which the name is private.  Such a read reaches into the other module's
@@ -52,8 +58,7 @@ PRIVATE_IMPORTS = {
 
 def test_cross_module_private_imports_are_pinned():
     found = set()
-    for path in pathlib.Path(rslab.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in _modules():
         modules = {}  # local name -> package module, for `from . import m`
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -72,15 +77,15 @@ def test_cross_module_private_imports_are_pinned():
 def _package_nodes():
     """Every node of the syntax trees of the package's modules but
     `__init__`, which only re-exports."""
-    for path in pathlib.Path(rslab.__file__).parent.glob("*.py"):
+    for path, tree in _modules():
         if path.name != "__init__.py":
-            yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            yield from ast.walk(tree)
 
 
-def test_every_public_name_is_used_by_the_package():
-    # A public name that no module of the package uses serves only tests;
-    # such helpers belong in the tests.  Uses are read from the syntax tree,
-    # so a docstring that names a function does not count.
+def _used_names():
+    """The names the package uses: read, read as an attribute, or imported.
+    Uses are read from the syntax tree, so a docstring that names a
+    function does not count."""
     used = set()
     for node in _package_nodes():
         if isinstance(node, ast.Name):
@@ -89,7 +94,41 @@ def test_every_public_name_is_used_by_the_package():
             used.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)
-    assert sorted(set(PUBLIC_NAMES) - used) == []
+    return used
+
+
+def test_every_public_name_is_used_by_the_package():
+    # A public name that no module of the package uses serves only tests;
+    # such helpers belong in the tests.
+    assert sorted(set(PUBLIC_NAMES) - _used_names()) == []
+
+
+# (module, name) for each public module-level name that no module of the
+# package uses because only the benchmark harness calls it.
+HARNESS_ONLY_NAMES = {
+    ("oracle", "enumerate_graphs_by_edges"),
+    ("oracle", "sat_number"),
+}
+
+
+def test_every_module_level_public_name_is_used_by_the_package():
+    # The same rule for every public function, class and constant that a
+    # module defines, exported or not.
+    defined = set()
+    for path, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined.update((path.stem, name) for name in names if not name.startswith("_"))
+    used = _used_names()
+    assert sorted((m, name) for m, name in defined if name not in used) == sorted(
+        HARNESS_ONLY_NAMES)
 
 
 def test_every_public_method_is_used_by_the_package():

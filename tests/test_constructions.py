@@ -97,6 +97,7 @@ def test_broom_gadget_m1_counts():
     assert bundle.graph.n == 9
     assert len(bundle.graph.edges) == 9
     assert bundle.colouring.colour_count == 4
+    assert bundle.colouring.colours == (3, 2, 1, 4, 1, 2, 4, 3, 4)
     assert is_proper(bundle.graph, bundle.colouring)
     assert verify_bundle(bundle, PatternSpec.broom(4, 1))
 
@@ -106,6 +107,7 @@ def test_broom_gadget_m2_counts():
     assert bundle.graph.n == 12
     assert len(bundle.graph.edges) == 12
     assert bundle.colouring.colour_count == 5
+    assert bundle.colouring.colours == (3, 2, 1, 4, 5, 1, 2, 4, 5, 3, 4, 5)
     assert verify_bundle(bundle, PatternSpec.broom(4, 2))
 
 
