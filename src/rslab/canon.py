@@ -1,4 +1,5 @@
-"""Exact canonical labelling and automorphism orbits.
+"""Exact canonical labelling and automorphism orbits, and the classes of
+graphs of each order made from them.
 
 The labelling is computed by individualisation-refinement: refine the unit
 partition to an equitable one, then branch on the vertices of the first
@@ -18,8 +19,9 @@ an automorphism already found, fixing those vertices, maps it onto an
 earlier sibling, which lies in the same orbit.  By induction over the
 siblings, at every node of that path the generators move the first choice
 around its whole orbit under the stabiliser, and by the orbit-stabiliser
-theorem along the path they generate the group.  Graph enumeration
-(`rslab.oracle`) relies on this when it takes orbits from carried generators.
+theorem along the path they generate the group.  Class making
+(:func:`class_levels`) relies on this when it takes orbits from carried
+generators.
 
 Before the search, the generators are seeded with the transposition of
 each two consecutive vertices of a class of twins (vertices with the same
@@ -54,6 +56,34 @@ over, which makes the same splits in the same order.  Its cells are
 bitmasks, each the sorted cell a list would hold, and the root starts from
 the degree partition, the first split of the unit partition (see there).
 
+The classes of order n (:func:`class_levels`) are made one per isomorphism
+class by canonical augmentation (McKay, 1998): each class grows from
+exactly one parent class by one edge, so no child is compared with another,
+and carries one non-edge per orbit of its automorphism group, taken from
+the generators its labelling found.  Only the classes with no isolated
+vertex grow so; the others are those of the same level of order n-1, padded
+with an isolated vertex, which labels nothing.
+
+Padding is exact.  A padded class of g takes a new vertex 0 and moves every
+vertex v of g to v+1.  In a canonical graph the k isolated vertices sit at
+positions 0..k-1: the degree-0 cell comes first in the degree partition, no
+cell splits it or is split by it, and its vertices are twins.  So the
+labelling search of g plus an isolated vertex has the leaves of g's search
+with one more vertex in that cell, and since pair (a, b) precedes (c, d) in
+the encoding order exactly when (a+1, b+1) precedes (c+1, d+1), the least
+encoding is that of g's canonical graph padded: padding a canonical graph
+gives a canonical graph.  Its non-edge orbit representatives follow from
+g's, first pairs of orbits in lexicographic order as they are:
+
+- k = 0: (0, r+1) for each vertex-orbit root r of g, then every (u, v) of
+  g as (u+1, v+1), so a class with no isolated vertex carries its
+  vertex-orbit roots;
+- k = 1: (0, 1), the pair of the two isolated vertices, comes first;
+- k >= 2: g's (0, 1) stays (0, 1);
+- for k >= 1, each other (0, v) of g becomes (0, v+1), since the new vertex
+  and g's isolated vertices are twins, and every other (u, v) becomes
+  (u+1, v+1).
+
 The search drops its reference to itself when it ends, so a labelling
 leaves no reference cycle and reference counting frees all it allocates.
 
@@ -65,8 +95,10 @@ with, and for the caterpillar hosts of about 30 vertices.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
-from .graphs import Edge, Graph, to_graph6
+from .errors import InvalidParameterError
+from .graphs import Edge, Graph, normalise_edge, to_graph6
 
 
 def _refine(adjb: list[int], cells: list[int]) -> list[int]:
@@ -345,3 +377,246 @@ def non_edge_representatives(adjb, gens) -> list[Edge]:
 def non_edge_orbit_representatives(g: Graph) -> list[Edge]:
     """The first non-edge of each non-edge orbit, in lexicographic order."""
     return non_edge_representatives(g.adjacency_bits(), automorphism_generators(g))
+
+
+# -- canonical augmentation ---------------------------------------------------------
+
+# The levels of each order that callers sharing the memo have made (see
+# `class_levels`), as lists of classes; at most LEVEL_MEMO_CLASSES classes
+# over all orders (5.1-5.2 MiB, 650-680 B a class, when the levels of order
+# 8 or 9 fill it, as tracemalloc counts it).
+LEVEL_MEMO_CLASSES = 8192
+_LEVEL_MEMO: dict[int, list] = {}
+
+
+def class_levels(n: int, shared: bool):
+    """The levels of order n, each class as (canonical graph, non-edge
+    orbit representatives, adjacency bitmasks, vertex-orbit roots, parent).
+
+    Level m holds the classes of level m of order n-1, padded
+    (:func:`_padded`), in their order, then the children of level m-1 of
+    order n that have no isolated vertex (:func:`_canonical_children`), in
+    the order of their parents, whether a level is made or served from the
+    memo.  The roots are carried only by a class with no isolated vertex,
+    the one kind whose padding needs them; a padded class has None.  The
+    parent is the position in level m-1 of order n of a class C - f, f an
+    edge of C (None at level 0): a child's is the class it grew from, and a
+    padded class's is the one its class of order n-1 carries, since level
+    m-1 opens with the same classes padded, in the same order.
+
+    `shared` chooses between the two ways to take them.  Without it the
+    levels stream: none is kept.  With it the levels of every order that
+    the level memo holds are served from it, and a level made is appended
+    to it while the memo has room for it over all orders; a level that
+    does not fit, and every later level of its order, streams.  A level is
+    made only when it is asked for, and level m of order n-1 is asked for
+    only when level m of order n is made.
+    """
+    if n < 1:
+        raise InvalidParameterError("enumeration needs n >= 1")
+    memo = _LEVEL_MEMO if shared else None
+    held = [] if memo is None else memo.setdefault(n, [])
+    below = class_levels(n - 1, shared) if n > 1 else iter(_ORDER_0)
+    asked = 0  # levels taken from `below`
+    level: list = []
+    for m in range(n * (n - 1) // 2 + 1):
+        if m < len(held):
+            level = held[m]
+        else:
+            lower = next(islice(below, m - asked, None), [])
+            asked = m + 1
+            children = [child for i, (g, reps, adjb, *_) in enumerate(level)
+                        for child in _canonical_children(g, reps, adjb, i)]
+            level = [_padded(*c) for c in lower] + children
+            fits = memo is not None and _memo_classes(memo) + len(level) <= LEVEL_MEMO_CLASSES
+            if fits and len(held) == m:
+                held.append(level)
+        yield level
+
+
+# Order 0's one level, whose padding is order 1's level 0.
+_ORDER_0 = ([(Graph(0, ()), [], (), (), None)],)
+
+
+def _memo_classes(memo: dict[int, list]) -> int:
+    """Classes the level memo holds, over all orders."""
+    return sum(len(level) for levels in memo.values() for level in levels)
+
+
+def _isolated(g: Graph) -> int:
+    """The number k of isolated vertices of a canonical graph g.  They are
+    its vertices 0..k-1 (see the module docstring), so k is the first end of
+    its first edge."""
+    return g.edges[0][0] if g.edges else g.n
+
+
+def _padded(g: Graph, reps, adjb, roots, parent):
+    """The class of g plus an isolated vertex, as :func:`class_levels`
+    carries it: the new vertex is 0 and every vertex v of g moves to v+1.
+    This graph is canonical, and its non-edge orbit representatives follow
+    from g's (see the module docstring)."""
+    n = g.n
+    k = _isolated(g)
+    # The pairs are those of `_pair_table`, as a labelled class's are, so
+    # padding allocates no pair for the memo to hold and the garbage
+    # collector to scan: (u, v) sits at index[u * m + v], so g's (u, v)
+    # moves to the pair at index[u * m + v + m + 1].
+    m = n + 1
+    pairs, index = _pair_table(m)
+    if k == 0:
+        new_reps = [pairs[index[r + 1]] for r in roots]
+        new_reps += [pairs[index[u * m + v + m + 1]] for u, v in reps]
+    else:
+        # g's isolated pair (0, 1) stays (0, 1); with k = 1 it is new
+        new_reps = [pairs[0]]
+        new_reps += [pairs[index[v + 1] if u == 0 else index[u * m + v + m + 1]]
+                     for u, v in (reps[1:] if k > 1 else reps)]
+    edges = tuple([pairs[index[u * m + v + m + 1]] for u, v in g.edges])
+    return Graph._trusted(m, edges), new_reps, (0, *[a << 1 for a in adjb]), None, parent
+
+
+def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], index: int):
+    """The children P + e of a canonical graph P that have no isolated
+    vertex, one per isomorphism class whose canonical parent is P, as
+    :func:`class_levels` carries a class: P's position in its level is
+    `index`, each child's parent.
+
+    `non_edges` holds one non-edge e per orbit of Aut(P), and `adjb` the
+    adjacency bitmasks of P.  Only the e that leave no vertex isolated are
+    tried: none when P has three or more isolated vertices, (0, 1) when it
+    has two, those at vertex 0 when it has one, and every e when it has
+    none.  Automorphisms of P map such an e to another, so the first pair
+    of its orbit is one of them.
+    The child C = P + e is kept only if e lies in the Aut(C)-orbit of C's
+    canonical deletion edge m(C): among the edges with the largest (degree
+    sum, smaller degree, common neighbours, neighbour degrees) of their ends
+    in C, the one whose image under C's canonical labelling is largest.  The
+    common neighbours (the triangles through the edge) and then the
+    neighbour degrees (the degrees of the neighbours of both ends, summed)
+    break ties of the degree pair; both are counted in C, where e is an
+    edge.  Any isomorphism invariant would do: C - m(C) is the same class
+    whatever labelling C comes in, so each class with m+1 edges is kept
+    exactly once, from the representative of C - m(C).  A child whose e
+    does not have the largest invariant is refused before it is labelled,
+    and one whose e alone has it is m(C).  A labelled child is built once,
+    with its bitmasks, from the encoding of its canonical graph.
+    """
+    n = parent.n
+    k = _isolated(parent)
+    if k > 2:
+        return
+    if k:
+        non_edges = non_edges[:1] if k == 2 else [e for e in non_edges if e[0] == 0]
+    deg = [a.bit_count() for a in adjb]
+    keys = _degree_keys(n)
+    # Degrees only grow from P to C, so an edge of P whose key in P beats
+    # the key of e in C beats it in C as well.
+    parent_top = max((keys[deg[a]][deg[b]] for a, b in parent.edges), default=-1)
+    for e in non_edges:
+        u, v = e
+        if parent_top > keys[deg[u] + 1][deg[v] + 1]:
+            continue
+        child_deg = list(deg)
+        child_deg[u] += 1
+        child_deg[v] += 1
+        child_adjb = list(adjb)
+        child_adjb[u] |= 1 << v
+        child_adjb[v] |= 1 << u
+        top = _top_invariant_edges(e, parent.edges, child_deg, child_adjb)
+        if top is None:
+            continue
+        pos, child_gens, enc = _label(n, child_adjb, parent.edges + (e,))
+        if len(top) > 1:
+            m = max(top, key=lambda ab: normalise_edge(pos[ab[0]], pos[ab[1]]))
+            if m != e and not _in_pair_orbit(n, child_gens, e, m):
+                continue
+        at = sorted(range(n), key=pos.__getitem__)  # the vertex at each position
+        edges, canonical_adjb = _encoded_graph(n, enc)
+        canonical = Graph._trusted(n, edges)
+        gens = [[pos[s[x]] for x in at] for s in child_gens]
+        roots = orbit_roots(n, gens) if gens else range(n)
+        yield (canonical, non_edge_representatives(canonical_adjb, gens), canonical_adjb,
+               tuple([v for v in range(n) if roots[v] == v]), index)
+
+
+def _in_pair_orbit(n: int, gens, e: Edge, f: Edge) -> bool:
+    """Whether the pair f lies in the orbit of the pair e != f under the
+    group that the permutations `gens` of 0..n-1 generate.  The orbit is
+    walked breadth-first from e and the walk stops at f.  It stays beside
+    :func:`orbit_roots` because it walks one orbit, not all n(n-1)/2
+    pairs: taking the roots over :func:`_pair_table` instead slowed the
+    `enumerate` benchmark workload by 3.5% (1.212 -> 1.254 s), in 10 of 10
+    alternating pairs on a 2-vCPU VM with Python 3.11, past the 0.039 s
+    quartile spread of its runs."""
+    goal = f[0] * n + f[1]
+    orbit = [e[0] * n + e[1]]
+    seen = set(orbit)
+    for p in orbit:
+        a, b = divmod(p, n)
+        for s in gens:
+            x, y = s[a], s[b]
+            q = x * n + y if x < y else y * n + x
+            if q == goal:
+                return True
+            if q not in seen:
+                seen.add(q)
+                orbit.append(q)
+    return False
+
+
+@lru_cache(maxsize=None)
+def _degree_keys(n: int) -> list[list[int]]:
+    """At [du][dv], the (degree sum, smaller degree) of an edge whose ends
+    have degrees du, dv < n, as one integer ordered as those pairs are."""
+    return [[(du + dv) * n + min(du, dv) for dv in range(n)] for du in range(n)]
+
+
+def _top_invariant_edges(
+    e: Edge, others, deg: list[int], adjb: list[int]
+) -> list[Edge] | None:
+    """The edges among `e` and `others` with the largest (degree sum,
+    smaller degree, common neighbours, neighbour degrees) of their ends, or
+    None if `e` is not one of them; `e` comes first.  Each part of the key
+    is read only for the edges tied on the parts before it.  `deg` and
+    `adjb` are the degrees and adjacency bitmasks of the graph that has all
+    these edges."""
+    keys = _degree_keys(len(deg))
+    u, v = e
+    top_key = keys[deg[u]][deg[v]]
+    tied = []
+    for a, b in others:
+        key = keys[deg[a]][deg[b]]
+        if key > top_key:
+            return None
+        if key == top_key:
+            tied.append((a, b))
+    top = [e]
+    top_common = (adjb[u] & adjb[v]).bit_count()
+    for a, b in tied:
+        common = (adjb[a] & adjb[b]).bit_count()
+        if common > top_common:
+            return None
+        if common == top_common:
+            top.append((a, b))
+    if len(top) == 1:
+        return top
+    top_around = _neighbour_degrees(u, v, deg, adjb)
+    kept = [e]
+    for a, b in top[1:]:
+        around = _neighbour_degrees(a, b, deg, adjb)
+        if around > top_around:
+            return None
+        if around == top_around:
+            kept.append((a, b))
+    return kept
+
+
+def _neighbour_degrees(a: int, b: int, deg: list[int], adjb: list[int]) -> int:
+    """The degrees of the neighbours of a and of b, summed."""
+    total = 0
+    for bits in (adjb[a], adjb[b]):
+        while bits:
+            low = bits & -bits
+            total += deg[low.bit_length() - 1]
+            bits ^= low
+    return total

@@ -169,7 +169,7 @@ def broom_saturated(n: int, m: int, cache_dir=None) -> Graph:
         parts.append(Graph(r, tuple((u, v) for u in range(r) for v in range(u + 1, r))))
     elif r:
         spec = PatternSpec.broom(4, m)
-        record = oracle.prsat_number(r, spec, cache_dir=cache_dir)
+        record = oracle.census("prsat", r, spec, cache_dir=cache_dir)
         if not record.exact:
             raise OracleBudgetExceededError(
                 f"remainder census for r={r} left classes unresolved"

@@ -1,43 +1,10 @@
 """Ground truth by brute force: graph censuses and saturation minima.
 
-Graphs of a given order are enumerated one representative per isomorphism
-class by canonical augmentation: each class is grown from exactly one parent
-class by adding one edge, so no child is compared with another, and each
-class comes with one representative per non-edge orbit of its automorphism
-group, taken from the generators its labelling found.  Only the classes with
-no isolated vertex are grown so: a graph of order n with an isolated vertex
-is a graph of order n-1 plus one, so the other classes of each level are
-those of the same level of order n-1, padded, which labels nothing.  A
-level keeps the order in which it is made: the padded classes, then the
-children in the order of their parents.  A census walks the classes in
-ascending edge count and reports the least edge count at which the
-requested property holds, together with every minimum witness.  It stops
-on the level of that value (or of the edge cap) and makes no later level,
-at its order or below.  The levels a census makes, at its order and at the
-orders below that they are padded from, go into one level memo, shared by
-every census in the process whatever its order and bounded by
-`LEVEL_MEMO_CLASSES` classes over all orders; levels past the bound stream,
-two at a time, as :func:`enumerate_graphs_by_edges` always does.
-
-Padding is exact.  A padded class of g takes a new vertex 0 and moves every
-vertex v of g to v+1.  In a canonical graph the k isolated vertices sit at
-positions 0..k-1: the degree-0 cell comes first in the degree partition, no
-cell splits it or is split by it, and its vertices are twins.  So the
-labelling search of g plus an isolated vertex has the leaves of g's search
-with one more vertex in that cell, and since pair (a, b) precedes (c, d) in
-the encoding order exactly when (a+1, b+1) precedes (c+1, d+1), the least
-encoding is that of g's canonical graph padded: padding a canonical graph
-gives a canonical graph.  Its non-edge orbit representatives follow from
-g's, first pairs of orbits in lexicographic order as they are:
-
-- k = 0: (0, r+1) for each vertex-orbit root r of g, then every (u, v) of
-  g as (u+1, v+1), so a class with no isolated vertex carries its
-  vertex-orbit roots;
-- k = 1: (0, 1), the pair of the two isolated vertices, comes first;
-- k >= 2: g's (0, 1) stays (0, 1);
-- for k >= 1, each other (0, v) of g becomes (0, v+1), since the new vertex
-  and g's isolated vertices are twins, and every other (u, v) becomes
-  (u+1, v+1).
+A census takes the classes of its order from :func:`rslab.canon.class_levels`,
+level by level in ascending edge count, through canon's shared level memo.
+It reports the least edge count at which the requested property holds,
+with every minimum witness, sorted, so no record depends on the order of a
+level, and it makes no level past that of its value (or of the edge cap).
 
 The three quantities share one per-class verdict (:func:`_class_verdict`),
 which checks the carried non-edge orbit representatives rather than those of
@@ -67,17 +34,9 @@ import fcntl
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice
 from pathlib import Path
 
-from .canon import (
-    _encoded_graph,
-    _label,
-    _pair_table,
-    non_edge_representatives,
-    orbit_roots,
-)
+from .canon import class_levels
 from .colouring import is_proper
 from .engine import (
     DEFAULT_BUDGET,
@@ -90,7 +49,7 @@ from .engine import (
     prsat_outcome,
 )
 from .errors import CacheAccessError, CacheMismatchError, InvalidParameterError
-from .graphs import Edge, Graph, from_graph6, normalise_edge, to_graph6
+from .graphs import Graph, from_graph6, to_graph6
 from .patterns import PatternSpec, parse_pattern
 
 CACHE_ENV_VAR = "RSLAB_CACHE"
@@ -98,14 +57,6 @@ CACHE_ENV_VAR = "RSLAB_CACHE"
 # Per quantity: the largest order a census accepts, and whether its verdicts
 # spend a node budget (the records of the others store budget null).
 QUANTITIES = {"sat": (9, False), "ssat": (9, False), "prsat": (8, True)}
-
-# The levels of each order that censuses in this process have made, at
-# their orders and below, as lists of classes (see `_class_levels`), shared
-# by every census; at most LEVEL_MEMO_CLASSES classes over all orders
-# (5.1-5.2 MiB, 650-680 B a class, when the levels of order 8 or 9 fill
-# it, as tracemalloc counts it).
-LEVEL_MEMO_CLASSES = 8192
-_LEVEL_MEMO: dict[int, list] = {}
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -115,241 +66,12 @@ def enumerate_graphs_by_edges(n: int):
     """Yield, per edge count 0,1,2,..., the canonical class representatives.
 
     Each level holds exactly one graph per isomorphism class, as its
-    canonical graph, in the order :func:`_class_levels` makes them.  Level
-    m+1 is generated from level m by canonical augmentation (McKay, 1998):
-    every child accepts or rejects itself, with no comparison against other
-    children (see :func:`_canonical_children`); the classes with an isolated
-    vertex are those of order n-1 padded.  Levels stream: none is kept.
+    canonical graph, in the order :func:`rslab.canon.class_levels` makes
+    them by canonical augmentation (McKay, 1998).  Levels stream: none is
+    kept.
     """
-    for level in _class_levels(n, None):
+    for level in class_levels(n, shared=False):
         yield [g for g, *_ in level]
-
-
-def _class_levels(n: int, memo: dict[int, list] | None):
-    """The levels of order n, each class as (canonical graph, non-edge
-    orbit representatives, adjacency bitmasks, vertex-orbit roots, parent).
-
-    Level m holds the classes of level m of order n-1, padded
-    (:func:`_padded`), in their order, then the children of level m-1 of
-    order n that have no isolated vertex (:func:`_canonical_children`), in
-    the order of their parents.  That order is the same whether a level is
-    made or served from `memo`, and no census record depends on it: a
-    census sorts its witnesses and unresolved classes, and sums the rest.
-    The roots are carried only by a class with no isolated vertex, the one
-    kind whose padding needs them; a padded class has None.  The parent is
-    the position in level m-1 of order n of a class C - f, f an edge of C
-    (None at level 0): a child's is the class it grew from, and a padded
-    class's is the one its class of order n-1 carries, since level m-1
-    opens with the same classes padded, in the same order.
-
-    With `memo`, the levels of every order that it holds are served from
-    it, and a level made is appended to it while the memo has room for it
-    over all orders; a level that does not fit, and every later level of
-    its order, streams.  A level is made only when it is asked for, and
-    level m of order n-1 is asked for only when level m of order n is made.
-    """
-    if n < 1:
-        raise InvalidParameterError("enumeration needs n >= 1")
-    held = [] if memo is None else memo.setdefault(n, [])
-    below = _class_levels(n - 1, memo) if n > 1 else iter(_ORDER_0)
-    asked = 0  # levels taken from `below`
-    level: list = []
-    for m in range(n * (n - 1) // 2 + 1):
-        if m < len(held):
-            level = held[m]
-        else:
-            lower = next(islice(below, m - asked, None), [])
-            asked = m + 1
-            children = [child for i, (g, reps, adjb, *_) in enumerate(level)
-                        for child in _canonical_children(g, reps, adjb, i)]
-            level = [_padded(*c) for c in lower] + children
-            fits = memo is not None and _memo_classes(memo) + len(level) <= LEVEL_MEMO_CLASSES
-            if fits and len(held) == m:
-                held.append(level)
-        yield level
-
-
-# Order 0's one level, whose padding is order 1's level 0.
-_ORDER_0 = ([(Graph(0, ()), [], (), (), None)],)
-
-
-def _memo_classes(memo: dict[int, list]) -> int:
-    """Classes the level memo holds, over all orders."""
-    return sum(len(level) for levels in memo.values() for level in levels)
-
-
-def _isolated(g: Graph) -> int:
-    """The number k of isolated vertices of a canonical graph g.  They are
-    its vertices 0..k-1 (see the module docstring), so k is the first end of
-    its first edge."""
-    return g.edges[0][0] if g.edges else g.n
-
-
-def _padded(g: Graph, reps, adjb, roots, parent):
-    """The class of g plus an isolated vertex, as :func:`_class_levels`
-    carries it: the new vertex is 0 and every vertex v of g moves to v+1.
-    This graph is canonical, and its non-edge orbit representatives follow
-    from g's (see the module docstring)."""
-    n = g.n
-    k = _isolated(g)
-    # The pairs are those of `_pair_table`, as a labelled class's are, so
-    # padding allocates no pair for the memo to hold and the garbage
-    # collector to scan: (u, v) sits at index[u * m + v], so g's (u, v)
-    # moves to the pair at index[u * m + v + m + 1].
-    m = n + 1
-    pairs, index = _pair_table(m)
-    if k == 0:
-        new_reps = [pairs[index[r + 1]] for r in roots]
-        new_reps += [pairs[index[u * m + v + m + 1]] for u, v in reps]
-    else:
-        # g's isolated pair (0, 1) stays (0, 1); with k = 1 it is new
-        new_reps = [pairs[0]]
-        new_reps += [pairs[index[v + 1] if u == 0 else index[u * m + v + m + 1]]
-                     for u, v in (reps[1:] if k > 1 else reps)]
-    edges = tuple([pairs[index[u * m + v + m + 1]] for u, v in g.edges])
-    return Graph._trusted(m, edges), new_reps, (0, *[a << 1 for a in adjb]), None, parent
-
-
-def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], index: int):
-    """The children P + e of a canonical graph P that have no isolated
-    vertex, one per isomorphism class whose canonical parent is P, as
-    :func:`_class_levels` carries a class: P's position in its level is
-    `index`, each child's parent.
-
-    `non_edges` holds one non-edge e per orbit of Aut(P), and `adjb` the
-    adjacency bitmasks of P.  Only the e that leave no vertex isolated are
-    tried: none when P has three or more isolated vertices, (0, 1) when it
-    has two, those at vertex 0 when it has one, and every e when it has
-    none.  Automorphisms of P map such an e to another, so the first pair
-    of its orbit is one of them.
-    The child C = P + e is kept only if e lies in the Aut(C)-orbit of C's
-    canonical deletion edge m(C): among the edges with the largest (degree
-    sum, smaller degree, common neighbours, neighbour degrees) of their ends
-    in C, the one whose image under C's canonical labelling is largest.  The
-    common neighbours (the triangles through the edge) and then the
-    neighbour degrees (the degrees of the neighbours of both ends, summed)
-    break ties of the degree pair; both are counted in C, where e is an
-    edge.  Any isomorphism invariant would do: C - m(C) is the same class
-    whatever labelling C comes in, so each class with m+1 edges is kept
-    exactly once, from the representative of C - m(C).  A child whose e
-    does not have the largest invariant is refused before it is labelled,
-    and one whose e alone has it is m(C).  A labelled child is built once,
-    with its bitmasks, from the encoding of its canonical graph.
-    """
-    n = parent.n
-    k = _isolated(parent)
-    if k > 2:
-        return
-    if k:
-        non_edges = non_edges[:1] if k == 2 else [e for e in non_edges if e[0] == 0]
-    deg = [a.bit_count() for a in adjb]
-    keys = _degree_keys(n)
-    # Degrees only grow from P to C, so an edge of P whose key in P beats
-    # the key of e in C beats it in C as well.
-    parent_top = max((keys[deg[a]][deg[b]] for a, b in parent.edges), default=-1)
-    for e in non_edges:
-        u, v = e
-        if parent_top > keys[deg[u] + 1][deg[v] + 1]:
-            continue
-        child_deg = list(deg)
-        child_deg[u] += 1
-        child_deg[v] += 1
-        child_adjb = list(adjb)
-        child_adjb[u] |= 1 << v
-        child_adjb[v] |= 1 << u
-        top = _top_invariant_edges(e, parent.edges, child_deg, child_adjb)
-        if top is None:
-            continue
-        pos, child_gens, enc = _label(n, child_adjb, parent.edges + (e,))
-        if len(top) > 1:
-            m = max(top, key=lambda ab: normalise_edge(pos[ab[0]], pos[ab[1]]))
-            if m != e and not _in_pair_orbit(n, child_gens, e, m):
-                continue
-        at = sorted(range(n), key=pos.__getitem__)  # the vertex at each position
-        edges, canonical_adjb = _encoded_graph(n, enc)
-        canonical = Graph._trusted(n, edges)
-        gens = [[pos[s[x]] for x in at] for s in child_gens]
-        roots = orbit_roots(n, gens) if gens else range(n)
-        yield (canonical, non_edge_representatives(canonical_adjb, gens), canonical_adjb,
-               tuple([v for v in range(n) if roots[v] == v]), index)
-
-
-def _in_pair_orbit(n: int, gens, e: Edge, f: Edge) -> bool:
-    """Whether the pair f lies in the orbit of the pair e != f under the
-    group that the permutations `gens` of 0..n-1 generate.  The orbit is
-    walked breadth-first from e and the walk stops at f."""
-    goal = f[0] * n + f[1]
-    orbit = [e[0] * n + e[1]]
-    seen = set(orbit)
-    for p in orbit:
-        a, b = divmod(p, n)
-        for s in gens:
-            x, y = s[a], s[b]
-            q = x * n + y if x < y else y * n + x
-            if q == goal:
-                return True
-            if q not in seen:
-                seen.add(q)
-                orbit.append(q)
-    return False
-
-
-@lru_cache(maxsize=None)
-def _degree_keys(n: int) -> list[list[int]]:
-    """At [du][dv], the (degree sum, smaller degree) of an edge whose ends
-    have degrees du, dv < n, as one integer ordered as those pairs are."""
-    return [[(du + dv) * n + min(du, dv) for dv in range(n)] for du in range(n)]
-
-
-def _top_invariant_edges(
-    e: Edge, others, deg: list[int], adjb: list[int]
-) -> list[Edge] | None:
-    """The edges among `e` and `others` with the largest (degree sum,
-    smaller degree, common neighbours, neighbour degrees) of their ends, or
-    None if `e` is not one of them; `e` comes first.  Each part of the key
-    is read only for the edges tied on the parts before it.  `deg` and
-    `adjb` are the degrees and adjacency bitmasks of the graph that has all
-    these edges."""
-    keys = _degree_keys(len(deg))
-    u, v = e
-    top_key = keys[deg[u]][deg[v]]
-    tied = []
-    for a, b in others:
-        key = keys[deg[a]][deg[b]]
-        if key > top_key:
-            return None
-        if key == top_key:
-            tied.append((a, b))
-    top = [e]
-    top_common = (adjb[u] & adjb[v]).bit_count()
-    for a, b in tied:
-        common = (adjb[a] & adjb[b]).bit_count()
-        if common > top_common:
-            return None
-        if common == top_common:
-            top.append((a, b))
-    if len(top) == 1:
-        return top
-    top_around = _neighbour_degrees(u, v, deg, adjb)
-    kept = [e]
-    for a, b in top[1:]:
-        around = _neighbour_degrees(a, b, deg, adjb)
-        if around > top_around:
-            return None
-        if around == top_around:
-            kept.append((a, b))
-    return kept
-
-
-def _neighbour_degrees(a: int, b: int, deg: list[int], adjb: list[int]) -> int:
-    """The degrees of the neighbours of a and of b, summed."""
-    total = 0
-    for bits in (adjb[a], adjb[b]):
-        while bits:
-            low = bits & -bits
-            total += deg[low.bit_length() - 1]
-            bits ^= low
-    return total
 
 
 # -- census records ---------------------------------------------------------------
@@ -505,7 +227,7 @@ def _census(
     failed: set[int] = set()
     # Levels 0..value, or 0..edge_cap if no class qualifies: the loop stops
     # on the last level it examines, so no later level is made.
-    for m, level in enumerate(_class_levels(n, _LEVEL_MEMO)):
+    for m, level in enumerate(class_levels(n, shared=True)):
         below, failed = failed, set()
         for i, (g, non_edges, adjb, _, parent) in enumerate(level):
             examined += 1

@@ -60,10 +60,10 @@ def partition(colouring):
                      for _, cls in itertools.groupby(pairs, operator.itemgetter(0)))
 
 
-def _augmented_levels(n, memo=None):
-    """The levels of order n as `oracle._class_levels` makes them, each
+def _augmented_levels(n, shared=False):
+    """The levels of order n as `canon.class_levels` makes them, each
     class as (canonical graph, non-edge orbit representatives)."""
-    for level in oracle._class_levels(n, memo):
+    for level in canon.class_levels(n, shared):
         yield [(g, reps) for g, reps, *_ in level]
 
 

@@ -189,12 +189,12 @@ def test_non_edge_representatives_match_all_pair_reference(monkeypatch):
     # isolated vertex is padded, not labelled, so it carries none, and its
     # generators come from `automorphism_generators`
     carried = []
-    real = oracle.non_edge_representatives
-    monkeypatch.setattr(oracle, "non_edge_representatives",
+    real = canon.non_edge_representatives
+    monkeypatch.setattr(canon, "non_edge_representatives",
                         lambda adjb, gens: carried.append((adjb, gens)) or real(adjb, gens))
     # order 6 first, so that orders 1-5 are then served from the memo
-    memo = {}
-    classes = [g for n in range(6, 0, -1) for level in _augmented_levels(n, memo)
+    monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
+    classes = [g for n in range(6, 0, -1) for level in _augmented_levels(n, shared=True)
                for g, _ in level]
     assert len(classes) == 208  # OEIS A000088, n = 1..6
     assert len(carried) == 1 + 2 + 7 + 23 + 122  # OEIS A002494, n = 2..6

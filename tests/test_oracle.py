@@ -61,14 +61,14 @@ def test_class_count_n7():
 def _spy_levels_made(monkeypatch) -> list[int]:
     """Record the edge count of every level made by canonical augmentation."""
     made = []
-    real = oracle._canonical_children
+    real = canon._canonical_children
 
     def spy(parent, *rest):
         if not made or made[-1] != len(parent.edges) + 1:
             made.append(len(parent.edges) + 1)
         return real(parent, *rest)
 
-    monkeypatch.setattr(oracle, "_canonical_children", spy)
+    monkeypatch.setattr(canon, "_canonical_children", spy)
     return made
 
 
@@ -167,7 +167,7 @@ def test_carried_non_edges_are_the_orbit_representatives():
 
 def test_classes_carry_their_bitmasks_and_vertex_orbit_roots():
     for n in range(1, 8):
-        for level in oracle._class_levels(n, None):
+        for level in canon.class_levels(n, shared=False):
             for g, _, adjb, roots, _ in level:
                 assert list(adjb) == g.adjacency_bits(), to_graph6(g)
                 if roots is not None:
@@ -183,9 +183,9 @@ def test_padding_a_class_gives_a_canonical_class():
     # stands, with the representatives and bitmasks labelling finds
     padded = 0
     for n in range(1, 8):
-        for level in oracle._class_levels(n, None):
+        for level in canon.class_levels(n, shared=False):
             for cls in level:
-                g, reps, adjb, roots, _ = oracle._padded(*cls)
+                g, reps, adjb, roots, _ = canon._padded(*cls)
                 assert canonical_graph(g) == g, to_graph6(cls[0])
                 assert reps == non_edge_orbit_representatives(g), to_graph6(cls[0])
                 assert list(adjb) == g.adjacency_bits() and roots is None
@@ -193,29 +193,33 @@ def test_padding_a_class_gives_a_canonical_class():
     assert padded == 1252
 
 
-def _level_dump(n, memo):
-    return [[(to_graph6(g), reps) for g, reps in level] for level in _augmented_levels(n, memo)]
+def _level_dump(n, shared):
+    return [[(to_graph6(g), reps) for g, reps in level]
+            for level in _augmented_levels(n, shared)]
 
 
-def _levels_three_ways():
+def _levels_three_ways(monkeypatch):
     """The levels of orders 1-7 streamed with no memo, made from an empty
     memo, and made with the lower orders already in the memo."""
-    streamed = [_level_dump(n, None) for n in range(1, 8)]
-    fresh = [_level_dump(n, {}) for n in range(1, 8)]
-    memo = {}
-    shared = [_level_dump(n, memo) for n in range(1, 8)]
-    return streamed, fresh, shared, memo
+    streamed = [_level_dump(n, False) for n in range(1, 8)]
+    fresh = []
+    for n in range(1, 8):
+        monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
+        fresh.append(_level_dump(n, True))
+    monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
+    shared = [_level_dump(n, True) for n in range(1, 8)]
+    return streamed, fresh, shared, canon._LEVEL_MEMO
 
 
-def test_levels_are_the_same_streamed_and_from_the_memo():
-    streamed, fresh, shared, memo = _levels_three_ways()
+def test_levels_are_the_same_streamed_and_from_the_memo(monkeypatch):
+    streamed, fresh, shared, memo = _levels_three_ways(monkeypatch)
     assert fresh == streamed and shared == streamed
-    assert oracle._memo_classes(memo) == 1252
+    assert canon._memo_classes(memo) == 1252
 
 
 def test_levels_are_the_same_when_a_lower_order_streams_partway(monkeypatch):
-    monkeypatch.setattr(oracle, "LEVEL_MEMO_CLASSES", 100)
-    streamed, fresh, shared, memo = _levels_three_ways()
+    monkeypatch.setattr(canon, "LEVEL_MEMO_CLASSES", 100)
+    streamed, fresh, shared, memo = _levels_three_ways(monkeypatch)
     assert fresh == streamed and shared == streamed
     # order 6 was held up to some level and streamed from there on, and
     # order 7 found room for its first levels only
@@ -261,7 +265,7 @@ def _classes_up_to_7():
 def _top_edges_of_child(g, e):
     """`_top_invariant_edges` for the child g + e, asked with g's edges."""
     adjb = g.add_edge(*e).adjacency_bits()
-    return oracle._top_invariant_edges(e, g.edges, [a.bit_count() for a in adjb], adjb)
+    return canon._top_invariant_edges(e, g.edges, [a.bit_count() for a in adjb], adjb)
 
 
 @given(st.data())
@@ -288,8 +292,8 @@ def test_labellings_at_order_7_are_pinned(monkeypatch):
     # exactly: a change that refuses fewer children before labelling them,
     # or labels one twice, fails here.
     labelled = []
-    real = oracle._label
-    monkeypatch.setattr(oracle, "_label", lambda *args: labelled.append(1) or real(*args))
+    real = canon._label
+    monkeypatch.setattr(canon, "_label", lambda *args: labelled.append(1) or real(*args))
     assert sum(len(level) for level in _augmented_levels(7)) == 1044
     assert len(labelled) == 1069
 
@@ -353,7 +357,8 @@ def test_census_digest_pins_the_census_contract(census_point_records):
 def test_component_size_rule_refutes_only_refuted_classes():
     # Every class with n <= 7 (n <= 6 for prsat) that the rule settles
     # without a verdict is Refuted by its verdict, in each mode.
-    classes = [c for n in range(1, 8) for level in oracle._class_levels(n, None) for c in level]
+    classes = [c for n in range(1, 8) for level in canon.class_levels(n, shared=False)
+               for c in level]
     for token in ("P3", "P4", "P5", "P6", "K1,3", "T5star", "S3,2"):
         spec = parse_pattern(token)
         fired = 0
@@ -373,7 +378,7 @@ def test_each_class_carries_a_parent_one_edge_below_it():
     classes = 0
     for n in range(1, 8):
         below = None
-        for level in oracle._class_levels(n, None):
+        for level in canon.class_levels(n, shared=False):
             for g, *_, parent in level:
                 if below is None:
                     assert parent is None
@@ -418,7 +423,7 @@ def test_a_class_fails_at_the_base_when_its_parent_does(monkeypatch, quantity, t
         for n in range(2, top + 1):
             asked.clear()
             rec = census(quantity, n, spec, budget=10**6)
-            levels = list(oracle._class_levels(n, None))
+            levels = list(canon.class_levels(n, shared=False))
             failing = [[fails(g) for g, *_ in level] for level in levels]
             last = len(levels) - 1 if rec.value is None else rec.value
             for m in range(1, len(levels)):
@@ -496,6 +501,32 @@ def test_ssat_below_sat():
         assert census("ssat", n, P4).value <= sat_number(n, P4).value
 
 
+def test_census_relations_hold_on_every_small_tree():
+    # On every tree with 3-5 vertices at n = 2..7: ssat <= sat and
+    # ssat <= prsat; every prsat witness is semi-saturated, since a
+    # rainbow-free colouring of G extends to G + e by an unused colour, so
+    # the rainbow copy that G + e must hold uses e; and prsat = sat when
+    # every two pattern edges meet.
+    points = 0
+    for k in (3, 4, 5):
+        for tree in enumerate_trees(k):
+            spec = parse_pattern("g6:" + to_graph6(tree))
+            meet = all(set(e) & set(f) for e, f in itertools.combinations(tree.edges, 2))
+            for n in range(2, 8):
+                sat, ssat, prsat = (census(q, n, spec) for q in ("sat", "ssat", "prsat"))
+                where = (spec.token(), n)
+                assert sat.exact and ssat.exact and prsat.exact, where
+                assert ssat.value <= sat.value and ssat.value <= prsat.value, where
+                assert prsat.witnesses, where
+                for w in prsat.witnesses:
+                    verdict = engine.is_semi_saturated(from_graph6(w), spec)
+                    assert verdict.status is engine.Status.ESTABLISHED, (where, w)
+                if meet:
+                    assert prsat.value == sat.value, where
+                points += 1
+    assert points == 36
+
+
 def test_ssat_needs_a_copy_through_the_new_edge():
     # K1,3 plus isolated vertices contains the star, which no longer makes
     # it semi-saturated: ssat(n,K1,3) was 3 at every order
@@ -558,17 +589,18 @@ def test_a_star_census_spends_no_budget():
 
 def _spy_levels_asked(monkeypatch) -> list[tuple[int, int]]:
     """Record the order and edge count of every level taken from
-    `_class_levels`: those a census examines, and those of the orders below
-    that its levels are made from."""
+    `canon.class_levels`: those a census examines, and those of the orders
+    below that its levels are made from."""
     asked = []
-    real = oracle._class_levels
+    real = canon.class_levels
 
-    def spy(n, memo):
-        for m, level in enumerate(real(n, memo)):
+    def spy(n, shared):
+        for m, level in enumerate(real(n, shared)):
             asked.append((n, m))
             yield level
 
-    monkeypatch.setattr(oracle, "_class_levels", spy)
+    monkeypatch.setattr(canon, "class_levels", spy)
+    monkeypatch.setattr(oracle, "class_levels", spy)
     return asked
 
 
@@ -577,7 +609,7 @@ def _levels_of_order(asked, n) -> list[int]:
 
 
 def test_census_asks_for_no_level_past_the_last_it_examines(monkeypatch):
-    monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
+    monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
     asked = _spy_levels_asked(monkeypatch)
     made = _spy_levels_made(monkeypatch)
     assert prsat_number(7, P4, budget=10**6).value == 5
@@ -594,7 +626,7 @@ def test_census_asks_for_no_level_past_the_last_it_examines(monkeypatch):
     assert rec.value is None and rec.total_graphs_examined == 1 + 1 + 2 + 5 + 9
     # made beneath order 7 already
     assert asked == [(6, m) for m in range(5)] and made == []
-    monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
+    monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
     asked.clear()
     assert prsat_number(6, P5, budget=10**6, edge_cap=4) == rec
     assert max(m for _, m in asked) == 4 and made == [1, 2, 3, 4]
@@ -614,37 +646,37 @@ def _memo_census(point):
 def _records_from_an_empty_memo(monkeypatch):
     records = []
     for point in MEMO_POINTS:
-        monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
+        monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
         records.append(_memo_census(point))
     return records
 
 
 def test_census_after_census_matches_an_empty_memo(monkeypatch):
     want = _records_from_an_empty_memo(monkeypatch)
-    monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
+    monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
     assert [_memo_census(point) for point in MEMO_POINTS] == want
     assert [_memo_census(point) for point in reversed(MEMO_POINTS)] == want[::-1]
 
 
 def test_level_memo_keeps_to_its_bound(monkeypatch):
     want = _records_from_an_empty_memo(monkeypatch)
-    monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
-    monkeypatch.setattr(oracle, "LEVEL_MEMO_CLASSES", 80)
+    monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
+    monkeypatch.setattr(canon, "LEVEL_MEMO_CLASSES", 80)
     held = []
-    real = oracle._canonical_children
+    real = canon._canonical_children
 
     def spy(parent, *rest):
-        held.append(oracle._memo_classes(oracle._LEVEL_MEMO))
+        held.append(canon._memo_classes(canon._LEVEL_MEMO))
         return real(parent, *rest)
 
-    monkeypatch.setattr(oracle, "_canonical_children", spy)
+    monkeypatch.setattr(canon, "_canonical_children", spy)
     assert [_memo_census(point) for point in MEMO_POINTS] == want
-    held.append(oracle._memo_classes(oracle._LEVEL_MEMO))
+    held.append(canon._memo_classes(canon._LEVEL_MEMO))
     assert 0 < max(held) <= 80
     # the bound covers every order: the census at order 6 left levels of
     # orders 1-5 in the memo, and the censuses at order 7, which reach
     # level 8, found room for no more than a few levels of orders 6 and 7
-    memo = oracle._LEVEL_MEMO
+    memo = canon._LEVEL_MEMO
     assert sum(len(level) for n in range(1, 6) for level in memo[n]) > 0
     assert 0 < len(memo[6]) < 9 and 0 < len(memo[7]) < 9
 
@@ -652,10 +684,10 @@ def test_level_memo_keeps_to_its_bound(monkeypatch):
 def test_censuses_find_the_non_edges_of_each_class_once(monkeypatch):
     # each class in the memo had its non-edges found once: by a labelling,
     # or by padding a class of the order below
-    monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
+    monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
     found = []
-    real = oracle.non_edge_representatives
-    real_padded = oracle._padded
+    real = canon.non_edge_representatives
+    real_padded = canon._padded
 
     # a class is known by its adjacency bitmasks, which the labelling and
     # the padding both return
@@ -668,11 +700,11 @@ def test_censuses_find_the_non_edges_of_each_class_once(monkeypatch):
         found.append(tuple(padded[2]))
         return padded
 
-    monkeypatch.setattr(oracle, "non_edge_representatives", spy)
-    monkeypatch.setattr(oracle, "_padded", padded_spy)
+    monkeypatch.setattr(canon, "non_edge_representatives", spy)
+    monkeypatch.setattr(canon, "_padded", padded_spy)
     for point in MEMO_POINTS:
         _memo_census(point)
-    made = [tuple(adjb) for levels in oracle._LEVEL_MEMO.values()
+    made = [tuple(adjb) for levels in canon._LEVEL_MEMO.values()
             for level in levels for _, _, adjb, *_ in level]
     assert len(made) > 100
     assert sorted(found) == sorted(made)
@@ -683,12 +715,12 @@ def test_class_making_leaves_no_cyclic_garbage(monkeypatch):
     # reference counting, so class making and a census leave the garbage
     # collector nothing to find, and neither do the dropped matchers (those
     # of plans deeper than 16 steps, with _part helpers, still would)
-    monkeypatch.setattr(oracle, "_LEVEL_MEMO", {})
+    monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
     engine._matcher_for.cache_clear()  # so that the censuses compile their patterns
     gc.collect()
     gc.disable()
     try:
-        for _ in oracle._class_levels(7, None):
+        for _ in canon.class_levels(7, shared=False):
             pass
         canon.labelling(star_forest(20, 4))
         canon.labelling(caterpillar_construction(28, 6, 4))
@@ -701,25 +733,27 @@ def test_class_making_leaves_no_cyclic_garbage(monkeypatch):
         gc.enable()
 
 
-def test_level_memo_holds_few_bytes_a_class():
+def test_level_memo_holds_few_bytes_a_class(monkeypatch):
     # a class holds its canonical graph, the bitmasks and representatives
     # its level carries and the roots of a labelled class, and no edge set:
     # 570-600 bytes a class, against 1,236 with an edge set on each
     # labelled class
-    for _ in oracle._class_levels(7, {}):  # fill the pair tables and other caches
+    monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
+    for _ in canon.class_levels(7, shared=True):  # fill the pair tables and other caches
         pass
     gc.collect()
     memo = {}
+    monkeypatch.setattr(canon, "_LEVEL_MEMO", memo)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for _ in oracle._class_levels(7, memo):
+        for _ in canon.class_levels(7, shared=True):
             pass
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    classes = oracle._memo_classes(memo)
+    classes = canon._memo_classes(memo)
     assert classes == 1 + 2 + 4 + 11 + 34 + 156 + 1044  # OEIS A000088, n = 1..7
     assert held <= 800 * classes
 
