@@ -24,13 +24,13 @@ theorem along the path they generate the group.  Class making
 generators.
 
 Before the search, the generators are seeded with the transposition of
-each two consecutive vertices of a class of twins (vertices with the same
-open, or the same closed, neighbourhood).  Each is an automorphism, so
-pruning by it skips only images of explored subtrees: the minimum encoding
-is still reached, and the argument above holds with the extra generators.
-The leaf that first reaches the minimum, and with it the position map, may
-differ from the one an unseeded search returns, but only by an
-automorphism; the canonical graph and the orbits are the same.
+each two consecutive vertices of a class of twins (:func:`twin_classes`).
+Each is an automorphism, so pruning by it skips only images of explored
+subtrees: the minimum encoding is still reached, and the argument above
+holds with the extra generators.  The leaf that first reaches the minimum,
+and with it the position map, may differ from the one an unseeded search
+returns, but only by an automorphism; the canonical graph and the orbits
+are the same.
 
 A cell is a twin cell when its vertices all have the same open, or all the
 same closed, neighbourhood.  A node whose non-singleton cells are all twin
@@ -53,8 +53,8 @@ same generators in the same order, by three facts:
 
 Refinement (`_refine`) resumes its scan after a split instead of starting
 over, which makes the same splits in the same order.  Its cells are
-bitmasks, each the sorted cell a list would hold, and the root starts from
-the degree partition, the first split of the unit partition (see there).
+bitmasks, each the sorted cell a list would hold, and the root refines
+the unit partition, whose first split is the degree partition (see there).
 
 The classes of order n (:func:`class_levels`) are made one per isomorphism
 class by canonical augmentation (McKay, 1998): each class grows from
@@ -113,7 +113,7 @@ def _refine(adjb: list[int], cells: list[int]) -> list[int]:
     toward the source, which is a label-independent rule, so the procedure
     commutes with isomorphisms.  The unit partition is its own first
     source, so it splits into the degree classes in ascending order and
-    resumes at the first cell: refining `_degree_partition` is the same.
+    resumes at the first cell.
     A singleton source {s} splits a cell with one AND, into the fragments
     cell & ~N(s) and cell & N(s) (counts 0 and 1).  After a split of target
     `ci` by source `si` the scan resumes at source min(si, ci) rather than
@@ -169,15 +169,6 @@ def _refine(adjb: list[int], cells: list[int]) -> list[int]:
     return cells
 
 
-def _degree_partition(adjb: list[int]) -> list[int]:
-    """The degree classes as bitmasks, in ascending order of degree."""
-    by_degree: dict[int, int] = {}
-    for v, a in enumerate(adjb):
-        d = a.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    return [by_degree[d] for d in sorted(by_degree)]
-
-
 def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Canonical position map of `g` (vertex v goes to pos[v]) and generators
     of its automorphism group."""
@@ -195,7 +186,7 @@ def _label(n: int, adjb: list[int], edges) -> tuple[tuple[int, ...], tuple, int]
 
     best: list = [None, None]    # encoding, position tuple
     first: list = [None, None]
-    root = _refine(adjb, _degree_partition(adjb))
+    root = _refine(adjb, [(1 << n) - 1])
     # twin seeds and classes: see the module docstring
     gens, twin_of = _twins(adjb) if len(root) < n else ([], None)
     gen_seen = set(gens)
@@ -286,30 +277,36 @@ def _encoded_graph(n: int, enc: int) -> tuple[tuple[Edge, ...], tuple[int, ...]]
     return tuple(edges), tuple(adjb)
 
 
+def twin_classes(adjb: list[int]) -> list[list[int]]:
+    """The classes of two or more twins, each in ascending order: vertices
+    with the same open neighbourhood, then those with the same closed one,
+    each kind by least vertex.  A vertex with an open twin has no closed
+    twin, so no vertex lies in two classes."""
+    classes = []
+    for neighbourhoods in (adjb, [a | 1 << v for v, a in enumerate(adjb)]):
+        if len(set(neighbourhoods)) < len(adjb):  # some twins of this kind
+            twins: dict[int, list[int]] = {}
+            for v, a in enumerate(neighbourhoods):
+                twins.setdefault(a, []).append(v)
+            classes += [cls for cls in twins.values() if len(cls) > 1]
+    return classes
+
+
 def _twins(adjb: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
     """The transposition of each two consecutive vertices of a class of
-    twins: vertices with the same open, or the same closed, neighbourhood.
-    Swapping two such vertices is an automorphism.  And for each vertex,
-    the bitmask of its class of twins (of one kind: a vertex with an open
-    twin has no closed twin)."""
+    :func:`twin_classes`, an automorphism, and for each vertex the bitmask
+    of its class."""
     n = len(adjb)
     seeds = []
     twin_of = [1 << v for v in range(n)]
-    for neighbourhoods in (adjb, [a | 1 << v for v, a in enumerate(adjb)]):
-        if len(set(neighbourhoods)) == n:
-            continue
-        twins: dict[int, list[int]] = {}
-        for v, a in enumerate(neighbourhoods):
-            twins.setdefault(a, []).append(v)
-        for cls in twins.values():
-            if len(cls) > 1:
-                for a, b in zip(cls, cls[1:]):
-                    sigma = list(range(n))
-                    sigma[a], sigma[b] = b, a
-                    seeds.append(tuple(sigma))
-                mask = sum(1 << v for v in cls)
-                for v in cls:
-                    twin_of[v] = mask
+    for cls in twin_classes(adjb):
+        for a, b in zip(cls, cls[1:]):
+            sigma = list(range(n))
+            sigma[a], sigma[b] = b, a
+            seeds.append(tuple(sigma))
+        mask = sum(1 << v for v in cls)
+        for v in cls:
+            twin_of[v] = mask
     return seeds, twin_of
 
 
@@ -475,11 +472,11 @@ def _padded(g: Graph, reps, adjb, roots, parent):
     return Graph._trusted(m, edges), new_reps, (0, *[a << 1 for a in adjb]), None, parent
 
 
-def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], index: int):
+def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], position: int):
     """The children P + e of a canonical graph P that have no isolated
     vertex, one per isomorphism class whose canonical parent is P, as
     :func:`class_levels` carries a class: P's position in its level is
-    `index`, each child's parent.
+    `position`, each child's parent.
 
     `non_edges` holds one non-edge e per orbit of Aut(P), and `adjb` the
     adjacency bitmasks of P.  Only the e that leave no vertex isolated are
@@ -536,7 +533,7 @@ def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], index: 
         gens = [[pos[s[x]] for x in at] for s in child_gens]
         roots = orbit_roots(n, gens) if gens else range(n)
         yield (canonical, non_edge_representatives(canonical_adjb, gens), canonical_adjb,
-               tuple([v for v in range(n) if roots[v] == v]), index)
+               tuple([v for v in range(n) if roots[v] == v]), position)
 
 
 def _in_pair_orbit(n: int, gens, e: Edge, f: Edge) -> bool:

@@ -149,7 +149,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .canon import _twins, automorphism_generators, non_edge_orbit_representatives, orbit_roots
+from .canon import (automorphism_generators, non_edge_orbit_representatives, orbit_roots,
+                    twin_classes)
 from .colouring import EdgeColouring
 from .graphs import Edge, Graph
 from .patterns import PatternSpec
@@ -762,9 +763,10 @@ def _twin_trims(g: Graph):
     induced on the first p vertices of each class of twins (vertices with
     the same open, or the same closed, neighbourhood), renumbered in
     order."""
-    twin_of = _twins(g.adjacency_bits())[1]
-    # rank[v]: the number of v's twins below v
-    rank = [(twin_of[v] & (1 << v) - 1).bit_count() for v in range(g.n)]
+    rank = [0] * g.n  # the number of v's twins below v
+    for cls in twin_classes(g.adjacency_bits()):
+        for r, v in enumerate(cls):
+            rank[v] = r
     top = max(rank, default=0)
     p = 1
     while p <= top:

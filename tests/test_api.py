@@ -49,7 +49,6 @@ PRIVATE_IMPORTS = {
     ("constructions", "graphs", "_G6_MAX_N"),
     ("constructions", "graphs", "_check_order"),
     ("patterns", "graphs", "_check_order"),
-    ("engine", "canon", "_twins"),
 }
 
 

@@ -258,12 +258,11 @@ def _assert_refine_matches_reference(g):
     adjb = g.adjacency_bits()
     for cells in _start_partitions(g.n):
         assert _bitmask_refine(adjb, cells) == _restarting_refine(adjb, cells), (g, cells)
-    # the root of the search starts from the degree partition, the first
-    # split of the unit partition
-    unit = _restarting_refine(adjb, [list(range(g.n))])
-    assert canon._refine(adjb, canon._degree_partition(adjb)) == [
-        sum(1 << v for v in cell) for cell in unit
-    ], g
+    # the root of the search refines the unit partition, whose first split
+    # is the degree split: refining the degree classes gives the same cells
+    degrees = sorted({a.bit_count() for a in adjb})
+    by_degree = [[v for v in range(g.n) if adjb[v].bit_count() == d] for d in degrees]
+    assert _bitmask_refine(adjb, [list(range(g.n))]) == _restarting_refine(adjb, by_degree), g
 
 
 def test_refine_matches_restarting_reference_up_to_5():

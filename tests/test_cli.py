@@ -251,6 +251,11 @@ def test_unparseable_arguments_exit_2(capsys):
     assert main(["bogus-command"]) == 2
 
 
+# The message of each malformed graph6 input below.
+GRAPH6_ERRORS = {"~?": "truncated graph6 size", "D?": "graph6 body length mismatch",
+                 "g6:": "empty graph6 string"}
+
+
 @pytest.mark.parametrize("name, content, where", [
     ("empty.txt", "", "pattern"),
     ("empty.txt", "\n  \n", "graph"),
@@ -264,21 +269,34 @@ def test_unparseable_arguments_exit_2(capsys):
     ("float-n.json", '{"n": 3.5, "edges": []}', "graph"),
     ("string-n.json", '{"n": "4", "edges": []}', "graph"),
     ("missing.g6", None, "graph"),
+    ("truncated.g6", "~?", "graph"),
+    ("short.g6", "D?", "graph"),
+    (None, "g6:", "token"),
 ])
 def test_bad_graph_input_exits_2(tmp_path, capsys, name, content, where):
-    path = tmp_path / name
-    if content is not None:
-        path.write_text(content)
     good = tmp_path / "p3.g6"
     good.write_text(PatternSpec.path(3).graph.to_graph6())
-    if where == "graph":
-        argv = ["verify", str(path), "--pattern", "P3"]
+    if where == "token":
+        argv = ["verify", str(good), "--pattern", content]
     else:
-        argv = ["verify", str(good), "--pattern", f"@{path}"]
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        if where == "graph":
+            argv = ["verify", str(path), "--pattern", "P3"]
+        else:
+            argv = ["verify", str(good), "--pattern", f"@{path}"]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert GRAPH6_ERRORS.get(content, "") in err
+
+
+def test_an_inexact_census_exits_3(capsys):
+    code, out = run(capsys, "oracle", "--n", "6", "--pattern", "P5", "--quantity", "prsat",
+                    "--budget", "1")
+    assert code == 3 and "exact: False" in out
 
 
 def test_verify_reads_stdin(monkeypatch, capsys):

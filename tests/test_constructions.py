@@ -168,6 +168,16 @@ def test_broom_saturated_remainder_from_census():
         assert len(g.edges) == 9 + extra_edges
         comps = sorted(len(c) for c in g.components())
         assert comps == [n - 9, 9]
+    # from the broom order on (r = 5..8) the remainder is the census's witness
+    for n, edges in ((14, 15), (15, 16), (16, 17), (17, 18)):
+        g = broom_saturated(n, 1)
+        assert g.n == n and len(g.edges) == edges
+        assert edges <= evaluate_bound("broom4-bounds", n, m=1).upper
+    # n = 15 is Established too, but in 253,558 nodes
+    for n, nodes in ((14, 581), (16, 70_477)):
+        verdict = is_properly_rainbow_saturated(broom_saturated(n, 1), PatternSpec.broom(4, 1),
+                                                10**6)
+        assert (verdict.status, verdict.nodes_explored) == (Status.ESTABLISHED, nodes)
 
 
 # -- caterpillar host ---------------------------------------------------------------

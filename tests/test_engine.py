@@ -583,6 +583,36 @@ def test_trimmed_forcing_decides_the_caterpillar_hosts_28_to_60():
     assert search_rainbow_free_colouring(step, spec, 2_000).status is Status.REFUTED
 
 
+def test_forcing_on_a_large_host_builds_no_twin_transpositions():
+    # T_2 of the step forces, and ranking the 996 pendants among their twins
+    # allocates no permutation of the 1,000 vertices per twin pair
+    spec = parse_pattern("cat:ell=4;leaves=1,0,0,1")
+    step = caterpillar_construction(1000, 6, 4).add_edge(4, 8)
+    _matcher_for(spec)
+    tracemalloc.start()
+    try:
+        verdict = forces_rainbow(step, spec, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (verdict.status, verdict.nodes_explored) == (Status.ESTABLISHED, 647)
+    assert peak < 2 * 2**20
+
+
+def test_an_unknown_step_leaves_the_prsat_verdict_unknown():
+    host = caterpillar_construction(28, 6, 4)
+    spec = parse_pattern("cat:ell=4;leaves=1,0,0,1")
+    verdict = is_properly_rainbow_saturated(host, spec, 100)
+    assert (verdict.status, verdict.certificate) == (Status.UNKNOWN, None)
+    base = search_rainbow_free_colouring(host, spec, 100)
+    steps = [forces_rainbow(host.add_edge(*e), spec, 100)
+             for e in non_edge_orbit_representatives(host)]
+    assert base.status is Status.ESTABLISHED
+    assert Status.UNKNOWN in [s.status for s in steps]
+    assert [base.nodes_explored] + [s.nodes_explored for s in steps] == [30, 312, 314, 311]
+    assert verdict.nodes_explored == 967
+
+
 # -- saturation checks --------------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from conftest import (
 )
 from rslab import canon, engine, oracle
 from rslab.canon import canonical_form, canonical_graph, non_edge_orbit_representatives
+from rslab.cli import main
 from rslab.constructions import caterpillar_construction, star_forest
 from rslab.errors import CacheMismatchError, InvalidParameterError
 from rslab.graphs import Graph, from_graph6, normalise_edge, to_graph6
@@ -783,18 +784,29 @@ def test_cache_write_and_reload(tmp_path):
     assert loaded == rec
 
 
-def test_cache_mismatch_refused(tmp_path):
+def test_cache_mismatch_refused(tmp_path, capsys):
     rec = sat_number(5, P4, cache_dir=tmp_path)
-    fake = CensusRecord(
-        n=rec.n, pattern=rec.pattern, quantity=rec.quantity,
-        value=(rec.value or 0) + 1, exact=True, witnesses=("D??",),
-        unresolved=(), total_graphs_examined=1, budget=None,
-        nodes_explored=0, edge_cap=None,
-    )
-    with pytest.raises(CacheMismatchError):
-        store_record(tmp_path, fake)
-    store_record(tmp_path, fake, force=True)  # explicit overwrite allowed
-    assert load_cached_record(tmp_path, rec.key()).value == fake.value
+    # a witness of the wrong edge count (no edges), then one of the right
+    # count that fails the verdict (C5 holds a P4)
+    for witness in ("D??", "Dhc"):
+        fake = CensusRecord(
+            n=rec.n, pattern=rec.pattern, quantity=rec.quantity,
+            value=(rec.value or 0) + 1, exact=True, witnesses=(witness,),
+            unresolved=(), total_graphs_examined=1, budget=None,
+            nodes_explored=0, edge_cap=None,
+        )
+        with pytest.raises(CacheMismatchError):
+            store_record(tmp_path, fake)
+        store_record(tmp_path, fake, force=True)  # explicit overwrite allowed
+        assert load_cached_record(tmp_path, rec.key()).value == fake.value
+        assert not fake.verify()
+        # asked again, the census refuses the record it reads back
+        with pytest.raises(CacheMismatchError):
+            sat_number(5, P4, cache_dir=tmp_path)
+        code = main(["oracle", "--n", "5", "--pattern", "P4", "--quantity", "sat",
+                     "--cache-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and "fail to verify" in err
 
 
 # prsat(6, P4) as the cache stored it when each non-edge orbit took a walk of
