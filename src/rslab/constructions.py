@@ -153,6 +153,8 @@ def broom_saturated(n: int, m: int, cache_dir=None) -> Graph:
     edges, sourced from the census oracle (for r below the broom order that
     is the complete graph K_r).
     """
+    if m < 1:
+        raise InvalidParameterError("broom_saturated needs m >= 1")
     _check_order(n, "broom_saturated")
     block = 3 * (m + 2)
     if n < block:

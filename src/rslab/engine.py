@@ -110,9 +110,9 @@ each non-edge e:
 A sat or ssat step is one matcher call, so those verdicts ask every
 non-edge in lexicographic order and never label g; a prsat step is a full
 colouring search, so prsat asks one non-edge per automorphism orbit.  The
-census decides the last with one walk over g instead
-(:func:`prsat_outcome`): at each rainbow-free colouring the walk yields,
-it asks whether some colour extends it to g + e.
+census decides the last with one walk over g instead (:func:`outcome`):
+at each rainbow-free colouring the walk yields, it asks whether some
+colour extends it to g + e.
 
 When every two edges of the pattern share a vertex (a star K1,k, or K3),
 prsat is sat, and both prsat verdicts take the sat verdict with no walk: a
@@ -890,20 +890,45 @@ class Outcome(NamedTuple):
 
     status: Status
     nodes: int
-    # Refuted at the base: no rainbow-free colouring (prsat) or a copy of
-    # the pattern (sat); either passes to supergraphs
-    base_failed: bool = False
+    base_failed: bool = False  # Refuted at the base (see outcome)
 
 
-def prsat_outcome(
+def outcome(
     g: Graph,
     pattern: PatternSpec,
+    quantity: str,
     budget: int | None = DEFAULT_BUDGET,
     non_edges=None,
 ) -> Outcome:
+    """The census's verdict on g for `quantity` (sat, ssat or prsat), with
+    no certificate.  The steps ask the non-edges `non_edges`; a census
+    passes the one per automorphism orbit that each class carries, and None
+    leaves them to the verdict's defaults (every non-edge for sat and ssat,
+    one per orbit for the prsat walk).  The rules, stated here once:
+
+    - Star rule.  sat and ssat take :func:`is_saturated` and
+      :func:`is_semi_saturated`, and so does prsat, as sat, when every two
+      pattern edges share a vertex (a star K1,k, or K3), since prsat is
+      then sat (see the module notes).  These are exact, read 0 nodes and
+      spend no budget.
+    - One walk.  Any other prsat verdict comes from one walk over the
+      rainbow-free colourings of g (:func:`_prsat_walk`), which decides
+      the base and every step; `budget` bounds it, so it may end Unknown,
+      and `nodes` counts its nodes, not its extension calls.
+    - Base failure.  `base_failed` marks a verdict Refuted on g itself,
+      before any step: g has a copy of the pattern (sat, and star prsat)
+      or no rainbow-free colouring (prsat).  Either passes to supergraphs;
+      ssat has no base test.
+    """
+    if quantity == "prsat" and not _edges_pairwise_meet(pattern):
+        return _prsat_walk(g, pattern, budget, non_edges)
+    verdict = (is_semi_saturated if quantity == "ssat" else is_saturated)(g, pattern, non_edges)
+    return Outcome(verdict.status, 0, isinstance(verdict.certificate, Embedding))
+
+
+def _prsat_walk(g: Graph, pattern: PatternSpec, budget: int | None, non_edges) -> Outcome:
     """The verdict of :func:`is_properly_rainbow_saturated` from one walk
-    over the rainbow-free colourings of g, with no certificate; the census
-    decides its classes with it.
+    over the rainbow-free colourings of g.
 
     g + e has a rainbow-free proper colouring exactly when some rainbow-free
     proper colouring of g extends to it, so at each colouring the walk
@@ -911,11 +936,8 @@ def prsat_outcome(
     orbit) is offered to :meth:`ColouringSearch.extension`.  Refuted at the
     base when g has no colouring, or at the first non-edge that extends;
     Established once the walk ends with no extension.  The budget bounds
-    the one walk, and `nodes` counts its nodes, not the extension calls.
-    The walk sorts no twins: twins of g need not be twins of g + e.  When
-    every two pattern edges share a vertex, :func:`is_saturated` decides
-    instead (by default over every non-edge, with no labelling of g) in 0
-    nodes, Refuted at the base when g has a copy.
+    the one walk.  The walk sorts no twins: twins of g need not be twins of
+    g + e.
 
     Hosts keep the per-step walks: on the caterpillar host (n = 28) this
     walk is still Unknown after 10^6 nodes (52 s), while the three forcing
@@ -923,9 +945,6 @@ def prsat_outcome(
     (4,508, 4,337 and 958 walking the whole host; 7,870, 4,349 and 571,624
     before backjumping).
     """
-    if _edges_pairwise_meet(pattern):
-        sat = is_saturated(g, pattern, non_edges)
-        return Outcome(sat.status, 0, isinstance(sat.certificate, Embedding))
     non_edges = non_edge_orbit_representatives(g) if non_edges is None else list(non_edges)
     search = ColouringSearch(g, pattern, budget)
     yielded = False

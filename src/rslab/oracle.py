@@ -6,26 +6,18 @@ It reports the least edge count at which the requested property holds,
 with every minimum witness, sorted, so no record depends on the order of a
 level, and it makes no level past that of its value (or of the edge cap).
 
-The three quantities share one per-class verdict (:func:`_class_verdict`),
-which checks the carried non-edge orbit representatives rather than those of
-a new labelling search.  `sat` and `ssat` take a base test on the graph and
-a step test on each representative (see :mod:`rslab.engine`); their verdicts
-are exact.  `prsat` decides the base and every step in one budgeted walk
-over the rainbow-free colourings of the graph
-(:func:`rslab.engine.prsat_outcome`), and may stay Unknown; when every two
-pattern edges share a vertex, the sat verdict decides it with no walk.  The
-census reads of each class an :class:`rslab.engine.Outcome`: the status,
-the nodes and whether the class failed at the base; it builds no
-certificate.  Each class is asked once, under the census budget; a class
-Unknown at or below the value poisons exactness and is reported on the
-record rather than guessed.  For a connected pattern on k vertices a class
-is first refuted, with no walk and no matcher call, when the components of
-the ends of some carried non-edge hold fewer than k vertices
-(:func:`_too_small`).  Before that, a class is refuted with no check at all
-when its canonical parent, which it carries as a position in the level
-below, failed at the base: a prsat class with no rainbow-free colouring, or
-a sat class with a copy of the pattern.  Both failures pass to supergraphs
-(ssat has no base test).
+Each class is asked once, through :func:`rslab.engine.outcome`, the one
+verdict of all three quantities, whose docstring states its rules: which
+procedure decides, what the budget bounds and when a class failed at the
+base.  The census passes it the non-edge orbit representatives each class
+carries, rather than those of a new labelling search, and builds no
+certificate.  A class Unknown at or below the value poisons exactness and
+is reported on the record rather than guessed.  For a connected pattern on
+k vertices a class is first refuted, with no walk and no matcher call,
+when the components of the ends of some carried non-edge hold fewer than k
+vertices (:func:`_too_small`).  Before that, a class is refuted with no
+check at all when its canonical parent, which it carries as a position in
+the level below, failed at the base.
 """
 
 from __future__ import annotations
@@ -38,16 +30,7 @@ from pathlib import Path
 
 from .canon import class_levels
 from .colouring import is_proper
-from .engine import (
-    DEFAULT_BUDGET,
-    Embedding,
-    Outcome,
-    Status,
-    find_rainbow_copy,
-    is_saturated,
-    is_semi_saturated,
-    prsat_outcome,
-)
+from .engine import DEFAULT_BUDGET, Status, find_rainbow_copy, outcome
 from .errors import CacheAccessError, CacheMismatchError, InvalidParameterError
 from .graphs import Graph, from_graph6, to_graph6
 from .patterns import PatternSpec, parse_pattern
@@ -87,12 +70,10 @@ class CensusRecord:
     one colouring walk of each prsat class, and `nodes_explored` sums the
     nodes of those walks (not their extension calls); a class refuted by
     component sizes, or by its parent, takes no walk, so it adds none and is
-    never unresolved.  Nor does a class that the matcher alone decides, as
-    it does every class of a pattern whose edges pairwise share a vertex (a
-    star, or K3): such a prsat record reads 0 nodes and is always exact.
-    `total_graphs_examined` counts the classes asked, each asked once.
-    Each class's verdict is read as an :class:`rslab.engine.Outcome`, so
-    no certificate is built; :meth:`verify` reads it on each witness.
+    never unresolved.  Nor does a class that the matcher alone decides (see
+    :func:`rslab.engine.outcome`): such a prsat record reads 0 nodes and is
+    always exact.  `total_graphs_examined` counts the classes asked, each
+    asked once; :meth:`verify` asks each witness again.
     """
 
     n: int
@@ -148,26 +129,10 @@ class CensusRecord:
             g = from_graph6(w)
             if self.value is not None and len(g.edges) != self.value:
                 return False
-            verdict = _class_verdict(g, None, spec, self.quantity, budget or self.budget)
+            verdict = outcome(g, spec, self.quantity, budget or self.budget)
             if verdict.status is not Status.ESTABLISHED:
                 return False
         return True
-
-
-def _class_verdict(
-    g: Graph, non_edges, spec: PatternSpec, quantity: str, budget: int | None
-) -> Outcome:
-    """The verdict of one graph, checking the non-edges `non_edges`: in a
-    census one per automorphism orbit, carried by the level; None leaves
-    them to the engine's defaults (every non-edge for sat and ssat, one per
-    orbit for prsat).  A prsat class takes at most one colouring walk
-    (:func:`rslab.engine.prsat_outcome`), which `budget` bounds; its nodes
-    are that walk's, not its extension calls.  sat and ssat read 0 nodes,
-    and a sat class fails at the base when g has a copy of the pattern."""
-    if quantity == "prsat":
-        return prsat_outcome(g, spec, budget, non_edges)
-    verdict = {"sat": is_saturated, "ssat": is_semi_saturated}[quantity](g, spec, non_edges)
-    return Outcome(verdict.status, 0, isinstance(verdict.certificate, Embedding))
 
 
 def _too_small(adjb, non_edges, k: int) -> bool:
@@ -221,9 +186,9 @@ def _census(
 
     # A disconnected pattern may have a copy that no component holds whole.
     k = spec.graph.n if spec.graph.is_connected() else 0
-    # The positions in the last level of the classes that fail at the base,
-    # with no rainbow-free colouring (prsat) or a copy of the pattern (sat):
-    # either passes to supergraphs, so to every class whose parent failed.
+    # The positions in the last level of the classes that fail at the base;
+    # such a failure passes to supergraphs, so to every class whose parent
+    # failed.
     failed: set[int] = set()
     # Levels 0..value, or 0..edge_cap if no class qualifies: the loop stops
     # on the last level it examines, so no later level is made.
@@ -236,7 +201,7 @@ def _census(
                 continue
             if k and _too_small(adjb, non_edges, k):
                 continue
-            status, nodes, base_failed = _class_verdict(g, non_edges, spec, quantity, budget)
+            status, nodes, base_failed = outcome(g, spec, quantity, budget, non_edges)
             nodes_total += nodes
             if status is Status.ESTABLISHED:
                 value = m

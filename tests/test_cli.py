@@ -99,6 +99,36 @@ def test_broom_saturated_refuses_a_remainder_past_the_census_before_any_census(
     assert all(part in err for part in ("n=21", "m=2", "r=9")) and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--pattern", "K1,0"], "star needs k >= 1 leaves"),
+    (["oracle", "--pattern", "S1,3"], "double star token needs both centres >= 2"),
+    (["oracle", "--pattern", "cat:ell=2;leaves=1,0,1"],
+     "caterpillar ell does not match leaf count"),
+    (["oracle", "--pattern", "cat:foo=1"], "unknown caterpillar field 'foo'"),
+    (["oracle", "--pattern", "cat:ell=3"], "caterpillar token needs leaves=..."),
+    (["oracle", "--pattern", "cat:leaves"], "bad caterpillar field 'leaves'"),
+    (["oracle", "--pattern", "g6:B?"], "explicit pattern needs at least one edge"),
+    (["construct", "broom-gadget", "--m", "0"], "broom gadget needs m >= 1"),
+    (["construct", "caterpillar", "--n", "40", "--k", "5", "--ell", "4"],
+     "caterpillar host needs k >= ell + 2"),
+    (["construct", "caterpillar", "--n", "40", "--k", "6", "--ell", "3"],
+     "caterpillar host needs ell >= 4"),
+    (["construct", "star-forest", "--n", "10", "--k", "3"], "star_forest needs k >= 4"),
+    (["construct", "double-star", "--n", "10", "--t", "1", "--s", "2"],
+     "double star construction needs t >= s >= 1"),
+    # m = -2 made a block of 0 vertices and divided by it
+    *[(["construct", "broom-saturated", "--n", "10", "--m", m], "broom_saturated needs m >= 1")
+      for m in ("-5", "-2", "-1", "0")],
+])
+def test_each_refused_parameter_exits_2_with_its_message(capsys, argv, message):
+    if argv[0] == "oracle":
+        argv = [*argv, "--n", "5", "--quantity", "sat"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["star-forest", "--n", "100000000000", "--k", "4"],
     ["folded-cube", "--ell", "40"],
@@ -305,6 +335,26 @@ def test_verify_reads_stdin(monkeypatch, capsys):
                     "--format", "json")
     assert code == 1
     assert json.loads(out)["status"] == "refuted"
+
+
+def test_verify_json_prints_a_bare_non_edge_certificate(monkeypatch, capsys):
+    # P3 is not P4-semi-saturated: adding (0, 2) makes a triangle
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bg\n"))
+    code, out = run(capsys, "verify", "-", "--pattern", "P4", "--mode", "ssat",
+                    "--format", "json")
+    assert code == 1
+    assert out == ('{"budget": null, "certificate": [0, 2], "nodes_explored": 0, '
+                   '"status": "refuted"}\n')
+
+
+def test_verify_json_prints_the_degenerate_regime_note(monkeypatch, capsys):
+    # K3 is smaller than P4, so it qualifies only as a complete graph
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+    code, out = run(capsys, "verify", "-", "--pattern", "P4", "--mode", "prsat",
+                    "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["status"], data["note"]) == ("established", "degenerate regime")
 
 
 @pytest.mark.parametrize("argv", [

@@ -35,11 +35,10 @@ from rslab.engine import (
     is_properly_rainbow_saturated,
     is_saturated,
     is_semi_saturated,
-    prsat_outcome,
+    outcome,
     search_rainbow_free_colouring,
 )
 from rslab.graphs import Graph, build_graph, disjoint_union, from_graph6, normalise_edge
-from rslab.oracle import _class_verdict
 from rslab.patterns import PatternSpec, parse_pattern
 
 P4 = PatternSpec.path(4)
@@ -781,7 +780,7 @@ def assert_class_verdicts_match_brute_force(n):
                 want = brute_force_prsat(g, spec)
                 verdict = is_properly_rainbow_saturated(g, spec, 10**7)
                 assert step_outcome(verdict) == want, (g, spec)
-                got = _class_verdict(g, non_edges, spec, "prsat", 10**7)
+                got = outcome(g, spec, "prsat", 10**7, non_edges)
                 assert (got.status, got.base_failed) == want, (g, spec)
 
 
@@ -828,7 +827,7 @@ def assert_one_walk_matches_the_step_walks(orders, whole_walks=True):
             for g, non_edges in level:
                 for spec in ONE_WALK_PATTERNS:
                     want = is_properly_rainbow_saturated(g, spec, 10**7)
-                    got = prsat_outcome(g, spec, 10**7, non_edges)
+                    got = outcome(g, spec, "prsat", 10**7, non_edges)
                     assert (got.status, got.base_failed) == step_outcome(want), (g, spec)
                     if not whole_walks:
                         continue
@@ -854,34 +853,34 @@ def test_one_walk_matches_the_step_walks_at_7():
 
 def test_one_walk_on_edgeless_graphs():
     # the walk yields the empty colouring before it has coloured anything
-    assert prsat_outcome(Graph(4, ()), P4, 10**6) == (Status.REFUTED, 0, False)
+    assert outcome(Graph(4, ()), P4, "prsat", 10**6) == (Status.REFUTED, 0, False)
     k2 = PatternSpec.path(2)
     for g in (Graph(1, ()), Graph(3, ())):
-        assert prsat_outcome(g, k2, 10**6) == (Status.ESTABLISHED, 0, False)
+        assert outcome(g, k2, "prsat", 10**6) == (Status.ESTABLISHED, 0, False)
 
 
 def test_one_walk_stops_at_the_first_colouring_of_a_complete_graph():
     for spec in (P4, P5):
         nodes = search_rainbow_free_colouring(K4, spec).nodes_explored
-        assert prsat_outcome(K4, spec, 10**6) == (Status.ESTABLISHED, nodes, False)
+        assert outcome(K4, spec, "prsat", 10**6) == (Status.ESTABLISHED, nodes, False)
 
 
 def test_one_walk_in_the_degenerate_regime():
     k3 = build_graph(3, [(0, 1), (0, 2), (1, 2)])
-    assert prsat_outcome(k3, P4, 10**6).status is Status.ESTABLISHED
+    assert outcome(k3, P4, "prsat", 10**6).status is Status.ESTABLISHED
     p3 = build_graph(3, [(0, 1), (1, 2)])
-    verdict = prsat_outcome(p3, P4, 10**6)
+    verdict = outcome(p3, P4, "prsat", 10**6)
     assert (verdict.status, verdict.base_failed) == (Status.REFUTED, False)
 
 
 def test_one_walk_budget_bounds_the_whole_walk():
     g = two_stars(4)
-    full = prsat_outcome(g, P4, None)
+    full = outcome(g, P4, "prsat", None)
     assert full.status is Status.ESTABLISHED
-    assert prsat_outcome(g, P4, full.nodes).status is Status.ESTABLISHED
-    cut = prsat_outcome(g, P4, full.nodes - 1)
+    assert outcome(g, P4, "prsat", full.nodes).status is Status.ESTABLISHED
+    cut = outcome(g, P4, "prsat", full.nodes - 1)
     assert cut == (Status.UNKNOWN, full.nodes - 1, False)
-    assert prsat_outcome(g, P4, 1).status is Status.UNKNOWN
+    assert outcome(g, P4, "prsat", 1).status is Status.UNKNOWN
 
 
 # -- properly rainbow saturated -------------------------------------------------------
@@ -928,13 +927,13 @@ def test_orbit_reduction_is_conservative():
         for g in all_graphs_on(n):
             for spec in specs:
                 with_orbits = is_properly_rainbow_saturated(g, spec, 10**6)
-                without = prsat_outcome(g, spec, 10**6, non_edges=g.non_edges())
+                without = outcome(g, spec, "prsat", 10**6, non_edges=g.non_edges())
                 assert (without.status, without.base_failed) == step_outcome(with_orbits)
                 if spec is K13:
                     assert without.nodes == 0
                 elif without.status is not Status.REFUTED or without.base_failed:
                     # a whole walk, whichever non-edges it offers
-                    assert without.nodes == prsat_outcome(g, spec, 10**6).nodes
+                    assert without.nodes == outcome(g, spec, "prsat", 10**6).nodes
                 assert is_saturated(g, spec).status is is_saturated(
                     g, spec, non_edges=g.non_edges()).status
 
@@ -982,7 +981,7 @@ def test_star_pattern_collapse_to_classical_saturation():
                     assert (got.status, got.certificate, got.nodes_explored) == (
                         status, step_cert, 0), (g, spec)
                     base_failed = status is Status.REFUTED and step_cert is None
-                    assert prsat_outcome(g, spec, 10**7, non_edges) == (
+                    assert outcome(g, spec, "prsat", 10**7, non_edges) == (
                         status, 0, base_failed), (g, spec)
     assert classes == 1252
 
@@ -1321,8 +1320,10 @@ def test_remembered_copies_keep_the_walk_on_the_caterpillar_host():
 # the position of (1, 5) if its conflict set is the ordinary one; a
 # recolouring of the positions skipped lets (1, 5) take a smaller colour,
 # and then (1, 6) one at or below the old colour of (1, 5), which the twin
-# order never offered: that walk yields 49 of the 50 colourings.
+# order never offered: that walk yields 49 of the 50 colourings.  The same
+# walk fails on the second example too.
 @example(from_graph6("HqxAKA?"), "P6", True)
+@example(from_graph6("IZ@QA?_GG"), "P6", True)
 def test_backjumps_keep_the_walk_on_random_graphs(g, token, twins):
     assert_walks_like_asking_every_node(g, parse_pattern(token), 5_000, twins)
 

@@ -233,12 +233,12 @@ def test_carried_non_edges_are_the_census_non_edges(monkeypatch):
     # component-size rule reads them first, and the verdict of each class
     # that rule leaves
     visited = []
-    real = oracle._class_verdict
+    real = oracle.outcome
     real_too_small = oracle._too_small
 
-    def spy(g, non_edges, *rest):
+    def spy(g, spec, quantity, budget, non_edges):
         visited.append((g, non_edges))
-        return real(g, non_edges, *rest)
+        return real(g, spec, quantity, budget, non_edges)
 
     def too_small_spy(adjb, non_edges, k):
         n = len(adjb)
@@ -247,7 +247,7 @@ def test_carried_non_edges_are_the_census_non_edges(monkeypatch):
         visited.append((g, non_edges))
         return real_too_small(adjb, non_edges, k)
 
-    monkeypatch.setattr(oracle, "_class_verdict", spy)
+    monkeypatch.setattr(oracle, "outcome", spy)
     monkeypatch.setattr(oracle, "_too_small", too_small_spy)
     for n in range(2, 8):
         prsat_number(n, P5, budget=10**6)
@@ -368,7 +368,7 @@ def test_component_size_rule_refutes_only_refuted_classes():
                 continue
             fired += 1
             for quantity in ("sat", "ssat", "prsat") if g.n <= 6 else ("sat", "ssat"):
-                verdict = oracle._class_verdict(g, non_edges, spec, quantity, 10**6)
+                verdict = engine.outcome(g, spec, quantity, 10**6, non_edges)
                 assert verdict.status is engine.Status.REFUTED, (token, quantity, to_graph6(g))
         assert fired, token
 
@@ -399,7 +399,7 @@ def test_a_class_fails_at_the_base_when_its_parent_does(monkeypatch, quantity, t
     # on every class; and each class a census settles with no component
     # check and no verdict has a parent that fails at the base.
     asked = set()  # the classes that reached a check, by their bitmasks
-    real_verdict, real_too_small = oracle._class_verdict, oracle._too_small
+    real_verdict, real_too_small = oracle.outcome, oracle._too_small
 
     def verdict_spy(g, *rest):
         asked.add(tuple(g.adjacency_bits()))
@@ -409,7 +409,7 @@ def test_a_class_fails_at_the_base_when_its_parent_does(monkeypatch, quantity, t
         asked.add(tuple(adjb))
         return real_too_small(adjb, *rest)
 
-    monkeypatch.setattr(oracle, "_class_verdict", verdict_spy)
+    monkeypatch.setattr(oracle, "outcome", verdict_spy)
     monkeypatch.setattr(oracle, "_too_small", too_small_spy)
     inherited = 0
     for token in ("P4", "P5", "K1,3", "T5star"):
@@ -456,8 +456,8 @@ def test_component_size_rule_is_off_for_a_disconnected_pattern(monkeypatch):
 
 def test_component_size_rule_settles_most_classes_unwalked(monkeypatch):
     asked = []
-    real = oracle._class_verdict
-    monkeypatch.setattr(oracle, "_class_verdict", lambda *a: asked.append(a[0]) or real(*a))
+    real = oracle.outcome
+    monkeypatch.setattr(oracle, "outcome", lambda *a: asked.append(a[0]) or real(*a))
     rec = prsat_number(8, P4)
     assert (rec.value, rec.total_graphs_examined) == (6, 100)
     assert len(asked) <= 27
