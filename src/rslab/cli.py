@@ -25,13 +25,7 @@ from .constructions import (
     folded_cube,
     star_forest,
 )
-from .engine import (
-    DEFAULT_BUDGET,
-    Status,
-    is_properly_rainbow_saturated,
-    is_saturated,
-    is_semi_saturated,
-)
+from .engine import DEFAULT_BUDGET, Status, decide
 from .errors import RslabError
 from .graphs import _G6_MAX_N
 from .oracle import QUANTITIES, census
@@ -86,11 +80,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     g = load_graph_file(args.graph)
-    spec = parse_pattern(args.pattern)
-    if args.mode == "prsat":
-        verdict = is_properly_rainbow_saturated(g, spec, args.budget)
-    else:
-        verdict = (is_saturated if args.mode == "sat" else is_semi_saturated)(g, spec)
+    verdict = decide(g, parse_pattern(args.pattern), args.mode, args.budget)
     indent = None if args.output_format == "json" else 2
     print(json.dumps(verdict.to_json_dict(), sort_keys=True, indent=indent))
     return _EXIT_OF[verdict.status]

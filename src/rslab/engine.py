@@ -885,6 +885,16 @@ def is_properly_rainbow_saturated(
     return SearchVerdict(Status.ESTABLISHED, base.certificate, total, budget, note)
 
 
+def decide(
+    g: Graph, pattern: PatternSpec, quantity: str, budget: int | None = DEFAULT_BUDGET
+) -> SearchVerdict:
+    """The certified verdict on g for `quantity`: sat, ssat, or prsat, the
+    one that reads `budget` (:func:`is_properly_rainbow_saturated`)."""
+    if quantity == "prsat":
+        return is_properly_rainbow_saturated(g, pattern, budget)
+    return (is_semi_saturated if quantity == "ssat" else is_saturated)(g, pattern)
+
+
 class Outcome(NamedTuple):
     """A verdict as the census reads it: no certificate."""
 

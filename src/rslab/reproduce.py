@@ -12,10 +12,15 @@ suite checks each, then the ssat sandwich and the delta2 bound at the same
 points, and the `formulas` suite checks each row that names a closed form.
 `BOUND_CHECKS` lists the formulas whose lower bound must not pass the upper.
 Adding a census point is adding a `Claim`.
+
+The `constructions` suite sweeps the rows of `CONSTRUCTION_CHECKS`, each
+build's edges against its formula row and its verdict from `engine.decide`.
+Adding a construction check is adding a row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .canon import canonical_form, non_edge_orbit_representatives
@@ -24,6 +29,7 @@ from .constructions import (
     broom_gadget,
     broom_saturated,
     caterpillar_bundle,
+    caterpillar_construction,
     double_star_construction,
     folded_cube,
     hypercube,
@@ -33,10 +39,9 @@ from .constructions import (
 from .engine import (
     DEFAULT_BUDGET,
     Status,
+    decide,
     enumerate_rainbow_free_colourings,
     forces_rainbow,
-    is_properly_rainbow_saturated,
-    is_saturated,
 )
 from .errors import RslabError
 from .formulas import evaluate_bound, is_star
@@ -198,6 +203,27 @@ def _bundle_shape(bundle, target: PatternSpec) -> tuple:
     return g.n, len(g.edges), bundle.colouring.colour_count, verify_bundle(bundle, target)
 
 
+# (builder, arguments after n, orders, pattern, quantity, formula, params) of
+# every construction the suite sweeps: at each order n, builder(n, *arguments)
+# has n vertices and the ceiling of the formula's upper end in edges, and its
+# quantity verdict for the pattern is Established.  Broom remainders r >= 5
+# come from the census and fall below the upper end, so they stay out.
+CONSTRUCTION_CHECKS = (
+    (caterpillar_construction, (6, 4), (28, 29, 40, 60), "cat:ell=4;leaves=1,0,0,1", "prsat",
+     "caterpillar-upper", {"k": 6, "ell": 4}),
+    (star_forest, (4,), (*range(7, 13), 20, 40, 60), "P4", "prsat", "subdivided-star-prsat",
+     {"k": 4}),
+    *((star_forest, (k,), tuple(range(k + 3, 13)), f"T{k + 1}star", "sat", "subdivided-star-sat",
+       {"k": k + 1}) for k in range(4, 10)),
+    (double_star_construction, (2, 1, "prsat"), (12, 13, 14, 18, 19, 20, 30, 40), "S3,2",
+     "prsat", "double-star-prsat", {"t": 2, "s": 1}),
+    (double_star_construction, (2, 1, "sat"), tuple(range(10, 41, 5)), "S3,2", "sat",
+     "double-star-sat-upper", {"t": 2, "s": 1}),
+    (broom_saturated, (1,), tuple(n for n in range(9, 41) if n % 9 <= 4), "B4,1", "prsat",
+     "broom4-bounds", {"m": 1}),
+)
+
+
 def suite_constructions(config: ReproConfig) -> list[ReproRow]:
     rows: list[ReproRow] = []
 
@@ -242,33 +268,22 @@ def suite_constructions(config: ReproConfig) -> list[ReproRow]:
     rows.append(_row("broom_gadget(2): 12 vertices, 12 edges, 5 colours, rainbow-free",
                      (12, 12, 5, True), _bundle_shape(broom_gadget(2), PatternSpec.broom(4, 2))))
 
-    rows.append(_row("broom_saturated(18,1) has 18 edges",
-                     18, len(broom_saturated(18, 1).edges)))
-    rows.append(_row("broom_saturated(10,1) has 9 edges",
-                     9, len(broom_saturated(10, 1).edges)))
-    rows.append(_established("broom_saturated(9,1) is properly rainbow B(4,1)-saturated",
-                             is_properly_rainbow_saturated(
-                                 broom_saturated(9, 1), PatternSpec.broom(4, 1), config.budget)))
-
-    sf = star_forest(10, 4)
-    rows.append(_row("star_forest(10,4) has 8 edges", 8, len(sf.edges)))
-    rows.append(_row("star_forest(7,4) has 5 edges", 5, len(star_forest(7, 4).edges)))
-    rows.append(_established("star_forest(10,4) is properly rainbow P4-saturated",
-                             is_properly_rainbow_saturated(sf, PatternSpec.path(4),
-                                                           config.budget)))
-
-    ds = double_star_construction(10, 2, 1, "sat")
-    rows.append(_established("double_star_construction(10,2,1,sat) is S(3,2)-saturated",
-                             is_saturated(ds, PatternSpec.double_star(2, 1))))
+    for build, args, orders, pattern, quantity, formula, params in CONSTRUCTION_CHECKS:
+        spec = parse_pattern(pattern, allow_files=False)
+        kind = "properly rainbow " if quantity == "prsat" else ""
+        for n in orders:
+            g = build(n, *args)
+            name = f"{build.__name__}({','.join(map(str, (n, *args)))})"
+            upper = math.ceil(evaluate_bound(formula, n, **params).upper)
+            rows.append(_row(f"{name}: {n} vertices, ceil({formula} upper) = {upper} edges",
+                             (n, upper), (g.n, len(g.edges))))
+            rows.append(_established(f"{name} is {kind}{pattern}-saturated",
+                                     decide(g, spec, quantity, config.budget)))
 
     cb = caterpillar_bundle(28, 6, 4)
     cat = PatternSpec.caterpillar((1, 0, 0, 1))
     rows.append(_row("caterpillar host (n=28,k=6,ell=4): 30 edges, rainbow-free extension",
                      (30, True), (len(cb.graph.edges), verify_bundle(cb, cat))))
-    for e in non_edge_orbit_representatives(cb.graph)[:5]:
-        rows.append(_established(
-            f"caterpillar host + non-edge {e} forces a rainbow caterpillar (spot check)",
-            forces_rainbow(cb.graph.add_edge(*e), cat, config.budget)))
     return rows
 
 
@@ -286,16 +301,14 @@ def suite_lemma4(config: ReproConfig) -> list[ReproRow]:
         bool(colourings) and all(c.colour_count == 3 for c in colourings),
     ))
     rows.append(_established("K4 is properly rainbow P4-saturated",
-                             is_properly_rainbow_saturated(k4, PatternSpec.path(4),
-                                                           config.budget)))
+                             decide(k4, PatternSpec.path(4), "prsat", config.budget)))
     f4 = FoldedCube(4).graph()
     for e in non_edge_orbit_representatives(f4):
         rows.append(_established(f"every proper colouring of F4 + {e} has a rainbow P5",
                                  forces_rainbow(f4.add_edge(*e), PatternSpec.path(5),
                                                 config.budget)))
     rows.append(_established("F4 is properly rainbow P5-saturated",
-                             is_properly_rainbow_saturated(f4, PatternSpec.path(5),
-                                                           config.budget)))
+                             decide(f4, PatternSpec.path(5), "prsat", config.budget)))
     return rows
 
 

@@ -2,12 +2,13 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rslab
@@ -518,5 +519,72 @@ def test_cli_fuzz_exits_with_a_code_and_no_exception(tmp_path_factory, data):
             contextlib.redirect_stderr(io.StringIO()):
         mp.delenv("RSLAB_CACHE", raising=False)
         mp.setattr("sys.stdin", io.StringIO(""))
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+
+
+# The bad-input property test draws what the fuzz test above does not:
+# pattern tokens with up to three characters inserted, deleted or replaced,
+# and graph files of random bytes.  Numbers in tokens stay at most 12,
+# census orders at most 6 and budgets at most 2,000, and `construct` stops
+# at --n 14, below the broom remainders whose census takes seconds.
+_BUDGET = st.integers(min_value=-2, max_value=2000).map(str)
+
+
+@st.composite
+def _graph6_bytes(draw):
+    """graph6 of a graph on at most 8 vertices, from random bits, with one
+    byte too many at times."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    size = -(-n * (n - 1) // 12)
+    body = draw(st.binary(min_size=size, max_size=size + 1))
+    return bytes([63 + n]) + bytes(63 + b % 64 for b in body)
+
+
+@st.composite
+def _mutated_patterns(draw):
+    a, b = (draw(st.integers(min_value=0, max_value=12)) for _ in range(2))
+    chars = list(draw(st.sampled_from([f"P{a}", f"K{a},{b}", f"B{a},{b}", f"T{a}star",
+                                       f"S{a},{b}", f"cat:ell={a};leaves=1,0,{b}", "g6:Ch"])))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(chars)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if kind != "insert":
+            del chars[at:at + 1]
+        if kind != "delete":
+            chars.insert(at, draw(st.sampled_from(",;:=@~-_ x{}")))
+    token = "".join(chars)
+    assume(all(int(number) <= 12 for number in re.findall(r"\d+", token)))
+    return token
+
+
+@st.composite
+def _bad_command_lines(draw):
+    name = draw(st.sampled_from(["verify", "oracle", "construct"]))
+    fmt = ["--format", draw(_FORMAT)]
+    if name == "verify":
+        return ["verify", "{graph}", "--pattern", draw(_mutated_patterns()),
+                "--mode", draw(_QUANTITY), "--budget", draw(_BUDGET), *fmt]
+    if name == "oracle":
+        return ["oracle", "--n", str(draw(st.integers(min_value=-2, max_value=6))),
+                "--pattern", draw(_mutated_patterns()), "--quantity", draw(_QUANTITY),
+                "--edge-cap", str(draw(st.integers(min_value=0, max_value=4))),
+                "--budget", draw(_BUDGET), *fmt]
+    argv = ["construct", draw(st.sampled_from(sorted(cli._FAMILIES))),
+            "--n", str(draw(st.integers(min_value=-2, max_value=14)))]
+    for p in ("k", "m", "t", "s", "ell"):
+        argv += [f"--{p}", draw(_INT)]
+    return argv + ["--variant", draw(st.sampled_from(["sat", "prsat"])), *fmt]
+
+
+@given(_bad_command_lines(), st.binary(max_size=8) | _graph6_bytes())
+@settings(max_examples=150, derandomize=True, deadline=2000)
+def test_cli_bad_input_exits_with_a_code_and_no_exception(tmp_path_factory, argv, graph):
+    path = tmp_path_factory.getbasetemp() / "cli-bad-input.g6"
+    path.write_bytes(graph)
+    argv = [str(path) if a == "{graph}" else a for a in argv]
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        mp.delenv("RSLAB_CACHE", raising=False)
         code = main(argv)
     assert code in (0, 1, 2, 3), argv

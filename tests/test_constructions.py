@@ -138,24 +138,6 @@ def test_broom_saturated_exact_blocks():
     assert len(g.components()) == 2
 
 
-def test_broom_saturated_single_leftover_vertex():
-    g = broom_saturated(10, 1)
-    assert g.n == 10 and len(g.edges) == 9
-
-
-def test_broom_saturated_matches_bound_formula():
-    for n in (9, 10, 18, 19, 21):
-        g = broom_saturated(n, 1)
-        bound = evaluate_bound("broom4-bounds", n, m=1).upper
-        assert len(g.edges) <= bound
-
-
-def test_broom_saturated_established_by_engine():
-    g = broom_saturated(9, 1)
-    verdict = is_properly_rainbow_saturated(g, PatternSpec.broom(4, 1), 10**8)
-    assert verdict.status is Status.ESTABLISHED
-
-
 def test_broom_saturated_rejects_small_n():
     with pytest.raises(InvalidParameterError):
         broom_saturated(8, 1)
@@ -229,24 +211,6 @@ def test_star_forest_10_4_is_two_stars():
     assert len(g.edges) == 8
     assert [len(c) for c in g.components()] == [5, 5]
     assert canonical_form(g) == canonical_form(double_star_construction(10, 2, 1, "sat"))
-
-
-def test_star_forest_edge_formula():
-    for n in range(7, 13):
-        g = star_forest(n, 4)
-        assert len(g.edges) == n - (n + 3) // 5
-
-
-def test_star_forest_self_validates():
-    # build-time saturation check runs for every order below the cutoff
-    for n in range(7, 13):
-        g = star_forest(n, 4)
-        assert is_saturated(g, PatternSpec.subdivided_star(5)).status is Status.ESTABLISHED
-
-
-def test_star_forest_prsat_established():
-    verdict = is_properly_rainbow_saturated(star_forest(10, 4), PatternSpec.path(4), 10**7)
-    assert verdict.status is Status.ESTABLISHED
 
 
 def test_star_forest_rejects_small_n():

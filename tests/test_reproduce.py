@@ -6,7 +6,16 @@ from rslab import reproduce
 from rslab.errors import RslabError
 from rslab.formulas import evaluate_bound
 from rslab.oracle import QUANTITIES
-from rslab.reproduce import CLAIMS, ReproConfig, ReproRow, all_pass, format_rows, run_suite
+from rslab.patterns import parse_pattern
+from rslab.reproduce import (
+    CLAIMS,
+    CONSTRUCTION_CHECKS,
+    ReproConfig,
+    ReproRow,
+    all_pass,
+    format_rows,
+    run_suite,
+)
 
 
 def test_claims_are_checkable_data():
@@ -48,18 +57,32 @@ def test_constructions_suite(suite_rows):
     assert all_pass(suite_rows("constructions"))
 
 
+def test_construction_checks_are_checkable_data():
+    # a new construction check is checked here as data: a formula of the
+    # row's quantity, in range at every order, and a pattern token that
+    # parses back to itself
+    for build, args, orders, pattern, quantity, formula, params in CONSTRUCTION_CHECKS:
+        assert parse_pattern(pattern, allow_files=False).token() == pattern, pattern
+        for n in orders:
+            row = evaluate_bound(formula, n, **params)
+            assert row.quantity == quantity and not row.out_of_range, (formula, n)
+            assert row.upper is not None, (formula, n)
+
+
 def test_lemma4_and_constructions_searches_take_the_configured_budget(monkeypatch):
-    # The budget of the configuration bounds every forcing and prsat search
-    # of these suites, the caterpillar spot checks and the F4 rows included.
+    # The budget of the configuration bounds every certified verdict and
+    # forcing search of these suites: one verdict per construction check
+    # and order, and lemma4's 3 (K4 and F4, and the one non-edge orbit of F4).
     budgets = []
-    for name in ("forces_rainbow", "is_properly_rainbow_saturated"):
+    for name in ("decide", "forces_rainbow"):
         real = getattr(reproduce, name)
+        # reproduce passes the budget to both as the last positional argument
         monkeypatch.setattr(reproduce, name, lambda *args, real=real:
-                            budgets.append(args[2]) or real(*args))
+                            budgets.append(args[-1]) or real(*args))
     config = ReproConfig(budget=54_321)
     rows = reproduce.suite_lemma4(config) + reproduce.suite_constructions(config)
     assert all_pass(rows)
-    assert budgets == [54_321] * 8  # 3 in lemma4; 2 prsat and 3 spot checks
+    assert budgets == [54_321] * (sum(len(row[2]) for row in CONSTRUCTION_CHECKS) + 3)
 
 
 def test_inexact_records_read_unknown(monkeypatch, tmp_path):
