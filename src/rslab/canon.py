@@ -51,11 +51,6 @@ same generators in the same order, by three facts:
    or to none, and twins of one kind to each other all or none.  So that
    leaf is the ascending split, with no refinement.
 
-Refinement (`_refine`) resumes its scan after a split instead of starting
-over, which makes the same splits in the same order.  Its cells are
-bitmasks, each the sorted cell a list would hold, and the root refines
-the unit partition, whose first split is the degree partition (see there).
-
 The classes of order n (:func:`class_levels`) are made one per isomorphism
 class by canonical augmentation (McKay, 1998): each class grows from
 exactly one parent class by one edge, so no child is compared with another,
@@ -84,9 +79,6 @@ g's, first pairs of orbits in lexicographic order as they are:
   and g's isolated vertices are twins, and every other (u, v) becomes
   (u+1, v+1).
 
-The search drops its reference to itself when it ends, so a labelling
-leaves no reference cycle and reference counting frees all it allocates.
-
 This is exact, not heuristic: two graphs get the same label iff they are
 isomorphic.  Speed is adequate for the n <= 10 graphs this package works
 with, and for the caterpillar hosts of about 30 vertices.
@@ -103,7 +95,7 @@ from .graphs import Edge, Graph, normalise_edge, to_graph6
 
 def _refine(adjb: list[int], cells: list[int]) -> list[int]:
     """Coarsest equitable partition refining `cells`, each cell a bitmask
-    of its vertices.
+    of its vertices; the list `cells` may be refined in place.
 
     A bitmask holds exactly the vertices of a sorted cell, read in
     ascending order, so every rule below reads the same on either form.
@@ -112,8 +104,8 @@ def _refine(adjb: list[int], cells: list[int]) -> list[int]:
     replaced in place by its fragments ordered by ascending neighbour count
     toward the source, which is a label-independent rule, so the procedure
     commutes with isomorphisms.  The unit partition is its own first
-    source, so it splits into the degree classes in ascending order and
-    resumes at the first cell.
+    source, so it splits into the degree classes in ascending order, read
+    off the degrees at once, and the scan starts at the first cell.
     A singleton source {s} splits a cell with one AND, into the fragments
     cell & ~N(s) and cell & N(s) (counts 0 and 1).  After a split of target
     `ci` by source `si` the scan resumes at source min(si, ci) rather than
@@ -127,8 +119,12 @@ def _refine(adjb: list[int], cells: list[int]) -> list[int]:
     vertex and groups the cell only then: the splits are the same as
     grouping every cell would make.
     """
-    cells = list(cells)
     n = len(adjb)
+    if len(cells) == 1:  # the unit partition
+        by_degree = [0] * n
+        for v, a in enumerate(adjb):
+            by_degree[a.bit_count()] |= 1 << v
+        cells = [c for c in by_degree if c]
     si = 0
     while si < len(cells) < n:  # a discrete partition is equitable
         smask = cells[si]
@@ -356,19 +352,45 @@ def _pair_table(n: int) -> tuple[list[Edge], list[int]]:
 def non_edge_representatives(adjb, gens) -> list[Edge]:
     """The first non-edge of each orbit under the group that the automorphisms
     `gens` of the graph with adjacency bitmasks `adjb` generate, in
-    lexicographic order, shared with :func:`_pair_table`.  The orbits are
-    walked over the non-edges alone, which automorphisms permute."""
+    lexicographic order, shared with :func:`_pair_table`: each non-edge that
+    no earlier :func:`_walk_pair_orbit` reached, walked from in turn."""
     n = len(adjb)
-    pairs, index = _pair_table(n)
-    non_edges = [p for p in pairs if not adjb[p[0]] >> p[1] & 1]
-    if not gens:
-        return non_edges
-    at = [0] * len(pairs)  # the position of each non-edge among them
-    for i, (u, v) in enumerate(non_edges):
-        at[index[u * n + v]] = i
-    roots = orbit_roots(len(non_edges),
-                        [[at[index[s[u] * n + s[v]]] for u, v in non_edges] for s in gens])
-    return [p for i, p in enumerate(non_edges) if roots[i] == i]
+    marks = bytearray(n * n)
+    reps = []
+    for p in _pair_table(n)[0]:
+        u, v = p
+        if not (marks[u * n + v] or adjb[u] >> v & 1):
+            reps.append(p)
+            if gens:
+                _walk_pair_orbit(n, gens, p, marks, None)
+    return reps
+
+
+def _walk_pair_orbit(n: int, gens, pair: Edge, marks: bytearray, stop: Edge | None) -> bool:
+    """Walk the orbit of the pair u < v under the group that the permutations
+    `gens` of 0..n-1 generate, breadth-first, marking each pair a < b that it
+    reaches, images (s[a], s[b]) put in order, at marks[a * n + b] of a
+    bytearray(n * n); whether it reaches `stop` (None, or a pair other than
+    `pair`), where it ends.  It walks one orbit, not all n(n-1)/2 pairs: in
+    the canonical-deletion test :func:`orbit_roots` over :func:`_pair_table`
+    slowed the `enumerate` benchmark workload 1.212 -> 1.254 s, in 10 of 10
+    alternating pairs on a 2-vCPU VM with Python 3.11, past the 0.039 s
+    quartile spread of its runs."""
+    start = pair[0] * n + pair[1]
+    goal = -1 if stop is None else stop[0] * n + stop[1]
+    marks[start] = 1
+    orbit = [start]
+    for p in orbit:
+        a, b = divmod(p, n)
+        for s in gens:
+            x, y = s[a], s[b]
+            q = x * n + y if x < y else y * n + x
+            if not marks[q]:
+                if q == goal:
+                    return True
+                marks[q] = 1
+                orbit.append(q)
+    return False
 
 
 def non_edge_orbit_representatives(g: Graph) -> list[Edge]:
@@ -525,7 +547,7 @@ def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], positio
         pos, child_gens, enc = _label(n, child_adjb, parent.edges + (e,))
         if len(top) > 1:
             m = max(top, key=lambda ab: normalise_edge(pos[ab[0]], pos[ab[1]]))
-            if m != e and not _in_pair_orbit(n, child_gens, e, m):
+            if m != e and not _walk_pair_orbit(n, child_gens, e, bytearray(n * n), m):
                 continue
         at = sorted(range(n), key=pos.__getitem__)  # the vertex at each position
         edges, canonical_adjb = _encoded_graph(n, enc)
@@ -534,31 +556,6 @@ def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], positio
         roots = orbit_roots(n, gens) if gens else range(n)
         yield (canonical, non_edge_representatives(canonical_adjb, gens), canonical_adjb,
                tuple([v for v in range(n) if roots[v] == v]), position)
-
-
-def _in_pair_orbit(n: int, gens, e: Edge, f: Edge) -> bool:
-    """Whether the pair f lies in the orbit of the pair e != f under the
-    group that the permutations `gens` of 0..n-1 generate.  The orbit is
-    walked breadth-first from e and the walk stops at f.  It stays beside
-    :func:`orbit_roots` because it walks one orbit, not all n(n-1)/2
-    pairs: taking the roots over :func:`_pair_table` instead slowed the
-    `enumerate` benchmark workload by 3.5% (1.212 -> 1.254 s), in 10 of 10
-    alternating pairs on a 2-vCPU VM with Python 3.11, past the 0.039 s
-    quartile spread of its runs."""
-    goal = f[0] * n + f[1]
-    orbit = [e[0] * n + e[1]]
-    seen = set(orbit)
-    for p in orbit:
-        a, b = divmod(p, n)
-        for s in gens:
-            x, y = s[a], s[b]
-            q = x * n + y if x < y else y * n + x
-            if q == goal:
-                return True
-            if q not in seen:
-                seen.add(q)
-                orbit.append(q)
-    return False
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,7 @@ from pathlib import Path
 from .canon import class_levels
 from .colouring import is_proper
 from .engine import DEFAULT_BUDGET, Status, find_rainbow_copy, outcome
-from .errors import CacheAccessError, CacheMismatchError, InvalidParameterError
+from .errors import CacheAccessError, CacheMismatchError, InvalidParameterError, RslabError
 from .graphs import Graph, from_graph6, to_graph6
 from .patterns import PatternSpec, parse_pattern
 
@@ -108,14 +108,17 @@ class CensusRecord:
 
     @staticmethod
     def from_json_dict(d: dict) -> "CensusRecord":
+        graph6s = d["witnesses"], d["unresolved"]  # lists of strings, or the line is unparseable
+        if not all(isinstance(x, list) and all(isinstance(w, str) for w in x) for x in graph6s):
+            raise TypeError("witnesses and unresolved must be lists of graph6 strings")
         return CensusRecord(
             n=int(d["n"]),
             pattern=str(d["pattern"]),
             quantity=str(d["quantity"]),
             value=None if d["value"] is None else int(d["value"]),
             exact=bool(d["exact"]),
-            witnesses=tuple(d["witnesses"]),
-            unresolved=tuple(d["unresolved"]),
+            witnesses=tuple(graph6s[0]),
+            unresolved=tuple(graph6s[1]),
             total_graphs_examined=int(d["total_graphs_examined"]),
             budget=None if d.get("budget") is None else int(d["budget"]),
             nodes_explored=int(d.get("nodes_explored", 0)),
@@ -123,11 +126,15 @@ class CensusRecord:
         )
 
     def verify(self, budget: int | None = None) -> bool:
-        """Re-run the verdict on every stored witness."""
+        """Re-run the verdict on every stored witness; one that does not
+        decode to a graph on n vertices with `value` edges fails."""
         spec = parse_pattern(self.pattern, allow_files=False)
         for w in self.witnesses:
-            g = from_graph6(w)
-            if self.value is not None and len(g.edges) != self.value:
+            try:
+                g = from_graph6(w)
+            except RslabError:
+                return False
+            if g.n != self.n or self.value is not None and len(g.edges) != self.value:
                 return False
             verdict = outcome(g, spec, self.quantity, budget or self.budget)
             if verdict.status is not Status.ESTABLISHED:

@@ -21,7 +21,7 @@ Adding a construction check is adding a row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .canon import canonical_form, non_edge_orbit_representatives
 from .constructions import (
@@ -57,12 +57,7 @@ class ReproRow:
     status: str  # PASS | FAIL | UNKNOWN
 
     def to_json_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -33,7 +33,7 @@ from rslab.constructions import (
     caterpillar_construction,
     star_forest,
 )
-from rslab.graphs import build_graph, to_graph6
+from rslab.graphs import build_graph, normalise_edge, to_graph6
 from rslab.patterns import PatternSpec
 
 
@@ -72,10 +72,10 @@ def test_agrees_with_brute_force_isomorphism(a, b):
     assert (canonical_form(a) == canonical_form(b)) == brute_force_isomorphic(a, b)
 
 
-def _brute_non_edge_representatives(g):
-    """The first pair of each non-edge orbit under all automorphisms, found
-    by brute force."""
-    auts = brute_force_automorphisms(g)
+def _brute_non_edge_representatives(g, auts=None):
+    """The first pair of each non-edge orbit under all automorphisms `auts`
+    of g, found by brute force unless given."""
+    auts = brute_force_automorphisms(g) if auts is None else auts
     seen, reps = set(), []
     for u, v in g.non_edges():
         if (u, v) not in seen:
@@ -115,10 +115,25 @@ def test_generators_are_automorphisms(g):
     _assert_generators_are_automorphisms(g)
 
 
+def _assert_edge_walks_match(g, auts):
+    """The pair-orbit walk from each edge e, stopping at another edge f,
+    reaches f exactly when an automorphism in `auts` maps e to f: the
+    canonical-deletion test of class making."""
+    gens = automorphism_generators(g)
+    for e in g.edges:
+        images = {normalise_edge(s[e[0]], s[e[1]]) for s in auts}
+        for f in g.edges:
+            if f != e:
+                reached = canon._walk_pair_orbit(g.n, gens, e, bytearray(g.n * g.n), f)
+                assert reached == (f in images), (to_graph6(g), e, f)
+
+
 def test_orbits_exact_on_all_graphs_up_to_5():
     for n in range(1, 6):
         for g in all_graphs_on(n):
-            assert non_edge_orbit_representatives(g) == _brute_non_edge_representatives(g)
+            auts = brute_force_automorphisms(g)
+            assert non_edge_orbit_representatives(g) == _brute_non_edge_representatives(g, auts)
+            _assert_edge_walks_match(g, auts)
 
 
 @pytest.mark.slow

@@ -153,10 +153,21 @@ def test_level_counts_n8_match_benchmark_reference():
     # `enumerate` benchmark's reference holds them
     want = [1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557, 1646,
             1557, 1312, 980, 663, 402, 221, 115, 56, 24, 11, 5, 2, 1, 1]
-    levels = [[to_graph6(g) for g in level] for level in enumerate_graphs_by_edges(8)]
+    digest = hashlib.sha256()
+    levels = []
+    for level in canon.class_levels(8, shared=False):
+        levels.append([to_graph6(g) for g, *_ in level])
+        # every field a class carries, in level order: representatives,
+        # bitmasks, vertex-orbit roots and parent pinned with the graph
+        for g6, (_, reps, adjb, roots, parent) in zip(levels[-1], level):
+            digest.update(f"{g6} {list(reps)} {list(adjb)} {roots and list(roots)} "
+                          f"{parent}\n".encode())
     assert [len(level) for level in levels] == want
     assert sum(want) == 12_346  # OEIS A000088
     assert len({g6 for level in levels for g6 in level}) == 12_346
+    assert digest.hexdigest() == (
+        "0cbf0eb08e416c1375ee2f6433b6cb2feaaeb7844e8e0134528034a48d83335e"
+    )
 
 
 def test_carried_non_edges_are_the_orbit_representatives():
@@ -809,6 +820,21 @@ def test_cache_mismatch_refused(tmp_path, capsys):
         assert code == 2 and err.startswith("error:") and "fail to verify" in err
 
 
+@pytest.mark.parametrize("n, witnesses", [(7, '["E?Bw"]'), (6, '["zz"]')])
+def test_cache_witnesses_that_are_no_graph_on_n_vertices_refused(tmp_path, capsys, n, witnesses):
+    # prsat(6, P4)'s witness filed under n = 7, and a string that is no graph6
+    row = STEP_WALK_ROW.replace('"n": 6', f'"n": {n}').replace('["E?Bw"]', witnesses)
+    (tmp_path / "census-prsat.jsonl").write_text(row, encoding="utf-8")
+    key = (n, "P4", "prsat", None)
+    assert not load_cached_record(tmp_path, key).verify()
+    with pytest.raises(CacheMismatchError, match="fail to verify"):
+        prsat_number(n, P4, cache_dir=tmp_path)
+    code = main(["oracle", "--n", str(n), "--pattern", "P4", "--quantity", "prsat",
+                 "--cache-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"error: cached witnesses for {key} fail to verify\n"
+
+
 # prsat(6, P4) as the cache stored it when each non-edge orbit took a walk of
 # its own: the same value and witnesses, more nodes
 STEP_WALK_ROW = ('{"budget": 10000000, "edge_cap": null, "exact": true, "n": 6, '
@@ -868,6 +894,23 @@ def test_cache_store_drops_only_unparseable_rows(tmp_path):
     second = sat_number(5, P4, cache_dir=tmp_path)
     rows = path.read_text(encoding="utf-8").splitlines()
     assert [CensusRecord.from_json_dict(json.loads(r)) for r in rows] == [first, second]
+
+
+@pytest.mark.parametrize("field, value", [("witnesses", "[1]"), ("witnesses", '"zz"'),
+                                          ("unresolved", '{"a": 1}')])
+def test_cache_rows_without_graph6_lists_read_as_misses(tmp_path, capsys, field, value):
+    old = f'"{field}": ' + ('["E?Bw"]' if field == "witnesses" else "[]")
+    path = tmp_path / "census-prsat.jsonl"
+    path.write_text(STEP_WALK_ROW.replace(old, f'"{field}": {value}'), encoding="utf-8")
+    assert load_cached_record(tmp_path, (6, "P4", "prsat", None)) is None
+    # the CLI recomputes the record, stores it in place of the row, and
+    # lets no exception escape
+    code = main(["oracle", "--n", "6", "--pattern", "P4", "--quantity", "prsat",
+                 "--cache-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and "prsat(6,P4) = 5" in out and err == ""
+    [row] = path.read_text(encoding="utf-8").splitlines()
+    assert CensusRecord.from_json_dict(json.loads(row)) == prsat_number(6, P4)
 
 
 def test_cache_failed_rename_leaves_old_file(tmp_path, monkeypatch):
