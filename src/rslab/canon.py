@@ -36,8 +36,9 @@ A cell is a twin cell when its vertices all have the same open, or all the
 same closed, neighbourhood.  A node whose non-singleton cells are all twin
 cells is read off as its one leaf, those cells split into singletons in
 ascending order (a discrete partition is the case with none; a discrete
-root has no twins, so no seeds).  That is the full search's leaf, with the
-same generators in the same order, by three facts:
+root has no twins, so no seeds); a root read off so is not even encoded,
+as no other leaf is compared with it.  That is the full search's leaf,
+with the same generators in the same order, by three facts:
 1. Twins share a cell until one is individualised (swapping them fixes the
    partition), the search individualises the lowest vertex of a cell
    first, and the seeds fixing the prefix join each later twin to it.  So
@@ -93,9 +94,10 @@ from .errors import InvalidParameterError
 from .graphs import Edge, Graph, normalise_edge, to_graph6
 
 
-def _refine(adjb: list[int], cells: list[int]) -> list[int]:
+def _refine(adjb: list[int], cells: list[int], start: int = 0) -> list[int]:
     """Coarsest equitable partition refining `cells`, each cell a bitmask
-    of its vertices; the list `cells` may be refined in place.
+    of its vertices, scanning sources from cell `start`; the list `cells`
+    may be refined in place.
 
     A bitmask holds exactly the vertices of a sorted cell, read in
     ascending order, so every rule below reads the same on either form.
@@ -105,7 +107,7 @@ def _refine(adjb: list[int], cells: list[int]) -> list[int]:
     toward the source, which is a label-independent rule, so the procedure
     commutes with isomorphisms.  The unit partition is its own first
     source, so it splits into the degree classes in ascending order, read
-    off the degrees at once, and the scan starts at the first cell.
+    off the degrees at once.
     A singleton source {s} splits a cell with one AND, into the fragments
     cell & ~N(s) and cell & N(s) (counts 0 and 1).  After a split of target
     `ci` by source `si` the scan resumes at source min(si, ci) rather than
@@ -113,11 +115,14 @@ def _refine(adjb: list[int], cells: list[int]) -> list[int]:
     and the fragments of a cell that had equal neighbour counts toward them
     still have.  For the same reason, when the target lies after the source
     the scan of that source goes on over the fragments, which it splits no
-    further.  So each split made is the one a scan from the first cell
-    would make.  A target is split exactly when some vertex has a count
-    other than its first vertex's, so the scan stops at the first such
-    vertex and groups the cell only then: the splits are the same as
-    grouping every cell would make.
+    further.  The same holds for `start`: the search passes the index of
+    the cell it split into {v} and the rest of an equitable partition, and
+    the cells before it were sources of that partition, so they split no
+    unchanged cell and no subset of a cell.  So each split made is the one
+    a scan from the first cell would make.  A target is split exactly when
+    some vertex has a count other than its first vertex's, so the scan
+    stops at the first such vertex and groups the cell only then: the
+    splits are the same as grouping every cell would make.
     """
     n = len(adjb)
     if len(cells) == 1:  # the unit partition
@@ -125,7 +130,7 @@ def _refine(adjb: list[int], cells: list[int]) -> list[int]:
         for v, a in enumerate(adjb):
             by_degree[a.bit_count()] |= 1 << v
         cells = [c for c in by_degree if c]
-    si = 0
+    si = start
     while si < len(cells) < n:  # a discrete partition is equitable
         smask = cells[si]
         single = adjb[smask.bit_length() - 1] if smask & (smask - 1) == 0 else None
@@ -168,64 +173,50 @@ def _refine(adjb: list[int], cells: list[int]) -> list[int]:
 def labelling(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Canonical position map of `g` (vertex v goes to pos[v]) and generators
     of its automorphism group."""
-    pos, gens, _ = _label(g.n, g.adjacency_bits(), g.edges)
-    return pos, gens
+    return _label(g.n, g.adjacency_bits(), g.edges)
 
 
-def _label(n: int, adjb: list[int], edges) -> tuple[tuple[int, ...], tuple, int]:
+def _label(n: int, adjb: list[int], edges) -> tuple[tuple[int, ...], tuple]:
     """:func:`labelling` of the graph on 0..n-1 with the adjacency bitmasks
-    `adjb` and the edges `edges` (u < v, in any order), and the encoding of
-    its canonical graph: bit a * n + b for each of its edges (a, b), a < b."""
-    if n == 0:
-        return (), (), 0
-    identity = tuple(range(n))
-
-    best: list = [None, None]    # encoding, position tuple
-    first: list = [None, None]
+    `adjb` and the edges `edges` (u < v, in any order).  A root with no
+    branching cell is read off; the search compares its leaves by the
+    encoding of the graph each makes: bit a * n + b per edge (a, b), a < b."""
     root = _refine(adjb, [(1 << n) - 1])
     # twin seeds and classes: see the module docstring
     gens, twin_of = _twins(adjb) if len(root) < n else ([], None)
+    if len(root) == n or _branch_cell(root, twin_of) is None:
+        return _positions(n, root), tuple(gens)
+
+    identity = tuple(range(n))
+    best: list = [None, None]    # encoding, position tuple
+    first: list = [None, None]
     gen_seen = set(gens)
 
     def record_leaf(cells):
-        pos = [0] * n
-        i = 0
-        for c in cells:  # a twin cell splits into singletons in ascending order
-            while c:
-                pos[(c & -c).bit_length() - 1] = i
-                i += 1
-                c &= c - 1
+        pos = _positions(n, cells)
         enc = 0
         for u, v in edges:
             a, b = pos[u], pos[v]
             if a > b:
                 a, b = b, a
             enc |= 1 << (a * n + b)
-        ptuple = tuple(pos)
         for ref_enc, ref_pos in (tuple(first), tuple(best)):
-            if ref_enc is not None and enc == ref_enc and ptuple != ref_pos:
+            if ref_enc is not None and enc == ref_enc and pos != ref_pos:
                 inv = [0] * n
                 for v2 in range(n):
                     inv[ref_pos[v2]] = v2
-                sigma = tuple(inv[ptuple[v2]] for v2 in range(n))
+                sigma = tuple(inv[pos[v2]] for v2 in range(n))
                 if sigma != identity and sigma not in gen_seen:
                     gen_seen.add(sigma)
                     gens.append(sigma)
         if first[0] is None:
-            first[0], first[1] = enc, ptuple
+            first[0], first[1] = enc, pos
         if best[0] is None or enc < best[0]:
-            best[0], best[1] = enc, ptuple
+            best[0], best[1] = enc, pos
 
     def dfs(cells, fixed: tuple[int, ...]):
-        # a node whose non-singleton cells are all twin cells is a leaf
-        target = None
-        for i, c in enumerate(cells):
-            if c & (c - 1):
-                if target is None:
-                    target = i
-                if c & ~twin_of[c.bit_length() - 1]:
-                    break
-        else:
+        target = _branch_cell(cells, twin_of)
+        if target is None:
             record_leaf(cells)
             return
         cell = cells[target]
@@ -245,32 +236,39 @@ def _label(n: int, adjb: list[int], edges) -> tuple[tuple[int, ...], tuple, int]
                 if any(roots[u] == roots[v] for u in tried):
                     continue
             child = cells[:target] + [1 << v, cell ^ 1 << v] + cells[target + 1:]
-            dfs(_refine(adjb, child), fixed + (v,))
+            # the cells before `target` split nothing: see `_refine`
+            dfs(_refine(adjb, child, target), fixed + (v,))
             tried.append(v)
 
     dfs(root, ())
     dfs = None  # dfs calls itself: unbinding it frees it with no cycle left
-    return best[1], tuple(gens), best[0]
+    return best[1], tuple(gens)
 
 
-def _encoded_graph(n: int, enc: int) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
-    """The edges (a, b) of an encoding from :func:`_label`, in sorted order
-    and shared with :func:`_pair_table`, and the adjacency bitmasks of the
-    graph they make."""
-    mask = (1 << n) - 1
-    pairs, index = _pair_table(n)
-    edges = []
-    adjb = [0] * n
-    for a in range(n - 1):
-        row = enc >> a * n & mask  # the neighbours b > a of a
-        adjb[a] |= row
-        while row:
-            low = row & -row
-            b = low.bit_length() - 1
-            edges.append(pairs[index[a * n + b]])
-            adjb[b] |= 1 << a
-            row ^= low
-    return tuple(edges), tuple(adjb)
+def _branch_cell(cells: list[int], twin_of: list[int]) -> int | None:
+    """The index of the cell a search node branches on, its first
+    non-singleton cell, or None when the node is a leaf: its non-singleton
+    cells are all twin cells (`twin_of` holds each vertex's class)."""
+    target = None
+    for i, c in enumerate(cells):
+        if c & (c - 1):
+            if target is None:
+                target = i
+            if c & ~twin_of[c.bit_length() - 1]:
+                return target
+    return None
+
+
+def _positions(n: int, cells: list[int]) -> tuple[int, ...]:
+    """Each vertex's position at the leaf of `cells`, twin cells split ascending."""
+    pos = [0] * n
+    i = 0
+    for c in cells:
+        while c:
+            pos[(c & -c).bit_length() - 1] = i
+            i += 1
+            c &= c - 1
+    return tuple(pos)
 
 
 def twin_classes(adjb: list[int]) -> list[list[int]]:
@@ -355,14 +353,16 @@ def non_edge_representatives(adjb, gens) -> list[Edge]:
     lexicographic order, shared with :func:`_pair_table`: each non-edge that
     no earlier :func:`_walk_pair_orbit` reached, walked from in turn."""
     n = len(adjb)
+    pairs = _pair_table(n)[0]
+    if not gens:
+        return [p for p in pairs if not adjb[p[0]] >> p[1] & 1]
     marks = bytearray(n * n)
     reps = []
-    for p in _pair_table(n)[0]:
+    for p in pairs:
         u, v = p
         if not (marks[u * n + v] or adjb[u] >> v & 1):
             reps.append(p)
-            if gens:
-                _walk_pair_orbit(n, gens, p, marks, None)
+            _walk_pair_orbit(n, gens, p, marks, None)
     return reps
 
 
@@ -517,8 +517,9 @@ def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], positio
     whatever labelling C comes in, so each class with m+1 edges is kept
     exactly once, from the representative of C - m(C).  A child whose e
     does not have the largest invariant is refused before it is labelled,
-    and one whose e alone has it is m(C).  A labelled child is built once,
-    with its bitmasks, from the encoding of its canonical graph.
+    and one whose e alone has it is m(C).  A kept child is built once from
+    its positions: its canonical edges are the :func:`_pair_table` pairs
+    of the images of its edges, in order, and its bitmasks come from them.
     """
     n = parent.n
     k = _isolated(parent)
@@ -528,6 +529,7 @@ def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], positio
         non_edges = non_edges[:1] if k == 2 else [e for e in non_edges if e[0] == 0]
     deg = [a.bit_count() for a in adjb]
     keys = _degree_keys(n)
+    pairs, index = _pair_table(n)
     # Degrees only grow from P to C, so an edge of P whose key in P beats
     # the key of e in C beats it in C as well.
     parent_top = max((keys[deg[a]][deg[b]] for a, b in parent.edges), default=-1)
@@ -544,14 +546,19 @@ def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], positio
         top = _top_invariant_edges(e, parent.edges, child_deg, child_adjb)
         if top is None:
             continue
-        pos, child_gens, enc = _label(n, child_adjb, parent.edges + (e,))
+        child_edges = parent.edges + (e,)
+        pos, child_gens = _label(n, child_adjb, child_edges)
         if len(top) > 1:
             m = max(top, key=lambda ab: normalise_edge(pos[ab[0]], pos[ab[1]]))
             if m != e and not _walk_pair_orbit(n, child_gens, e, bytearray(n * n), m):
                 continue
-        at = sorted(range(n), key=pos.__getitem__)  # the vertex at each position
-        edges, canonical_adjb = _encoded_graph(n, enc)
+        at = [0] * n  # the vertex at each position
+        for v in range(n):
+            at[pos[v]] = v
+        edges = tuple([pairs[i] for i in sorted([index[pos[a] * n + pos[b]]
+                                                  for a, b in child_edges])])
         canonical = Graph._trusted(n, edges)
+        canonical_adjb = tuple(canonical.adjacency_bits())
         gens = [[pos[s[x]] for x in at] for s in child_gens]
         roots = orbit_roots(n, gens) if gens else range(n)
         yield (canonical, non_edge_representatives(canonical_adjb, gens), canonical_adjb,

@@ -108,21 +108,21 @@ class CensusRecord:
 
     @staticmethod
     def from_json_dict(d: dict) -> "CensusRecord":
-        graph6s = d["witnesses"], d["unresolved"]  # lists of strings, or the line is unparseable
-        if not all(isinstance(x, list) and all(isinstance(w, str) for w in x) for x in graph6s):
-            raise TypeError("witnesses and unresolved must be lists of graph6 strings")
+        """The record of a cache line; a field of another JSON type raises TypeError."""
+        d = {"budget": None, "nodes_explored": 0, "edge_cap": None, **d}
+        graph6s = d["witnesses"], d["unresolved"]  # lists of graph6 strings
+        counts = d["n"], d["total_graphs_examined"], d["nodes_explored"]  # ints, not bools
+        optional = d["value"], d["budget"], d["edge_cap"]  # ints or nulls
+        if not (all(isinstance(x, list) and all(type(w) is str for w in x) for x in graph6s)
+                and all(type(x) is int for x in counts) and type(d["exact"]) is bool
+                and all(x is None or type(x) is int for x in optional)
+                and type(d["pattern"]) is str and type(d["quantity"]) is str):
+            raise TypeError("a census record field has the wrong JSON type")
         return CensusRecord(
-            n=int(d["n"]),
-            pattern=str(d["pattern"]),
-            quantity=str(d["quantity"]),
-            value=None if d["value"] is None else int(d["value"]),
-            exact=bool(d["exact"]),
-            witnesses=tuple(graph6s[0]),
-            unresolved=tuple(graph6s[1]),
-            total_graphs_examined=int(d["total_graphs_examined"]),
-            budget=None if d.get("budget") is None else int(d["budget"]),
-            nodes_explored=int(d.get("nodes_explored", 0)),
-            edge_cap=None if d.get("edge_cap") is None else int(d["edge_cap"]),
+            n=d["n"], pattern=d["pattern"], quantity=d["quantity"], value=d["value"],
+            exact=d["exact"], witnesses=tuple(graph6s[0]), unresolved=tuple(graph6s[1]),
+            total_graphs_examined=d["total_graphs_examined"], budget=d["budget"],
+            nodes_explored=d["nodes_explored"], edge_cap=d["edge_cap"],
         )
 
     def verify(self, budget: int | None = None) -> bool:

@@ -359,3 +359,31 @@ def test_twin_cells_end_the_search(data):
         mp.setattr(canon, "_twins", seeds_alone)
         for g, label in zip(graphs, with_rule):
             assert canon._label(g.n, g.adjacency_bits(), g.edges) == label, to_graph6(g)
+
+
+def test_child_refinement_starts_at_the_split_cell(monkeypatch):
+    # The search refines each child partition from the cell it split: the
+    # cells before it were sources of an equitable partition and split
+    # nothing.  Every child that the searches below refine, those of class
+    # making included, must give the same cells as a scan from the first cell.
+    real = canon._refine
+    started_late = []
+
+    def both_ways(adjb, cells, start=0):
+        if start:
+            started_late.append(start)
+            assert real(adjb, list(cells), start) == real(adjb, list(cells)), (adjb, cells, start)
+        return real(adjb, cells, start)
+
+    monkeypatch.setattr(canon, "_refine", both_ways)
+    graphs = []
+    for n in range(1, 8):
+        for level in _augmented_levels(n):
+            for g, _ in level:
+                graphs += [g, g.relabel(list(range(n))[::-1])]
+    graphs += [caterpillar_construction(n, 6, 4) for n in range(28, 35)]
+    graphs += [star_forest(n, 4) for n in range(7, 41)]
+    for g in graphs:
+        canon.labelling(g)
+    # 3,504 of them start past the first cell, 566 of those in class making
+    assert len(started_late) > 1000, len(started_late)

@@ -913,6 +913,34 @@ def test_cache_rows_without_graph6_lists_read_as_misses(tmp_path, capsys, field,
     assert CensusRecord.from_json_dict(json.loads(row)) == prsat_number(6, P4)
 
 
+@pytest.mark.parametrize("swaps", [
+    {'"exact": true': '"exact": "false"', '"value": 5': '"value": "5"'},
+    {'"value": 5': '"value": true'},
+    {'"n": 6': '"n": "6"'},
+])
+def test_cache_rows_with_mistyped_scalars_read_as_misses(tmp_path, capsys, swaps):
+    # a string where JSON has a bool or an int, or a bool where it has an
+    # int, is not coerced: the row is no record of prsat(6, P4)
+    row = STEP_WALK_ROW
+    for old, new in swaps.items():
+        assert old in row
+        row = row.replace(old, new)
+    path = tmp_path / "census-prsat.jsonl"
+    path.write_text(row, encoding="utf-8")
+    with pytest.raises(TypeError):
+        CensusRecord.from_json_dict(json.loads(row))
+    assert load_cached_record(tmp_path, (6, "P4", "prsat", None)) is None
+    code = main(["oracle", "--n", "6", "--pattern", "P4", "--quantity", "prsat",
+                 "--cache-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and "prsat(6,P4) = 5" in out and err == ""
+    # recomputed, with fewer nodes than the row, which the store dropped
+    [stored] = path.read_text(encoding="utf-8").splitlines()
+    fresh = prsat_number(6, P4)
+    assert CensusRecord.from_json_dict(json.loads(stored)) == fresh
+    assert fresh.exact and fresh.nodes_explored < 276
+
+
 def test_cache_failed_rename_leaves_old_file(tmp_path, monkeypatch):
     sat_number(4, P4, cache_dir=tmp_path)
     path = tmp_path / "census-sat.jsonl"
