@@ -55,10 +55,13 @@ with the same generators in the same order, by three facts:
 The classes of order n (:func:`class_levels`) are made one per isomorphism
 class by canonical augmentation (McKay, 1998): each class grows from
 exactly one parent class by one edge, so no child is compared with another,
-and carries one non-edge per orbit of its automorphism group, taken from
-the generators its labelling found.  Only the classes with no isolated
-vertex grow so; the others are those of the same level of order n-1, padded
-with an isolated vertex, which labels nothing.
+and carries generators of its automorphism group, the conjugates of those
+its labelling found by its canonical labelling.  A parent walks the orbits
+of only the non-edges it tries, and a class's full list of non-edge orbit
+representatives is found only by a caller that asks for it
+(:func:`non_edge_representatives`).  Only the classes with no isolated
+vertex grow so; the others are those of the same level of order n-1,
+padded with an isolated vertex, which labels nothing.
 
 Padding is exact.  A padded class of g takes a new vertex 0 and moves every
 vertex v of g to v+1.  In a canonical graph the k isolated vertices sit at
@@ -68,17 +71,12 @@ labelling search of g plus an isolated vertex has the leaves of g's search
 with one more vertex in that cell, and since pair (a, b) precedes (c, d) in
 the encoding order exactly when (a+1, b+1) precedes (c+1, d+1), the least
 encoding is that of g's canonical graph padded: padding a canonical graph
-gives a canonical graph.  Its non-edge orbit representatives follow from
-g's, first pairs of orbits in lexicographic order as they are:
-
-- k = 0: (0, r+1) for each vertex-orbit root r of g, then every (u, v) of
-  g as (u+1, v+1), so a class with no isolated vertex carries its
-  vertex-orbit roots;
-- k = 1: (0, 1), the pair of the two isolated vertices, comes first;
-- k >= 2: g's (0, 1) stays (0, 1);
-- for k >= 1, each other (0, v) of g becomes (0, v+1), since the new vertex
-  and g's isolated vertices are twins, and every other (u, v) becomes
-  (u+1, v+1).
+gives a canonical graph.  Its automorphism group is g's, shifted by one,
+when k = 0, as the new vertex is then its one isolated vertex.  When k >= 1
+the new vertex and g's isolated vertices are twins, so the group is
+generated by g's generators shifted and the transposition (0 1): g's
+permute its isolated vertices 1..k in every way, and (0 1) joins vertex 0
+to them.
 
 This is exact, not heuristic: two graphs get the same label iff they are
 isomorphic.  Speed is adequate for the n <= 10 graphs this package works
@@ -350,20 +348,25 @@ def _pair_table(n: int) -> tuple[list[Edge], list[int]]:
 def non_edge_representatives(adjb, gens) -> list[Edge]:
     """The first non-edge of each orbit under the group that the automorphisms
     `gens` of the graph with adjacency bitmasks `adjb` generate, in
-    lexicographic order, shared with :func:`_pair_table`: each non-edge that
-    no earlier :func:`_walk_pair_orbit` reached, walked from in turn."""
+    lexicographic order, shared with :func:`_pair_table`."""
     n = len(adjb)
-    pairs = _pair_table(n)[0]
+    return _orbit_firsts(n, gens, [p for p in _pair_table(n)[0] if not adjb[p[0]] >> p[1] & 1])
+
+
+def _orbit_firsts(n: int, gens, pairs: list[Edge]) -> list[Edge]:
+    """The first pair of each orbit among `pairs`, pairs u < v of 0..n-1 in
+    lexicographic order that the group the permutations `gens` generate
+    maps onto themselves: each pair that no earlier :func:`_walk_pair_orbit`
+    reached, walked from in turn."""
     if not gens:
-        return [p for p in pairs if not adjb[p[0]] >> p[1] & 1]
+        return pairs
     marks = bytearray(n * n)
-    reps = []
+    firsts = []
     for p in pairs:
-        u, v = p
-        if not (marks[u * n + v] or adjb[u] >> v & 1):
-            reps.append(p)
+        if not marks[p[0] * n + p[1]]:
+            firsts.append(p)
             _walk_pair_orbit(n, gens, p, marks, None)
-    return reps
+    return firsts
 
 
 def _walk_pair_orbit(n: int, gens, pair: Edge, marks: bytearray, stop: Edge | None) -> bool:
@@ -402,26 +405,27 @@ def non_edge_orbit_representatives(g: Graph) -> list[Edge]:
 
 # The levels of each order that callers sharing the memo have made (see
 # `class_levels`), as lists of classes; at most LEVEL_MEMO_CLASSES classes
-# over all orders (5.1-5.2 MiB, 650-680 B a class, when the levels of order
+# over all orders (3.2-3.3 MiB, 410-435 B a class, when the levels of order
 # 8 or 9 fill it, as tracemalloc counts it).
 LEVEL_MEMO_CLASSES = 8192
 _LEVEL_MEMO: dict[int, list] = {}
 
 
 def class_levels(n: int, shared: bool):
-    """The levels of order n, each class as (canonical graph, non-edge
-    orbit representatives, adjacency bitmasks, vertex-orbit roots, parent).
+    """The levels of order n, each class as (canonical graph, adjacency
+    bitmasks, automorphism generators, parent).
 
     Level m holds the classes of level m of order n-1, padded
     (:func:`_padded`), in their order, then the children of level m-1 of
     order n that have no isolated vertex (:func:`_canonical_children`), in
     the order of their parents, whether a level is made or served from the
-    memo.  The roots are carried only by a class with no isolated vertex,
-    the one kind whose padding needs them; a padded class has None.  The
-    parent is the position in level m-1 of order n of a class C - f, f an
-    edge of C (None at level 0): a child's is the class it grew from, and a
-    padded class's is the one its class of order n-1 carries, since level
-    m-1 opens with the same classes padded, in the same order.
+    memo.  The generators, a tuple of tuples, generate the automorphism
+    group of the canonical graph; :func:`non_edge_representatives` reads
+    its non-edge orbits from them.  The parent is the position in level m-1
+    of order n of a class C - f, f an edge of C (None at level 0): a
+    child's is the class it grew from, and a padded class's is the one its
+    class of order n-1 carries, since level m-1 opens with the same classes
+    padded, in the same order.
 
     `shared` chooses between the two ways to take them.  Without it the
     levels stream: none is kept.  With it the levels of every order that
@@ -444,8 +448,8 @@ def class_levels(n: int, shared: bool):
         else:
             lower = next(islice(below, m - asked, None), [])
             asked = m + 1
-            children = [child for i, (g, reps, adjb, *_) in enumerate(level)
-                        for child in _canonical_children(g, reps, adjb, i)]
+            children = [child for i, (g, adjb, gens, _) in enumerate(level)
+                        for child in _canonical_children(g, adjb, gens, i)]
             level = [_padded(*c) for c in lower] + children
             fits = memo is not None and _memo_classes(memo) + len(level) <= LEVEL_MEMO_CLASSES
             if fits and len(held) == m:
@@ -454,7 +458,7 @@ def class_levels(n: int, shared: bool):
 
 
 # Order 0's one level, whose padding is order 1's level 0.
-_ORDER_0 = ([(Graph(0, ()), [], (), (), None)],)
+_ORDER_0 = ([(Graph(0, ()), (), (), None)],)
 
 
 def _memo_classes(memo: dict[int, list]) -> int:
@@ -469,43 +473,51 @@ def _isolated(g: Graph) -> int:
     return g.edges[0][0] if g.edges else g.n
 
 
-def _padded(g: Graph, reps, adjb, roots, parent):
+def _padded(g: Graph, adjb, gens, parent):
     """The class of g plus an isolated vertex, as :func:`class_levels`
     carries it: the new vertex is 0 and every vertex v of g moves to v+1.
-    This graph is canonical, and its non-edge orbit representatives follow
-    from g's (see the module docstring)."""
-    n = g.n
-    k = _isolated(g)
+    This graph is canonical, and its generators are g's, shifted, with the
+    transposition (0 1) when g has an isolated vertex (see the module
+    docstring)."""
+    m = g.n + 1
     # The pairs are those of `_pair_table`, as a labelled class's are, so
     # padding allocates no pair for the memo to hold and the garbage
     # collector to scan: (u, v) sits at index[u * m + v], so g's (u, v)
     # moves to the pair at index[u * m + v + m + 1].
-    m = n + 1
     pairs, index = _pair_table(m)
-    if k == 0:
-        new_reps = [pairs[index[r + 1]] for r in roots]
-        new_reps += [pairs[index[u * m + v + m + 1]] for u, v in reps]
-    else:
-        # g's isolated pair (0, 1) stays (0, 1); with k = 1 it is new
-        new_reps = [pairs[0]]
-        new_reps += [pairs[index[v + 1] if u == 0 else index[u * m + v + m + 1]]
-                     for u, v in (reps[1:] if k > 1 else reps)]
     edges = tuple([pairs[index[u * m + v + m + 1]] for u, v in g.edges])
-    return Graph._trusted(m, edges), new_reps, (0, *[a << 1 for a in adjb]), None, parent
+    # with an isolated vertex, g's vertex 0 and the new vertex 0 are twins
+    return (Graph._trusted(m, edges), (0, *[a << 1 for a in adjb]),
+            _padded_generators(gens, m, _isolated(g) > 0), parent)
 
 
-def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], position: int):
+@lru_cache(maxsize=None)
+def _padded_generators(gens: tuple, m: int, twins: bool) -> tuple:
+    """The generators `gens` of a class on m-1 vertices with every vertex v
+    moved to v+1, and the transposition (0 1) when `twins`; one tuple for
+    every padded class whose class carries equal generators."""
+    shifted = [(0, *[x + 1 for x in s]) for s in gens]
+    if twins:
+        shifted.append((1, 0, *range(2, m)))
+    return tuple(shifted)
+
+
+def _canonical_children(parent: Graph, adjb: tuple[int, ...], gens, position: int):
     """The children P + e of a canonical graph P that have no isolated
     vertex, one per isomorphism class whose canonical parent is P, as
     :func:`class_levels` carries a class: P's position in its level is
     `position`, each child's parent.
 
-    `non_edges` holds one non-edge e per orbit of Aut(P), and `adjb` the
-    adjacency bitmasks of P.  Only the e that leave no vertex isolated are
-    tried: none when P has three or more isolated vertices, (0, 1) when it
-    has two, those at vertex 0 when it has one, and every e when it has
-    none.  Automorphisms of P map such an e to another, so the first pair
-    of its orbit is one of them.
+    `adjb` holds the adjacency bitmasks of P and `gens` generators of
+    Aut(P).  The e tried are the first pair of each Aut(P) orbit
+    (:func:`_orbit_firsts`) among the non-edges that pass two tests, which
+    automorphisms of P preserve, so that each orbit passes whole or not at
+    all: e leaves no vertex isolated (no e when P has three or more
+    isolated vertices, (0, 1) when it has two, those at vertex 0 when it
+    has one, and every e when it has none), and the (degree sum, smaller
+    degree) of e's ends in C is at least the largest of an edge of P.
+    Degrees only grow from P to C, so an edge of P whose key in P beats
+    the key of e in C beats it in C as well.
     The child C = P + e is kept only if e lies in the Aut(C)-orbit of C's
     canonical deletion edge m(C): among the edges with the largest (degree
     sum, smaller degree, common neighbours, neighbour degrees) of their ends
@@ -519,24 +531,22 @@ def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], positio
     does not have the largest invariant is refused before it is labelled,
     and one whose e alone has it is m(C).  A kept child is built once from
     its positions: its canonical edges are the :func:`_pair_table` pairs
-    of the images of its edges, in order, and its bitmasks come from them.
+    of the images of its edges, in order, its bitmasks come from them, and
+    its generators are those its labelling found, conjugated to them.
     """
     n = parent.n
     k = _isolated(parent)
     if k > 2:
         return
-    if k:
-        non_edges = non_edges[:1] if k == 2 else [e for e in non_edges if e[0] == 0]
     deg = [a.bit_count() for a in adjb]
     keys = _degree_keys(n)
     pairs, index = _pair_table(n)
-    # Degrees only grow from P to C, so an edge of P whose key in P beats
-    # the key of e in C beats it in C as well.
     parent_top = max((keys[deg[a]][deg[b]] for a, b in parent.edges), default=-1)
-    for e in non_edges:
+    near = pairs if k == 0 else pairs[:1] if k == 2 else pairs[:n - 1]  # (0, v) for k = 1
+    tried = [(u, v) for u, v in near
+             if not adjb[u] >> v & 1 and keys[deg[u] + 1][deg[v] + 1] >= parent_top]
+    for e in _orbit_firsts(n, gens, tried):
         u, v = e
-        if parent_top > keys[deg[u] + 1][deg[v] + 1]:
-            continue
         child_deg = list(deg)
         child_deg[u] += 1
         child_deg[v] += 1
@@ -558,11 +568,15 @@ def _canonical_children(parent: Graph, non_edges, adjb: tuple[int, ...], positio
         edges = tuple([pairs[i] for i in sorted([index[pos[a] * n + pos[b]]
                                                   for a, b in child_edges])])
         canonical = Graph._trusted(n, edges)
-        canonical_adjb = tuple(canonical.adjacency_bits())
-        gens = [[pos[s[x]] for x in at] for s in child_gens]
-        roots = orbit_roots(n, gens) if gens else range(n)
-        yield (canonical, non_edge_representatives(canonical_adjb, gens), canonical_adjb,
-               tuple([v for v in range(n) if roots[v] == v]), position)
+        carried = tuple([tuple([pos[s[x]] for x in at]) for s in child_gens])
+        yield canonical, tuple(canonical.adjacency_bits()), _shared_generators(carried), position
+
+
+@lru_cache(maxsize=None)
+def _shared_generators(gens: tuple) -> tuple:
+    """`gens`, or the equal tuple of generators that an earlier child
+    carries: the 12,345 children on 2-8 vertices carry 789 distinct ones."""
+    return gens
 
 
 @lru_cache(maxsize=None)

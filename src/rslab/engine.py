@@ -912,9 +912,10 @@ def outcome(
 ) -> Outcome:
     """The census's verdict on g for `quantity` (sat, ssat or prsat), with
     no certificate.  The steps ask the non-edges `non_edges`; a census
-    passes the one per automorphism orbit that each class carries, and None
-    leaves them to the verdict's defaults (every non-edge for sat and ssat,
-    one per orbit for the prsat walk).  The rules, stated here once:
+    passes one per automorphism orbit, read off the generators each class
+    carries, and None leaves them to the verdict's defaults (every non-edge
+    for sat and ssat, one per orbit for the prsat walk).  The rules, stated
+    here once:
 
     - Star rule.  sat and ssat take :func:`is_saturated` and
       :func:`is_semi_saturated`, and so does prsat, as sat, when every two

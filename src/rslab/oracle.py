@@ -9,15 +9,16 @@ level, and it makes no level past that of its value (or of the edge cap).
 Each class is asked once, through :func:`rslab.engine.outcome`, the one
 verdict of all three quantities, whose docstring states its rules: which
 procedure decides, what the budget bounds and when a class failed at the
-base.  The census passes it the non-edge orbit representatives each class
-carries, rather than those of a new labelling search, and builds no
-certificate.  A class Unknown at or below the value poisons exactness and
-is reported on the record rather than guessed.  For a connected pattern on
-k vertices a class is first refuted, with no walk and no matcher call,
-when the components of the ends of some carried non-edge hold fewer than k
-vertices (:func:`_too_small`).  Before that, a class is refuted with no
-check at all when its canonical parent, which it carries as a position in
-the level below, failed at the base.
+base.  The census passes it one non-edge per automorphism orbit, read off
+the generators each class carries rather than a new labelling search, and
+finds them only for the classes that reach it; it builds no certificate.
+A class Unknown at or below the value poisons exactness and is reported on
+the record rather than guessed.  For a connected pattern on k vertices a
+class is first refuted, with no walk and no matcher call, when the
+components of the ends of some non-edge hold fewer than k vertices, which
+its component sizes alone tell (:func:`_too_small`).  Before that, a class
+is refuted with no check at all when its canonical parent, which it
+carries as a position in the level below, failed at the base.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .canon import class_levels
+from .canon import class_levels, non_edge_representatives
 from .colouring import is_proper
 from .engine import DEFAULT_BUDGET, Status, find_rainbow_copy, outcome
 from .errors import CacheAccessError, CacheMismatchError, InvalidParameterError, RslabError
@@ -142,26 +143,27 @@ class CensusRecord:
         return True
 
 
-def _too_small(adjb, non_edges, k: int) -> bool:
-    """Whether the ends of some non-edge (u, v) lie in components, given by
-    the adjacency bitmasks `adjb`, with fewer than k vertices in all.  No
-    copy of a connected pattern on k vertices then passes through (u, v),
-    so the class is Refuted in all three modes: for prsat, a rainbow-free
-    colouring of the class, if any, extends to (u, v) by a new colour.  A
-    flood that covers every vertex ends the check: the class is connected."""
-    comp = [0] * len(adjb)  # each vertex's component, once flooded
-    for u, v in non_edges:
-        for x in (u, v):
-            if not comp[x]:
-                seen = todo = _component_of(adjb, x)
-                if seen.bit_count() == len(adjb):
-                    return len(adjb) < k
-                while todo:
-                    low = todo & -todo
-                    comp[low.bit_length() - 1] = seen
-                    todo ^= low
-        if (comp[u] | comp[v]).bit_count() < k:
-            return True
+def _too_small(adjb, k: int) -> bool:
+    """Whether the ends of some non-edge lie in components, given by the
+    adjacency bitmasks `adjb`, with fewer than k vertices in all: two
+    components with fewer than k vertices between them, or one with fewer
+    than k that is not a clique.  No copy of a connected pattern on k
+    vertices then passes through that non-edge, so the class is Refuted in
+    all three modes: for prsat, a rainbow-free colouring of the class, if
+    any, extends to the non-edge by a new colour."""
+    smallest = k  # the fewest vertices of a component flooded so far
+    left = (1 << len(adjb)) - 1
+    while left:
+        comp = _component_of(adjb, (left & -left).bit_length() - 1)
+        left ^= comp
+        size = comp.bit_count()
+        if size < k:
+            if smallest + size < k:
+                return True
+            twice_edges = sum(a.bit_count() for v, a in enumerate(adjb) if comp >> v & 1)
+            if twice_edges < size * (size - 1):
+                return True
+            smallest = min(smallest, size)
     return False
 
 
@@ -201,14 +203,15 @@ def _census(
     # on the last level it examines, so no later level is made.
     for m, level in enumerate(class_levels(n, shared=True)):
         below, failed = failed, set()
-        for i, (g, non_edges, adjb, _, parent) in enumerate(level):
+        for i, (g, adjb, gens, parent) in enumerate(level):
             examined += 1
             if parent in below:
                 failed.add(i)
                 continue
-            if k and _too_small(adjb, non_edges, k):
+            if k and _too_small(adjb, k):
                 continue
-            status, nodes, base_failed = outcome(g, spec, quantity, budget, non_edges)
+            status, nodes, base_failed = outcome(g, spec, quantity, budget,
+                                                 non_edge_representatives(adjb, gens))
             nodes_total += nodes
             if status is Status.ESTABLISHED:
                 value = m

@@ -62,9 +62,10 @@ def partition(colouring):
 
 def _augmented_levels(n, shared=False):
     """The levels of order n as `canon.class_levels` makes them, each
-    class as (canonical graph, non-edge orbit representatives)."""
+    class as (canonical graph, non-edge orbit representatives), the
+    representatives found from the generators the class carries."""
     for level in canon.class_levels(n, shared):
-        yield [(g, reps) for g, reps, *_ in level]
+        yield [(g, canon.non_edge_representatives(adjb, gens)) for g, adjb, gens, _ in level]
 
 
 def permutations_of(n):

@@ -198,25 +198,13 @@ def _all_pair_non_edge_representatives(g, gens):
     return [p for i, p in enumerate(pairs) if roots[i] == i and not has_edge(g, *p)]
 
 
-def test_non_edge_representatives_match_all_pair_reference(monkeypatch):
-    # every class up to n = 6, with the generators the enumeration carries
-    # to it, with none, and with a random part of them; a class with an
-    # isolated vertex is padded, not labelled, so it carries none, and its
-    # generators come from `automorphism_generators`
-    carried = []
-    real = canon.non_edge_representatives
-    monkeypatch.setattr(canon, "non_edge_representatives",
-                        lambda adjb, gens: carried.append((adjb, gens)) or real(adjb, gens))
-    # order 6 first, so that orders 1-5 are then served from the memo
-    monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
-    classes = [g for n in range(6, 0, -1) for level in _augmented_levels(n, shared=True)
-               for g, _ in level]
+def test_non_edge_representatives_match_all_pair_reference():
+    # every class up to n = 6, with the generators it carries, with none,
+    # and with a random part of them
+    gens_of = {g: gens for n in range(1, 7) for level in canon.class_levels(n, shared=False)
+               for g, _, gens, _ in level}
+    classes = list(gens_of)
     assert len(classes) == 208  # OEIS A000088, n = 1..6
-    assert len(carried) == 1 + 2 + 7 + 23 + 122  # OEIS A002494, n = 2..6
-    carried = dict(carried)
-    gens_of = {g: carried.get(tuple(g.adjacency_bits())) for g in classes}
-    gens_of.update((g, automorphism_generators(g)) for g in classes if gens_of[g] is None)
-    assert len(gens_of) == 208
     assert sum(1 for gens in gens_of.values() if len(gens) > 1) > 100
     rng = random.Random(0)
     for g in classes:

@@ -157,11 +157,16 @@ def test_level_counts_n8_match_benchmark_reference():
     levels = []
     for level in canon.class_levels(8, shared=False):
         levels.append([to_graph6(g) for g, *_ in level])
-        # every field a class carries, in level order: representatives,
-        # bitmasks, vertex-orbit roots and parent pinned with the graph
-        for g6, (_, reps, adjb, roots, parent) in zip(levels[-1], level):
-            digest.update(f"{g6} {list(reps)} {list(adjb)} {roots and list(roots)} "
-                          f"{parent}\n".encode())
+        # every field a class carries, in level order: bitmasks and parent
+        # pinned with the graph, and the generators by the non-edge orbit
+        # representatives and, for a class with no isolated vertex, the
+        # vertex-orbit roots they give
+        for g6, (g, adjb, gens, parent) in zip(levels[-1], level):
+            reps = canon.non_edge_representatives(adjb, gens)
+            roots = None
+            if adjb[0]:  # vertex 0 of a canonical graph is isolated if any is
+                roots = [v for v, r in enumerate(canon.orbit_roots(g.n, gens)) if r == v]
+            digest.update(f"{g6} {reps} {list(adjb)} {roots} {parent}\n".encode())
     assert [len(level) for level in levels] == want
     assert sum(want) == 12_346  # OEIS A000088
     assert len({g6 for level in levels for g6 in level}) == 12_346
@@ -177,17 +182,25 @@ def test_carried_non_edges_are_the_orbit_representatives():
                 assert non_edges == non_edge_orbit_representatives(g), to_graph6(g)
 
 
-def test_classes_carry_their_bitmasks_and_vertex_orbit_roots():
+def test_classes_carry_their_bitmasks_and_automorphism_generators():
+    # every class, padded ones included: each generator it carries is an
+    # automorphism, and they move each vertex around its whole orbit
+    padded = 0
     for n in range(1, 8):
         for level in canon.class_levels(n, shared=False):
-            for g, _, adjb, roots, _ in level:
+            for g, adjb, gens, _ in level:
                 assert list(adjb) == g.adjacency_bits(), to_graph6(g)
-                if roots is not None:
-                    auts = brute_force_automorphisms(g)
-                    want = sorted({min(s[v] for s in auts) for v in range(n)})
-                    assert list(roots) == want, to_graph6(g)
-                else:  # a padded class
-                    assert not adjb[0]
+                assert type(gens) is tuple and all(type(s) is tuple for s in gens)
+                edges = set(g.edges)
+                for s in gens:
+                    assert sorted(s) == list(range(n)), to_graph6(g)
+                    assert {normalise_edge(s[u], s[v]) for u, v in g.edges} == edges, (
+                        to_graph6(g), s)
+                auts = brute_force_automorphisms(g)
+                want = [min(s[v] for s in auts) for v in range(n)]
+                assert canon.orbit_roots(n, gens) == want, to_graph6(g)
+                padded += not adjb[0]
+    assert padded == 1 + 1 + 2 + 4 + 11 + 34 + 156  # the classes of orders 0-6, padded
 
 
 def test_padding_a_class_gives_a_canonical_class():
@@ -197,10 +210,11 @@ def test_padding_a_class_gives_a_canonical_class():
     for n in range(1, 8):
         for level in canon.class_levels(n, shared=False):
             for cls in level:
-                g, reps, adjb, roots, _ = canon._padded(*cls)
+                g, adjb, gens, _ = canon._padded(*cls)
                 assert canonical_graph(g) == g, to_graph6(cls[0])
+                reps = canon.non_edge_representatives(adjb, gens)
                 assert reps == non_edge_orbit_representatives(g), to_graph6(cls[0])
-                assert list(adjb) == g.adjacency_bits() and roots is None
+                assert list(adjb) == g.adjacency_bits()
                 padded += 1
     assert padded == 1252
 
@@ -240,30 +254,20 @@ def test_levels_are_the_same_when_a_lower_order_streams_partway(monkeypatch):
 
 
 def test_carried_non_edges_are_the_census_non_edges(monkeypatch):
-    # every class a census decides, with the non-edges it came with: the
-    # component-size rule reads them first, and the verdict of each class
-    # that rule leaves
+    # every class a census asks for a verdict, with the non-edges the
+    # census found from the generators the class carries
     visited = []
     real = oracle.outcome
-    real_too_small = oracle._too_small
 
     def spy(g, spec, quantity, budget, non_edges):
         visited.append((g, non_edges))
         return real(g, spec, quantity, budget, non_edges)
 
-    def too_small_spy(adjb, non_edges, k):
-        n = len(adjb)
-        g = Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)
-                           if adjb[u] >> v & 1))
-        visited.append((g, non_edges))
-        return real_too_small(adjb, non_edges, k)
-
     monkeypatch.setattr(oracle, "outcome", spy)
-    monkeypatch.setattr(oracle, "_too_small", too_small_spy)
     for n in range(2, 8):
         prsat_number(n, P5, budget=10**6)
         sat_number(n, P4)
-    assert len({to_graph6(g) for g, _ in visited}) > 300
+    assert len({to_graph6(g) for g, _ in visited}) > 250  # 264 of them
     for g, non_edges in visited:
         assert non_edges == non_edge_orbit_representatives(g)
 
@@ -374,14 +378,50 @@ def test_component_size_rule_refutes_only_refuted_classes():
     for token in ("P3", "P4", "P5", "P6", "K1,3", "T5star", "S3,2"):
         spec = parse_pattern(token)
         fired = 0
-        for g, non_edges, adjb, *_ in classes:
-            if not oracle._too_small(adjb, non_edges, spec.graph.n):
+        for g, adjb, gens, _ in classes:
+            if not oracle._too_small(adjb, spec.graph.n):
                 continue
             fired += 1
+            non_edges = canon.non_edge_representatives(adjb, gens)
             for quantity in ("sat", "ssat", "prsat") if g.n <= 6 else ("sat", "ssat"):
                 verdict = engine.outcome(g, spec, quantity, 10**6, non_edges)
                 assert verdict.status is engine.Status.REFUTED, (token, quantity, to_graph6(g))
         assert fired, token
+
+
+def _too_small_by_non_edges(adjb, non_edges, k):
+    """`oracle._too_small` before it read component sizes alone, kept as a
+    reference: whether the ends of some non-edge (u, v) of `non_edges` lie
+    in components with fewer than k vertices in all."""
+    comp = [0] * len(adjb)  # each vertex's component, once flooded
+    for u, v in non_edges:
+        for x in (u, v):
+            if not comp[x]:
+                seen = todo = oracle._component_of(adjb, x)
+                if seen.bit_count() == len(adjb):
+                    return len(adjb) < k
+                while todo:
+                    low = todo & -todo
+                    comp[low.bit_length() - 1] = seen
+                    todo ^= low
+        if (comp[u] | comp[v]).bit_count() < k:
+            return True
+    return False
+
+
+def test_component_size_rule_matches_the_non_edge_reference():
+    # component sizes alone give the verdict that the non-edge orbit
+    # representatives gave, on every class with n <= 7 and every k = 2..7
+    fired = 0
+    for n in range(1, 8):
+        for level in canon.class_levels(n, shared=False):
+            for g, adjb, gens, _ in level:
+                reps = canon.non_edge_representatives(adjb, gens)
+                for k in range(2, 8):
+                    got = oracle._too_small(adjb, k)
+                    assert got == _too_small_by_non_edges(adjb, reps, k), (to_graph6(g), k)
+                    fired += got
+    assert fired == 789  # of the 7,512 (class, k) pairs
 
 
 def test_each_class_carries_a_parent_one_edge_below_it():
@@ -439,7 +479,7 @@ def test_a_class_fails_at_the_base_when_its_parent_does(monkeypatch, quantity, t
             failing = [[fails(g) for g, *_ in level] for level in levels]
             last = len(levels) - 1 if rec.value is None else rec.value
             for m in range(1, len(levels)):
-                for i, (g, _, adjb, _, parent) in enumerate(levels[m]):
+                for i, (g, adjb, _, parent) in enumerate(levels[m]):
                     if failing[m - 1][parent]:
                         assert failing[m][i], (token, to_graph6(g))
                     if m <= last and tuple(adjb) not in asked:
@@ -693,33 +733,35 @@ def test_level_memo_keeps_to_its_bound(monkeypatch):
     assert 0 < len(memo[6]) < 9 and 0 < len(memo[7]) < 9
 
 
-def test_censuses_find_the_non_edges_of_each_class_once(monkeypatch):
-    # each class in the memo had its non-edges found once: by a labelling,
-    # or by padding a class of the order below
+def test_censuses_find_representatives_only_for_the_classes_they_decide(monkeypatch):
+    # class making walks only the non-edge orbits it tries and never asks
+    # for a class's full list of representatives; a census asks for it
+    # just before each verdict, and for no class that takes none (refuted
+    # by its parent or by component sizes)
     monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
-    found = []
-    real = canon.non_edge_representatives
-    real_padded = canon._padded
+    in_canon, in_census, decided = [], [], []
+    real_reps, real_outcome = canon.non_edge_representatives, oracle.outcome
 
-    # a class is known by its adjacency bitmasks, which the labelling and
-    # the padding both return
-    def spy(adjb, gens):
-        found.append(tuple(adjb))
-        return real(adjb, gens)
+    def canon_spy(adjb, gens):
+        in_canon.append(tuple(adjb))
+        return real_reps(adjb, gens)
 
-    def padded_spy(*cls):
-        padded = real_padded(*cls)
-        found.append(tuple(padded[2]))
-        return padded
+    def census_spy(adjb, gens):
+        in_census.append(tuple(adjb))
+        return real_reps(adjb, gens)
 
-    monkeypatch.setattr(canon, "non_edge_representatives", spy)
-    monkeypatch.setattr(canon, "_padded", padded_spy)
-    for point in MEMO_POINTS:
-        _memo_census(point)
-    made = [tuple(adjb) for levels in canon._LEVEL_MEMO.values()
-            for level in levels for _, _, adjb, *_ in level]
-    assert len(made) > 100
-    assert sorted(found) == sorted(made)
+    def outcome_spy(g, *rest):
+        decided.append(tuple(g.adjacency_bits()))
+        return real_outcome(g, *rest)
+
+    monkeypatch.setattr(canon, "non_edge_representatives", canon_spy)
+    monkeypatch.setattr(oracle, "non_edge_representatives", census_spy)
+    monkeypatch.setattr(oracle, "outcome", outcome_spy)
+    examined = sum(_memo_census(point).total_graphs_examined for point in MEMO_POINTS)
+    assert canon._memo_classes(canon._LEVEL_MEMO) > 100
+    assert in_canon == []
+    assert 100 < len(decided) < examined
+    assert in_census == decided
 
 
 def test_class_making_leaves_no_cyclic_garbage(monkeypatch):
@@ -746,10 +788,11 @@ def test_class_making_leaves_no_cyclic_garbage(monkeypatch):
 
 
 def test_level_memo_holds_few_bytes_a_class(monkeypatch):
-    # a class holds its canonical graph, the bitmasks and representatives
-    # its level carries and the roots of a labelled class, and no edge set:
-    # 570-600 bytes a class, against 1,236 with an edge set on each
-    # labelled class
+    # a class holds its canonical graph, the bitmasks its level carries and
+    # a tuple of generators that it shares with every class carrying equal
+    # ones, and no edge set: about 385 bytes a class, against 580 with the
+    # representatives and roots each class carried before and 1,236 with an
+    # edge set as well
     monkeypatch.setattr(canon, "_LEVEL_MEMO", {})
     for _ in canon.class_levels(7, shared=True):  # fill the pair tables and other caches
         pass
@@ -767,7 +810,7 @@ def test_level_memo_holds_few_bytes_a_class(monkeypatch):
         tracemalloc.stop()
     classes = canon._memo_classes(memo)
     assert classes == 1 + 2 + 4 + 11 + 34 + 156 + 1044  # OEIS A000088, n = 1..7
-    assert held <= 800 * classes
+    assert held <= 400 * classes
 
 
 def test_prsat_number_runs_in_one_process():
